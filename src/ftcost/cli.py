@@ -8,6 +8,7 @@ import sys
 
 from . import config as cfgmod
 from . import plaquette
+from .errors import InvalidParameterError
 from .noise import (
     AttemptCaps,
     binomial_sigma,
@@ -229,7 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvalidParameterError as exc:
+        print(f"ftcost {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,12 +9,14 @@ protocol's outcome categories carry known Pauli channels.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidParameterError
+from .pauli import _PRODUCTS
 
 #: Default relative weights of the four error mechanisms versus the overall
 #: noise intensity p.
@@ -135,7 +137,7 @@ class PauliChannel:
         out: dict[str, float] = {}
         for la, wa in self.terms:
             for lb, wb in other.terms:
-                label = "".join(_pauli_letter_product(a, b) for a, b in zip(la, lb))
+                label = "".join(_PRODUCTS[a, b][1] for a, b in zip(la, lb))
                 out[label] = out.get(label, 0.0) + wa * wb
         flip = None
         if self.classical_flip_weight is not None or other.classical_flip_weight is not None:
@@ -152,16 +154,6 @@ class PauliChannel:
         fa = self.classical_flip_weight or 0.0
         fb = other.classical_flip_weight or 0.0
         return abs(fa - fb) <= atol
-
-
-def _pauli_letter_product(a: str, b: str) -> str:
-    if a == "I":
-        return b
-    if b == "I":
-        return a
-    if a == b:
-        return "I"
-    return ({"X", "Y", "Z"} - {a, b}).pop()
 
 
 @dataclass(frozen=True)
@@ -407,7 +399,11 @@ def heralded_mzz_distribution(params: PhysicalNoiseParams, caps: AttemptCaps) ->
 
 # -- Monte-Carlo oracle --------------------------------------------------------
 
-_SUCCESS, _REPEAT, _ONE_LOSS, _TWO_LOSS = 0, 1, 2, 3
+#: Rows of one stream drawn and classified at a time.  PCG64 fills consecutive
+#: draws from one sequence, so drawing a stream block by block gives the same
+#: uniforms as one draw of all its rows: the block size bounds memory and
+#: cannot change a count.
+_BLOCK_ROWS = 1 << 15
 
 
 def mc_rus_oracle(
@@ -420,43 +416,54 @@ def mc_rus_oracle(
 ) -> HeraldedOutcomeDistribution:
     """Sample RUS cycle histories and classify them into heralded categories.
 
-    Trials are partitioned into ``streams`` independently seeded PCG64
-    streams (spawned from the master seed) and the per-stream counts are
-    summed, so a parallel execution of the same partition reproduces the
-    serial result bit-for-bit.
+    The draw contract: ``SeedSequence(seed).spawn(streams)`` seeds one PCG64
+    per stream; stream i takes ``trials // streams`` trials, plus one when
+    i < ``trials % streams``, and draws them as row-major
+    ``(chunk, caps.n_rus)`` float64 uniforms, trial j of the stream using its
+    j-th row and cycle c its c-th column.  A uniform u is a success when
+    u < p_success, a repeat when u < p_success + p_repeat, a single loss when
+    u < p_success + p_repeat + p_one_loss, and a double loss otherwise.  The
+    per-stream counts are summed, so a parallel execution of the same
+    partition would reproduce the serial result bit-for-bit.
+
+    Each stream is drawn and classified in blocks of ``_BLOCK_ROWS`` rows.
+    Consecutive blocks continue the stream's PCG64 sequence, so the counts
+    are those of one draw of the whole stream, whatever the block size, and
+    peak memory is bounded by ``_BLOCK_ROWS * n_rus * 8`` bytes rather than
+    growing with ``trials``.
     """
-    if trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise InvalidParameterError(f"trials={trials!r} must be an integer >= 1")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidParameterError(f"seed={seed!r} must be a non-negative integer")
     if streams < 1:
         raise InvalidParameterError("streams must be >= 1")
     if kind not in ("cz", "mzz"):
         raise InvalidParameterError(f"kind must be 'cz' or 'mzz', got {kind!r}")
 
     n = caps.n_rus
-    # three interior bin edges; the residual mass above the last edge is the
-    # two-loss category, so float rounding in the cumulative sum cannot
-    # produce an out-of-range draw
+    # upper edges of the success, repeat and single-loss bins; the residual
+    # mass above the last edge is the double loss, so float rounding in the
+    # cumulative sum cannot produce an out-of-range draw
     edges = np.cumsum([
         cycle_dist.p_success,
         cycle_dist.p_repeat,
         cycle_dist.p_one_loss,
     ])
     labels = _category_labels(kind, n)
-    counts = {label: 0 for label in labels}
+    counts = np.zeros(len(labels), dtype=np.int64)
     children = np.random.SeedSequence(seed).spawn(streams)
     base, extra = divmod(trials, streams)
     for i, child in enumerate(children):
         chunk = base + (1 if i < extra else 0)
-        if chunk == 0:
-            continue
         rng = np.random.Generator(np.random.PCG64(child))
-        draws = rng.random((chunk, n))
-        cats = np.searchsorted(edges, draws, side="right").astype(np.int8)
-        for label, count in _classify(cats, kind).items():
-            counts[label] += int(count)
+        for start in range(0, chunk, _BLOCK_ROWS):
+            rows = min(_BLOCK_ROWS, chunk - start)
+            counts += _classify(rng.random((rows, n)), edges, kind)
 
     outcomes = tuple(
-        HeraldedOutcome(label, counts[label] / trials, None) for label in labels
+        HeraldedOutcome(label, int(count) / trials, None)
+        for label, count in zip(labels, counts)
     )
     return HeraldedOutcomeDistribution(outcomes, trials=trials)
 
@@ -468,32 +475,44 @@ def _category_labels(kind: str, n: int) -> list[str]:
     return [MZZ_PURE_SUCCESS, MZZ_LOSS_SUCCESS, MZZ_ABORT]
 
 
-def _classify(cats: np.ndarray, kind: str) -> dict[str, int]:
-    trials, n = cats.shape
-    sentinel = n
-    succ = np.where(cats == _SUCCESS, np.arange(n), sentinel).min(axis=1)
-    counts: dict[str, int] = {}
-    if kind == "cz":
-        # a double loss aborts the protocol as a failure; a success beforehand
-        # is classified by the number of preceding single losses
-        loss2 = np.where(cats == _TWO_LOSS, np.arange(n), sentinel).min(axis=1)
-        success_mask = succ < loss2
-        failure_mask = loss2 < succ
-        counts[CZ_FAILURE] = int(failure_mask.sum())
-        counts[CZ_ABORT] = int(trials - success_mask.sum() - failure_mask.sum())
-        before = np.arange(n)[None, :] < succ[:, None]
-        k_losses = ((cats == _ONE_LOSS) & before).sum(axis=1)
-        counts[CZ_PURE_SUCCESS] = int((success_mask & (k_losses == 0)).sum())
-        for k in range(1, n):
-            counts[cz_loss_label(k)] = int((success_mask & (k_losses == k)).sum())
-    else:
-        # losses never stop the parity measurement; only success does
-        success_mask = succ < sentinel
-        before = np.arange(n)[None, :] < succ[:, None]
-        lossy = (((cats == _ONE_LOSS) | (cats == _TWO_LOSS)) & before).any(axis=1)
-        counts[MZZ_PURE_SUCCESS] = int((success_mask & ~lossy).sum())
-        counts[MZZ_LOSS_SUCCESS] = int((success_mask & lossy).sum())
-        counts[MZZ_ABORT] = int(trials - success_mask.sum())
+def _classify(draws: np.ndarray, edges: np.ndarray, kind: str) -> np.ndarray:
+    """Category counts of one block of trials, in ``_category_labels`` order.
+
+    Walks the cycles column by column and compares each only for the trials
+    still running, so a trial costs the cycles it runs, not ``n_rus``.
+    """
+    rows, n = draws.shape
+    success_edge, repeat_edge, one_loss_edge = edges
+    cz = kind == "cz"
+    counts = np.zeros(n + 2 if cz else 3, dtype=np.int64)
+    running = np.arange(rows)
+    # cz: single losses so far; mzz: whether any loss came so far
+    history = np.zeros(rows, dtype=np.intp if cz else bool)
+    for cycle in range(n):
+        draw = draws[running, cycle]
+        success = draw < success_edge
+        if cz:
+            # a double loss stops the protocol as a failure; a success is
+            # binned by the number of single losses before it (the sum below
+            # also counts double losses, but those trials stop here)
+            failure = draw >= one_loss_edge
+            counts[n] += np.count_nonzero(failure)
+            counts[:n] += np.bincount(history[success], minlength=n)
+            history += draw >= repeat_edge
+            stop = success | failure
+        else:
+            # losses never stop the parity measurement; only success does
+            history |= draw >= repeat_edge
+            lossy = np.count_nonzero(success & history)
+            counts[0] += np.count_nonzero(success) - lossy
+            counts[1] += lossy
+            stop = success
+        keep = np.flatnonzero(~stop)
+        running = running[keep]
+        history = history[keep]
+        if running.size == 0:
+            break
+    counts[-1] = running.size  # abort: no success within n_rus cycles
     return counts
 
 

@@ -101,6 +101,19 @@ class TestCli:
     def test_verify_noise_noiseless(self, capsys):
         assert main(["verify-noise", "--p", "0", "--trials", "20000"]) == 0
 
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--seed", "-1", "seed"),
+        ("--trials", "0", "trials"),
+        ("--n-rus", "0", "n_rus"),
+        ("--p", "1.5", "p"),
+    ])
+    def test_verify_noise_bad_input_is_one_line(self, capsys, flag, value, name):
+        assert main(["verify-noise", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"ftcost verify-noise: error: {name}={value} ")
+
     def test_verify_plaquette_passes(self, capsys):
         rc = main(["verify-plaquette", "--angles", "4", "--seed", "2"])
         assert rc == 0

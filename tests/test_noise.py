@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from ftcost import (
     mc_rus_oracle,
     single_qubit_gate_channel,
 )
+from ftcost import noise
 from ftcost.noise import PauliChannel, binomial_sigma
 
 REFERENCE_PARAMS = derive_noise_params(0.01)
@@ -263,3 +265,84 @@ class TestMcOracle:
             mc_rus_oracle(cyc, CAPS, 0, seed=1)
         with pytest.raises(InvalidParameterError):
             mc_rus_oracle(cyc, CAPS, 10, seed=1, kind="bad")
+
+    @pytest.mark.parametrize("trials,seed,name", [
+        (10, -1, "seed"),
+        (10, 1.5, "seed"),
+        (10, "1", "seed"),
+        (1.5, 1, "trials"),
+        (10.0, 1, "trials"),
+        (True, 1, "trials"),
+    ])
+    def test_invalid_trials_and_seed_named(self, trials, seed, name):
+        cyc = cycle_outcome_distribution(0.0, 0.0)
+        with pytest.raises(InvalidParameterError, match=f"^{name}="):
+            mc_rus_oracle(cyc, CAPS, trials, seed=seed)
+
+
+def _reference_counts(cyc, n_rus, trials, seed, kind, streams):
+    """Counts from the documented draw contract and a plain per-trial loop.
+
+    Each stream's rows are drawn in one call, so a block-wise draw inside the
+    oracle must reproduce them exactly.
+    """
+    success = cyc.p_success
+    repeat = success + cyc.p_repeat
+    one_loss = repeat + cyc.p_one_loss
+    counts = {}
+    children = np.random.SeedSequence(seed).spawn(streams)
+    for i, child in enumerate(children):
+        rows = trials // streams + (1 if i < trials % streams else 0)
+        draws = np.random.Generator(np.random.PCG64(child)).random((rows, n_rus))
+        for row in draws.tolist():
+            label = "abort"
+            losses = 0
+            for u in row:
+                if u < success:
+                    if losses == 0:
+                        label = "pure_success"
+                    elif kind == "cz":
+                        label = f"success_with_{losses}_losses"
+                    else:
+                        label = "success_with_loss"
+                    break
+                if kind == "cz" and u >= one_loss:
+                    label = "failure"
+                    break
+                if u >= repeat:
+                    losses += 1
+            counts[label] = counts.get(label, 0) + 1
+    return counts
+
+
+def _oracle_counts(cyc, n_rus, trials, seed, kind, streams):
+    d = mc_rus_oracle(cyc, AttemptCaps(n_rus=n_rus), trials, seed, kind=kind, streams=streams)
+    counts = {o.label: round(o.probability * trials) for o in d.outcomes}
+    return {label: c for label, c in counts.items() if c}
+
+
+class TestMcOracleCounts:
+    """The oracle's counts equal an independent per-trial classification."""
+
+    @pytest.mark.parametrize("kind", ["cz", "mzz"])
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.3])
+    @pytest.mark.parametrize("n_rus", [1, 2, 10, 30])
+    def test_matches_per_trial_loop(self, n_rus, p, kind):
+        params = derive_noise_params(p)
+        cyc = cycle_outcome_distribution(params.epsilon, params.distinguishability)
+        # 1003 trials split unevenly over 8 streams
+        args = (cyc, n_rus, 1003, 17, kind, 8)
+        assert _oracle_counts(*args) == _reference_counts(*args)
+
+    @pytest.mark.parametrize("kind", ["cz", "mzz"])
+    def test_fewer_trials_than_streams(self, kind):
+        cyc = cycle_outcome_distribution(0.27, 0.0255)
+        args = (cyc, 10, 5, 4, kind, 8)
+        assert _oracle_counts(*args) == _reference_counts(*args)
+
+    @pytest.mark.parametrize("kind", ["cz", "mzz"])
+    def test_stream_spans_several_draw_blocks(self, kind):
+        cyc = cycle_outcome_distribution(0.27, 0.0255)
+        trials = 2 * noise._BLOCK_ROWS + 5
+        args = (cyc, 3, trials, 5, kind, 1)
+        assert _oracle_counts(*args) == _reference_counts(*args)
