@@ -67,7 +67,7 @@ class AttemptCaps:
     def __post_init__(self):
         for name in ("n_rus", "n_init", "n_measure"):
             v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 1):
+            if isinstance(v, bool) or not (isinstance(v, int) and v >= 1):
                 raise InvalidParameterError(f"{name}={v} must be an integer >= 1")
 
 
@@ -436,8 +436,8 @@ def mc_rus_oracle(
         raise InvalidParameterError(f"trials={trials!r} must be an integer >= 1")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise InvalidParameterError(f"seed={seed!r} must be a non-negative integer")
-    if streams < 1:
-        raise InvalidParameterError("streams must be >= 1")
+    if isinstance(streams, bool) or not isinstance(streams, numbers.Integral) or streams < 1:
+        raise InvalidParameterError(f"streams={streams!r} must be an integer >= 1")
     if kind not in ("cz", "mzz"):
         raise InvalidParameterError(f"kind must be 'cz' or 'mzz', got {kind!r}")
 

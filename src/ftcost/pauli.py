@@ -9,13 +9,6 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
-_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 # single-qubit products: (a, b) -> (phase, letter)
 _PRODUCTS = {}
 for _a in "IXYZ":
@@ -78,10 +71,22 @@ class PauliString:
         return anti % 2 == 0
 
     def dense(self) -> np.ndarray:
-        m = np.array([[1.0 + 0j]])
+        """The 2^n x 2^n matrix, built directly as a signed permutation.
+
+        The first letter acts on the most significant bit of a basis index.
+        Row i has its one nonzero in column i ^ flip, where flip marks the X
+        and Y letters, and that entry is phase * (-i)^{#Y} * (-1)^{popcount(i & zy)},
+        where zy marks the Y and Z letters.
+        """
+        flip = 0
+        signs = np.array([self.phase * (-1j) ** self.letters.count("Y")], dtype=complex)
         for c in self.letters:
-            m = np.kron(m, _MATRICES[c])
-        return self.phase * m
+            flip = 2 * flip + (c in "XY")
+            signs = np.outer(signs, (1, -1 if c in "YZ" else 1)).ravel()
+        rows = np.arange(len(signs))
+        out = np.zeros((len(signs), len(signs)), dtype=complex)
+        out[rows, rows ^ flip] = signs
+        return out
 
     def __str__(self):
         sign = {1: "+", -1: "-", 1j: "+i", -1j: "-i"}[self.phase]
@@ -93,10 +98,6 @@ def _canon_phase(p: complex) -> complex:
         if abs(p - q) < 1e-9:
             return q
     raise InvalidParameterError(f"phase {p} is not a fourth root of unity")
-
-
-def pauli_mul(a: PauliString, b: PauliString) -> PauliString:
-    return a * b
 
 
 @dataclass(frozen=True)
@@ -166,6 +167,6 @@ def phase_quotient_distance(a: np.ndarray, b: np.ndarray) -> float:
     The optimum is the phase of tr(b† a); a vanishing trace falls back to a
     direct comparison.
     """
-    tr = np.trace(b.conj().T @ a)
+    tr = np.vdot(b, a)
     lam = tr / abs(tr) if abs(tr) > 1e-12 else 1.0
     return float(np.linalg.norm(a - lam * b))

@@ -119,6 +119,18 @@ class TestCli:
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--angles", "0", "n_angles"),
+        ("--angles", "-2", "n_angles"),
+        ("--tolerance", "nan", "tolerance"),
+    ])
+    def test_verify_plaquette_bad_input_is_one_line(self, capsys, flag, value, name):
+        assert main(["verify-plaquette", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"ftcost verify-plaquette: error: {name}={value} ")
+
     def test_verify_plaquette_tolerance_failure(self, capsys):
         rc = main(["verify-plaquette", "--angles", "4", "--tolerance", "1e-18"])
         assert rc == 1

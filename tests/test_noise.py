@@ -137,6 +137,12 @@ class TestHeraldedCz:
         k1 = by_label["success_with_1_losses"]
         assert k1.is_close(dist_cz.compose(loss_channel(1)))
 
+    @pytest.mark.parametrize("name", ["n_rus", "n_init", "n_measure"])
+    @pytest.mark.parametrize("value", [True, 0, 2.0])
+    def test_attempt_caps_reject_non_integers_and_bools(self, name, value):
+        with pytest.raises(InvalidParameterError, match=f"^{name}="):
+            AttemptCaps(**{name: value})
+
 
 class TestHeraldedMzz:
     def test_noiseless_column(self):
@@ -278,6 +284,12 @@ class TestMcOracle:
         cyc = cycle_outcome_distribution(0.0, 0.0)
         with pytest.raises(InvalidParameterError, match=f"^{name}="):
             mc_rus_oracle(cyc, CAPS, trials, seed=seed)
+
+    @pytest.mark.parametrize("streams", [0, 2.5, 2.0, True, "2"])
+    def test_invalid_streams_named(self, streams):
+        cyc = cycle_outcome_distribution(0.0, 0.0)
+        with pytest.raises(InvalidParameterError, match="^streams="):
+            mc_rus_oracle(cyc, CAPS, 10, seed=1, streams=streams)
 
 
 def _reference_counts(cyc, n_rus, trials, seed, kind, streams):

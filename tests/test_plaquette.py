@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ftcost import plaquette
+from ftcost.errors import InvalidParameterError
 from ftcost.pauli import (
     PauliString,
     PauliSum,
@@ -14,6 +16,7 @@ from ftcost.pauli import (
     unitarity_defect,
 )
 from ftcost.plaquette import (
+    DiagonalizationCircuit,
     build_diagonalization_circuit,
     build_plaquette_hamiltonian,
     check_clifford_relations,
@@ -26,6 +29,7 @@ from ftcost.plaquette import (
 )
 
 strings5 = st.text(alphabet="IXYZ", min_size=5, max_size=5)
+strings1to6 = st.text(alphabet="IXYZ", min_size=1, max_size=6)
 phases = st.sampled_from([1, -1, 1j, -1j])
 
 
@@ -53,6 +57,20 @@ class TestPauliStrings:
         ab = (pa_ * pb_)
         ba = (pb_ * pa_)
         assert pa_.commutes_with(pb_) == (ab.phase == ba.phase)
+
+    @given(letters=strings1to6, phase=phases)
+    @settings(max_examples=200)
+    def test_dense_equals_kron_chain(self, letters, phase):
+        single = {
+            "I": np.eye(2, dtype=complex),
+            "X": np.array([[0, 1], [1, 0]], dtype=complex),
+            "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+            "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+        }
+        expected = np.array([[1.0 + 0j]])
+        for c in letters:
+            expected = np.kron(expected, single[c])
+        assert np.array_equal(PauliString(letters, phase).dense(), phase * expected)
 
     def test_dense_matches_phase(self):
         s = PauliString("XZ", -1j)
@@ -191,6 +209,51 @@ class TestEvolutionIdentity:
     def test_run_verification_passes(self):
         report = run_verification(n_angles=5, seed=1)
         assert report["passed"]
+
+    def test_many_angles_match_single_angle_calls(self):
+        angles = [0.0, 0.37, 1.1, 2.9, math.pi]
+        evolution = verify_plaquette_evolution(1.0, angles)
+        fourier = verify_fourier_identity(np.array(angles))
+        assert len(evolution) == len(fourier) == len(angles)
+        for a, evo, fou in zip(angles, evolution, fourier):
+            assert abs(evo - verify_plaquette_evolution(1.0, a)) <= 1e-13
+            assert abs(fou - verify_fourier_identity(a)) <= 1e-13
+        assert verify_plaquette_evolution(1.0, []) == []
+
+    def test_many_angles_keep_their_order(self, monkeypatch):
+        # with the circuit halves and F23 replaced by the identity, the
+        # deviations differ from angle to angle, so a mixed-up order shows
+        eye = np.eye(32)
+        monkeypatch.setattr(plaquette, "_circuit", lambda: DiagonalizationCircuit(eye, eye))
+        monkeypatch.setattr(plaquette, "fourier_transform", lambda j, k: eye)
+        angles = [0.2, 0.9, 1.7, 2.6]
+        for many, single in (
+            (verify_plaquette_evolution(1.0, angles), lambda a: verify_plaquette_evolution(1.0, a)),
+            (verify_fourier_identity(angles), verify_fourier_identity),
+        ):
+            assert len({round(d, 6) for d in many}) == len(angles)
+            assert many == pytest.approx([single(a) for a in angles], abs=1e-13)
+
+    @pytest.mark.parametrize("n_angles", [1, 7])
+    def test_run_verification_report_shapes(self, n_angles):
+        report = run_verification(n_angles=n_angles, seed=4)
+        assert report["passed"] is True
+        assert len(report["evolution"]) == n_angles
+        assert len(report["fourier"]) == min(n_angles, 3)
+        assert list(report["fourier"]) == list(report["evolution"])[: len(report["fourier"])]
+        assert all(isinstance(a, float) and isinstance(d, float)
+                   for part in ("evolution", "fourier") for a, d in report[part].items())
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"n_angles": 0}, "n_angles"),
+        ({"n_angles": 2.0}, "n_angles"),
+        ({"n_angles": True}, "n_angles"),
+        ({"tolerance": 0.0}, "tolerance"),
+        ({"tolerance": math.inf}, "tolerance"),
+    ])
+    def test_run_verification_rejects_bad_input(self, kwargs, name):
+        with pytest.raises(InvalidParameterError, match=f"^{name}="):
+            run_verification(**kwargs)
 
 
 class TestDenseHelpers:
