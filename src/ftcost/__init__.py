@@ -2,7 +2,6 @@
 biplanar honeycomb-code photonic architecture."""
 
 from .errors import (
-    ConvergenceError,
     FitError,
     InvalidParameterError,
     NoDistanceFoundError,
@@ -62,7 +61,7 @@ from .synthesis import (
     synthesis_cost,
     t_count,
 )
-from .timing import TimingModel, logical_cycle_time, reaction_ratio
+from .timing import TimingModel, logical_cycle_time
 from .trotter import (
     CostLedger,
     ProblemSpec,

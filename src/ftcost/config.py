@@ -13,7 +13,7 @@ from .errors import InvalidParameterError
 from .noise import DEFAULT_BIASES, derive_noise_params
 from .pipeline import SolveOptions, allocate_budget
 from .surgery import fit_error_curve, load_error_data, load_msf_table
-from .timing import TimingModel
+from .timing import AttemptCaps, TimingModel
 from .trotter import ProblemSpec
 
 DEFAULTS: dict[str, object] = {
@@ -102,13 +102,23 @@ def _check_keys(values: dict):
 
 # -- constructors ---------------------------------------------------------------
 
+def _integer(cfg: dict, key: str, minimum: int = 0) -> int:
+    """``cfg[key]`` as an int >= ``minimum``; anything else is an error naming the key."""
+    value = cfg[key]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise InvalidParameterError(f"{key}={cfg[key]!r} must be an integer >= {minimum}")
+    return value
+
+
 def problem_from(cfg: dict) -> ProblemSpec:
-    l = int(cfg["problem.L"])
+    l = _integer(cfg, "problem.L", 2)
     return ProblemSpec(
         lattice_l=l,
         u_over_t=float(cfg["problem.u_over_t"]),
         sim_time_t=float(cfg["problem.sim_time_multiple"]) * l,
-        w_msf=int(cfg["problem.w_msf"]),
+        w_msf=_integer(cfg, "problem.w_msf", 1),
     )
 
 
@@ -132,9 +142,8 @@ def timing_from(cfg: dict) -> TimingModel:
         rus_cycle_ns=float(cfg["timing.rus_cycle_ns"]),
         syndrome_round_ns=float(cfg["timing.syndrome_round_ns"]),
         reaction_us=float(cfg["timing.reaction_us"]),
-        n_rus=int(cfg["noise.n_rus"]),
-        n_init=int(cfg["noise.n_init"]),
-        n_measure=int(cfg["noise.n_measure"]),
+        caps=AttemptCaps(**{name: _integer(cfg, f"noise.{name}", 1)
+                            for name in ("n_rus", "n_init", "n_measure")}),
     )
 
 
@@ -143,7 +152,8 @@ def options_from(cfg: dict, precision: str = "headline") -> SolveOptions:
     msf_csv = cfg["data.msf_table_csv"]
     override = None
     if cfg["floorplan.override_total"] is not None or cfg["floorplan.override_msf"] is not None:
-        override = (int(cfg["floorplan.override_total"]), int(cfg["floorplan.override_msf"]))
+        override = (_integer(cfg, "floorplan.override_total"),
+                    _integer(cfg, "floorplan.override_msf"))
     return SolveOptions(
         strategy=str(cfg["synthesis.strategy"]),
         p_succ=float(cfg["synthesis.p_succ"]),

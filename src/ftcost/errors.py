@@ -15,14 +15,3 @@ class NoDistanceFoundError(RuntimeError):
 
 class NoProtocolError(RuntimeError):
     """No magic-state protocol in the table meets the required output infidelity."""
-
-
-class ConvergenceError(RuntimeError):
-    """The fixed-point iteration did not settle on a geometry.
-
-    Carries the iteration trace for diagnosis.
-    """
-
-    def __init__(self, message: str, trace: list | None = None):
-        super().__init__(message)
-        self.trace = trace or []

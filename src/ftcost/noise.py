@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .pauli import _PRODUCTS
+from .timing import AttemptCaps
 
 #: Default relative weights of the four error mechanisms versus the overall
 #: noise intensity p.
@@ -54,21 +55,6 @@ class PhysicalNoiseParams:
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise InvalidParameterError(f"{name}={v} must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
-class AttemptCaps:
-    """Maximum attempt counts for the capped protocols."""
-
-    n_rus: int = 10
-    n_init: int = 5
-    n_measure: int = 5
-
-    def __post_init__(self):
-        for name in ("n_rus", "n_init", "n_measure"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not (isinstance(v, int) and v >= 1):
-                raise InvalidParameterError(f"{name}={v} must be an integer >= 1")
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,28 @@
-"""Error budgeting, floorplan, factory sizing, and the fixed-point estimate.
+"""Error budgeting, floorplan, factory sizing, and the self-consistent estimate.
 
 The full estimate is self-referential: the code distance sets the logical
 cycle time, which sets the synthesis cost, which sets the total cube count,
-which sets the logical error target, which sets the code distance.  The
-solver iterates this loop over the discrete geometry ladder until the
-selected geometry stops changing.
+which sets the logical error target, which sets the code distance.  Let g(r)
+be the geometry selected when the cube runs r rounds.  g is nonincreasing in
+r (more rounds lower the reaction ratio, hence the cube count, hence loosen
+the target), so the answer is the least ladder entry r with g(r) <= r, and a
+fixed point g(r) = r is always that entry.  The solver finds it by a
+bracketed search over the ladder: each probe evaluates one entry and moves
+one end of the bracket, so it ends after at most one probe per entry.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import ConvergenceError, InvalidParameterError, NoProtocolError
+from .errors import InvalidParameterError, NoProtocolError
 from .noise import PhysicalNoiseParams
 from .surgery import (
     LADDER_WIDTHS,
+    MAX_WIDTH,
     FitParams,
     MsfProtocol,
     PatchGeometry,
@@ -184,6 +190,12 @@ def corridor_capacity_check(plan: FloorplanCounts, geometry: PatchGeometry,
     return plan.msf_patches * geometry.qubits / msf_qubits_required
 
 
+#: Every geometry ``select_distance`` can return, narrowest first: the table,
+#: then the off-table widths it tries when allowed.  Rounds grow with width.
+_LADDER = tuple(patch_geometry(w) for w in range(LADDER_WIDTHS[0], MAX_WIDTH + 1, 2))
+_LADDER_ROUNDS = [g.rounds for g in _LADDER]
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     strategy: str = "mixed_fallback"
@@ -195,13 +207,14 @@ class SolveOptions:
     protocols: Optional[Sequence[MsfProtocol]] = None
     floorplan_override: Optional[tuple[int, int]] = None
     initial_rounds: Optional[int] = None
-    max_iterations: int = 10
     allow_off_table: bool = False
 
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Converged output of the fixed-point pipeline."""
+    """The estimate at the least self-consistent ladder entry.
+
+    ``iterations`` counts the ladder entries the solver evaluated."""
 
     trotter_steps: int
     eps_synth: float
@@ -284,7 +297,10 @@ def solve_estimate(
     budget: ErrorBudget,
     options: SolveOptions = SolveOptions(),
 ) -> EstimateReport:
-    """Run the self-consistent resource estimate to its geometry fixed point.
+    """The resource estimate at the least ladder entry r with g(r) <= r.
+
+    The search starts at ``options.initial_rounds`` (raised to a ladder
+    entry), or at 102 rounds for L = 8 and 60 otherwise.
 
     ``noise`` selects the error-rate dataset regime; the bundled cube data
     is for overall intensity 0.01, and no rescaling with ``noise.p`` is
@@ -321,26 +337,27 @@ def solve_estimate(
         geo = select_distance(fit, p_l, allow_off_table=options.allow_off_table)
         return plan, rotation, step, n_l, p_l, geo
 
-    rounds = options.initial_rounds or (102 if spec.lattice_l == 8 else 60)
-    trace: list[int] = [rounds]
-    geometry = None
-    for _ in range(options.max_iterations):
-        plan, rotation, step, n_l, p_l, geometry = evaluate(rounds)
-        if geometry.rounds == rounds:
+    size = len(_LADDER) if options.allow_off_table else len(LADDER_WIDTHS)
+    # the start sets the probe order: ``iterations``, and whether a probe below
+    # the answer raises NoDistanceFoundError (every probe's error propagates)
+    start = options.initial_rounds or (102 if spec.lattice_l == 8 else 60)
+    probe = min(bisect_left(_LADDER_ROUNDS, start), size - 1)
+    # _LADDER[lo] is known infeasible (g(r) > r), _LADDER[hi] known feasible
+    lo, hi = -1, size
+    iterations = 0
+    while True:
+        evaluation = evaluate(_LADDER_ROUNDS[probe])
+        iterations += 1
+        selected = bisect_left(_LADDER_ROUNDS, evaluation[-1].rounds)
+        if selected <= probe:
+            hi, best = probe, evaluation
+        else:
+            lo = probe
+        if selected == probe or hi - lo == 1:
             break
-        if len(trace) >= 2 and trace[-2] == geometry.rounds:
-            # 2-cycle between adjacent ladder entries; settle on the larger
-            wider = patch_geometry(max(geometry.width, _width_for_rounds(rounds)))
-            plan, rotation, step, n_l, p_l, _ = evaluate(wider.rounds)
-            geometry = wider
-            break
-        rounds = geometry.rounds
-        trace.append(rounds)
-    else:
-        raise ConvergenceError(
-            f"geometry did not settle in {options.max_iterations} iterations", trace
-        )
-    iterations = len(trace)
+        probe = selected if lo < selected < hi else lo + 1
+    plan, rotation, step, n_l, p_l, _ = best
+    geometry = _LADDER[hi]
 
     n_t_total = step.t_states * r
     p_msf = budget.eps_msf / n_t_total
@@ -381,10 +398,3 @@ def solve_estimate(
         iterations=iterations,
         budget=budget,
     )
-
-
-def _width_for_rounds(rounds: int) -> int:
-    for w in LADDER_WIDTHS:
-        if patch_geometry(w).rounds == rounds:
-            return w
-    raise InvalidParameterError(f"no ladder width with {rounds} rounds")

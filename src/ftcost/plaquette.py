@@ -283,7 +283,8 @@ def verify_fourier_identity(theta):
 def run_verification(n_angles: int = 20, seed: int = 0, tolerance: float = 1e-10) -> dict:
     """Full plaquette verification: relations, Clifford identities, evolution.
 
-    ``n_angles`` must be an integer >= 1 and ``tolerance`` finite and > 0.
+    ``n_angles`` must be an integer >= 1, ``seed`` a non-negative integer
+    and ``tolerance`` finite and > 0.
     Each identity is checked by one call over all angles, so the dense
     operators are built once per run and memory does not grow with
     ``n_angles``.  Returns a report dict; ``report["passed"]`` aggregates
@@ -291,6 +292,8 @@ def run_verification(n_angles: int = 20, seed: int = 0, tolerance: float = 1e-10
     """
     if isinstance(n_angles, bool) or not isinstance(n_angles, numbers.Integral) or n_angles < 1:
         raise InvalidParameterError(f"n_angles={n_angles!r} must be an integer >= 1")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidParameterError(f"seed={seed!r} must be a non-negative integer")
     if not (isinstance(tolerance, numbers.Real) and math.isfinite(tolerance) and tolerance > 0):
         raise InvalidParameterError(f"tolerance={tolerance!r} must be finite and > 0")
     relations = check_majorana_relations()

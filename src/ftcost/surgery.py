@@ -28,6 +28,8 @@ _TABLE_HEIGHTS = {
 }
 
 LADDER_WIDTHS = tuple(sorted(_TABLE_HEIGHTS))
+#: Widest off-table width ``select_distance`` tries by default.
+MAX_WIDTH = 200
 
 #: Scalar conversion rates from surface-code to honeycomb factory footprints.
 MSF_QUBIT_RATE = 0.52
@@ -125,24 +127,20 @@ def select_distance(
     fit: FitParams,
     target_error: float,
     allow_off_table: bool = False,
-    max_width: int = 200,
+    max_width: int = MAX_WIDTH,
 ) -> PatchGeometry:
-    """Smallest ladder width whose fitted error rate meets the target."""
+    """Smallest ladder width whose fitted error rate meets the target.
+
+    The table holds every even width from 6 to 30; off-table widths continue
+    in steps of 2 up to ``max_width``.
+    """
     if not 0.0 < target_error < 1.0:
         raise InvalidParameterError(f"target_error={target_error} must lie in (0, 1)")
-    for w in LADDER_WIDTHS:
+    top = max(max_width, LADDER_WIDTHS[-1]) if allow_off_table else LADDER_WIDTHS[-1]
+    for w in range(LADDER_WIDTHS[0], top + 1, 2):
         if extrapolate_error(fit, w) <= target_error:
             return patch_geometry(w)
-    if allow_off_table:
-        w = LADDER_WIDTHS[-1] + 2
-        while w <= max_width:
-            if extrapolate_error(fit, w) <= target_error:
-                return patch_geometry(w)
-            w += 2
-    raise NoDistanceFoundError(
-        f"no width up to {LADDER_WIDTHS[-1] if not allow_off_table else max_width} "
-        f"reaches target {target_error:g}"
-    )
+    raise NoDistanceFoundError(f"no width up to {top} reaches target {target_error:g}")
 
 
 class CnotOverhead(NamedTuple):

@@ -10,7 +10,7 @@ parallel Z-rotations, and undoes the diagonalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InvalidParameterError
 from .synthesis import RotationCost
@@ -165,15 +165,8 @@ def golden_cost(lattice_l: int, w_msf: int, rotation: RotationCost) -> CostLedge
     )
 
 
-def trotter_step_cost(spec: ProblemSpec, rotation: RotationCost,
-                      t_synth: float | None = None) -> CostLedger:
-    """Ledger of one full Trotter step (interaction + pink + golden + pink).
-
-    ``t_synth`` overrides the rotation's timestep count, letting the caller
-    pass the integer value used in headline arithmetic.
-    """
-    if t_synth is not None:
-        rotation = replace(rotation, logical_timesteps=t_synth)
+def trotter_step_cost(spec: ProblemSpec, rotation: RotationCost) -> CostLedger:
+    """Ledger of one full Trotter step (interaction + pink + golden + pink)."""
     l = spec.lattice_l
     return (interaction_cost(l, rotation)
             + pink_cost(l, rotation)

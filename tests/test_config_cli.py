@@ -52,6 +52,26 @@ class TestConfig:
         assert cfg["synthesis.p_succ"] == 0.95
         assert cfg["floorplan.override_total"] is None
 
+    @pytest.mark.parametrize("key,value,builder", [
+        ("problem.L", "8.9", problem_from),
+        ("problem.w_msf", "2.5", problem_from),
+        ("problem.L", "eight", problem_from),
+        ("noise.n_rus", "10.5", options_from),
+        ("noise.n_init", "0", options_from),
+        ("noise.n_measure", "-1", options_from),
+        ("floorplan.override_total", "1000.5", options_from),
+    ])
+    def test_integer_keys_reject_non_integers(self, key, value, builder):
+        cfg = load_config(overrides=["floorplan.override_total=1000",
+                                     "floorplan.override_msf=400", f"{key}={value}"])
+        with pytest.raises(InvalidParameterError, match=f"^{key}="):
+            builder(cfg)
+
+    def test_integral_float_is_accepted(self):
+        cfg = load_config(overrides=["problem.L=8.0", "noise.n_rus=12"])
+        assert problem_from(cfg).lattice_l == 8
+        assert options_from(cfg).timing.caps.n_rus == 12
+
     def test_custom_data_paths(self, tmp_path):
         data = tmp_path / "cubes.csv"
         data.write_text(
@@ -77,6 +97,21 @@ class TestCli:
         rc = main(["estimate", "--set", "problem.L=4", "--precision", "real"])
         assert rc == 0
         assert "resource estimate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key,value", [
+        ("problem.L", "8.9"), ("problem.w_msf", "2.5"),
+        ("noise.n_rus", "0"), ("noise.n_init", "-3"),
+        ("floorplan.override_msf", "400.5"),
+    ])
+    def test_estimate_bad_integer_key_is_one_line(self, capsys, key, value):
+        overrides = ["--set", f"{key}={value}"]
+        if key.startswith("floorplan."):
+            overrides += ["--set", "floorplan.override_total=1000"]
+        assert main(["estimate", *overrides]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"ftcost estimate: error: {key}={value} ")
 
     def test_fit_prints_ladder(self, capsys):
         assert main(["fit"]) == 0
@@ -123,6 +158,7 @@ class TestCli:
         ("--angles", "0", "n_angles"),
         ("--angles", "-2", "n_angles"),
         ("--tolerance", "nan", "tolerance"),
+        ("--seed", "-1", "seed"),
     ])
     def test_verify_plaquette_bad_input_is_one_line(self, capsys, flag, value, name):
         assert main(["verify-plaquette", flag, value]) == 2

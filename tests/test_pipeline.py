@@ -1,28 +1,82 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftcost import (
     InvalidParameterError,
+    NoDistanceFoundError,
     NoProtocolError,
     ProblemSpec,
+    RotationCost,
     allocate_budget,
     corridor_capacity_check,
     derive_noise_params,
+    direct_plan,
+    fallback_plan,
+    fit_error_curve,
     floorplan,
+    load_error_data,
     load_msf_table,
     msf_sizing,
     patch_geometry,
     runtime_seconds,
+    select_distance,
     solve_estimate,
+    synthesis_cost,
+    trotter_step_cost,
+    trotter_steps,
 )
 from ftcost.pipeline import FloorplanCounts, SolveOptions, render_floorplan
+from ftcost.surgery import LADDER_WIDTHS
 
 REFERENCE_SPEC = ProblemSpec(8, 8.0, 80.0, 2)
 REFERENCE_NOISE = derive_noise_params(0.01)
 REFERENCE_BUDGET = allocate_budget(0.01)
+FIT = fit_error_curve(load_error_data())
+TABLE_LADDER = [patch_geometry(w) for w in LADDER_WIDTHS]
+OFF_TABLE_LADDER = TABLE_LADDER + [patch_geometry(w) for w in range(32, 201, 2)]
+
+
+def selected_rounds(spec, budget, options, rounds):
+    """g(rounds): rounds of the geometry selected for a cube of ``rounds`` rounds.
+
+    Rebuilt from the public synthesis, trotter and surgery functions; inf
+    when no width reaches the target.
+    """
+    steps = trotter_steps(spec, budget.eps_alg)
+    eps_synth = budget.eps_rot / (4 * spec.lattice_l**2 * steps)
+    tau = options.timing.reaction_ratio(rounds)
+    rounding = "integer" if options.precision == "headline" else "none"
+    if options.strategy in ("fallback", "mixed_fallback"):
+        plan = fallback_plan(eps_synth, options.p_succ, spec.lattice_l, options.strategy,
+                             options.mode, rounding)
+        rotation = synthesis_cost(plan, "fallback", tau)
+    else:
+        plan = direct_plan(eps_synth, options.strategy, options.mode, rounding)
+        rotation = synthesis_cost(plan, "direct", tau)
+    if rounding == "integer":
+        rotation = RotationCost(rotation.t_states, round(rotation.logical_timesteps),
+                                round(rotation.active_cubes))
+    cubes = trotter_step_cost(spec, rotation).active_cubes * steps
+    try:
+        return select_distance(options.fit, budget.eps_log / cubes,
+                               allow_off_table=options.allow_off_table).rounds
+    except NoDistanceFoundError:
+        return math.inf
+
+
+solve_cases = st.tuples(
+    st.builds(lambda l, u: ProblemSpec(l, u, 10.0 * l),
+              st.sampled_from([2, 4, 6, 8, 10, 12]), st.floats(1.0, 16.0)),
+    st.builds(allocate_budget, st.floats(1e-4, 0.3)),
+    st.builds(lambda strategy, p_succ, precision, off: SolveOptions(
+        strategy=strategy, p_succ=p_succ, precision=precision, fit=FIT,
+        allow_off_table=off),
+        st.sampled_from(["diagonal", "mixed_diagonal", "fallback", "mixed_fallback"]),
+        st.floats(0.5, 1.0), st.sampled_from(["headline", "real"]), st.booleans()),
+)
 
 
 @pytest.fixture(scope="module")
@@ -212,10 +266,9 @@ class TestSolveEstimate:
         assert rep.physical_qubits == 1000 * rep.geometry.qubits
 
     def test_two_cycle_broken_toward_larger_width(self, monkeypatch):
-        # a genuine oscillation needs the error curve to drop only ~2% per
-        # ladder rung, which a fitted exponential cannot do without making
-        # smaller rungs win outright; force the oscillation with a stub to
-        # exercise the break-toward-larger-width rule
+        # a 2-cycle between adjacent rungs does occur with the fitted curve
+        # (see test_least_feasible_entry_need_not_be_a_fixed_point); the stub
+        # pins the smallest one, 60 <-> 66 rounds, from a start of 60
         import ftcost.pipeline as pl
 
         def oscillating_select(fit, target, allow_off_table=False):
@@ -226,6 +279,37 @@ class TestSolveEstimate:
                              SolveOptions(initial_rounds=60))
         assert rep.geometry.width == 20
         assert rep.iterations == 2
+
+
+    def test_least_feasible_entry_need_not_be_a_fixed_point(self):
+        spec, budget = ProblemSpec(2, 8.0, 20.0), allocate_budget(0.003)
+        options = SolveOptions(strategy="diagonal", fit=FIT)
+        rep = solve_estimate(spec, REFERENCE_NOISE, budget, options)
+        assert (rep.geometry.width, rep.geometry.rounds) == (28, 96)
+        assert selected_rounds(spec, budget, options, 96) == 84
+        assert selected_rounds(spec, budget, options, 84) == 96
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=solve_cases)
+    def test_selection_nonincreasing_in_rounds(self, case):
+        spec, budget, options = case
+        ladder = OFF_TABLE_LADDER if options.allow_off_table else TABLE_LADDER
+        selected = [selected_rounds(spec, budget, options, geo.rounds) for geo in ladder]
+        assert selected == sorted(selected, reverse=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=solve_cases)
+    def test_solution_is_least_feasible_entry(self, case):
+        spec, budget, options = case
+        try:
+            rep = solve_estimate(spec, REFERENCE_NOISE, budget, options)
+        except NoDistanceFoundError:
+            return
+        ladder = OFF_TABLE_LADDER if options.allow_off_table else TABLE_LADDER
+        least = next(geo for geo in ladder
+                     if selected_rounds(spec, budget, options, geo.rounds) <= geo.rounds)
+        assert rep.geometry == least
+        assert 1 <= rep.iterations <= len(ladder)
 
 
 class TestRuntimeAndCorridor:

@@ -250,6 +250,9 @@ class TestEvolutionIdentity:
         ({"n_angles": True}, "n_angles"),
         ({"tolerance": 0.0}, "tolerance"),
         ({"tolerance": math.inf}, "tolerance"),
+        ({"seed": -1}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"seed": 1.5}, "seed"),
     ])
     def test_run_verification_rejects_bad_input(self, kwargs, name):
         with pytest.raises(InvalidParameterError, match=f"^{name}="):

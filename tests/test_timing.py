@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ftcost import InvalidParameterError, TimingModel, logical_cycle_time, reaction_ratio
+from ftcost import AttemptCaps, InvalidParameterError, TimingModel, logical_cycle_time
 
 TIMING = TimingModel()
 
@@ -24,14 +24,14 @@ def test_logical_cycle_time():
 
 
 def test_reaction_ratio():
-    assert reaction_ratio(TIMING, 102) == pytest.approx(33 / 102)
-    assert reaction_ratio(TIMING, 33) == 1.0
-    assert reaction_ratio(TIMING, 60) == pytest.approx(0.55)
+    assert TIMING.reaction_ratio(102) == pytest.approx(33 / 102)
+    assert TIMING.reaction_ratio(33) == 1.0
+    assert TIMING.reaction_ratio(60) == pytest.approx(0.55)
 
 
 @given(rounds=st.integers(1, 10_000))
 def test_ratio_times_cycle_is_constant(rounds):
-    product = reaction_ratio(TIMING, rounds) * logical_cycle_time(rounds)
+    product = TIMING.reaction_ratio(rounds) * logical_cycle_time(rounds)
     assert product == pytest.approx(33 * 305.0)
 
 
@@ -51,3 +51,13 @@ def test_invalid():
 def test_overrides_rescale_reaction_rounds():
     t = TimingModel(syndrome_round_ns=500.0, reaction_us=10.0)
     assert t.reaction_rounds == 20
+
+
+def test_attempt_caps_set_the_capped_times():
+    t = TimingModel(caps=AttemptCaps(n_rus=3, n_init=2, n_measure=4))
+    assert (t.rus_gate_ns, t.init_time_ns, t.measure_time_ns) == (90.0, 60.0, 120.0)
+    assert TIMING.caps == AttemptCaps()
+    with pytest.raises(InvalidParameterError, match="^n_init="):
+        TimingModel(caps=AttemptCaps(n_init=-3))
+    with pytest.raises(TypeError):
+        TimingModel(n_rus=0)

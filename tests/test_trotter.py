@@ -143,7 +143,8 @@ class TestTrotterStep:
         assert step.logical_timesteps == 90
 
     def test_t_synth_override(self):
-        step = trotter_step_cost(REFERENCE_SPEC, REFERENCE_ROTATION, t_synth=100)
+        rotation = RotationCost(t_states=33, logical_timesteps=100, active_cubes=434)
+        step = trotter_step_cost(REFERENCE_SPEC, rotation)
         assert step.logical_timesteps == 4 * 100 + 90
 
     def test_t_state_split(self):
