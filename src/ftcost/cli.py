@@ -7,8 +7,7 @@ import csv
 import sys
 
 from . import config as cfgmod
-from . import plaquette
-from .errors import InvalidParameterError
+from .errors import FitError, InvalidParameterError, NoDistanceFoundError, NoProtocolError
 from .noise import (
     AttemptCaps,
     binomial_sigma,
@@ -170,6 +169,8 @@ def cmd_verify_noise(args) -> int:
 
 
 def cmd_verify_plaquette(args) -> int:
+    from . import plaquette
+
     report = plaquette.run_verification(args.angles, args.seed, args.tolerance)
     bad_relations = [k for k, ok in report["relations"].items() if not ok]
     print(f"operator relations: {len(report['relations']) - len(bad_relations)}"
@@ -232,7 +233,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InvalidParameterError as exc:
+    except (InvalidParameterError, NoDistanceFoundError, NoProtocolError, FitError) as exc:
         print(f"ftcost {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -133,7 +133,11 @@ def noise_from(cfg: dict):
 
 
 def budget_from(cfg: dict):
-    return allocate_budget(float(cfg["budget.total"]), str(cfg["budget.policy"]))
+    total = float(cfg["budget.total"])
+    if not 0.0 < total < 1.0:  # also rejects nan
+        raise InvalidParameterError(
+            f"budget.total={cfg['budget.total']!r} must be finite and lie in (0, 1)")
+    return allocate_budget(total, str(cfg["budget.policy"]))
 
 
 def timing_from(cfg: dict) -> TimingModel:

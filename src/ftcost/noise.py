@@ -13,10 +13,7 @@ import numbers
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import InvalidParameterError
-from .pauli import _PRODUCTS
 from .timing import AttemptCaps
 
 #: Default relative weights of the four error mechanisms versus the overall
@@ -118,6 +115,8 @@ class PauliChannel:
         so composition is a convolution of the weights over letterwise
         products.
         """
+        from .pauli import _PRODUCTS
+
         if self.arity != other.arity:
             raise InvalidParameterError("cannot compose channels of different arity")
         out: dict[str, float] = {}
@@ -418,6 +417,8 @@ def mc_rus_oracle(
     peak memory is bounded by ``_BLOCK_ROWS * n_rus * 8`` bytes rather than
     growing with ``trials``.
     """
+    import numpy as np
+
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
         raise InvalidParameterError(f"trials={trials!r} must be an integer >= 1")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
@@ -467,6 +468,8 @@ def _classify(draws: np.ndarray, edges: np.ndarray, kind: str) -> np.ndarray:
     Walks the cycles column by column and compares each only for the trials
     still running, so a trial costs the cycles it runs, not ``n_rus``.
     """
+    import numpy as np
+
     rows, n = draws.shape
     success_edge, repeat_edge, one_loss_edge = edges
     cz = kind == "cz"

@@ -10,12 +10,12 @@ two scalar rates.
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import os
 from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple, Optional, Sequence
-
-import numpy as np
 
 from .errors import FitError, InvalidParameterError, NoDistanceFoundError
 
@@ -96,25 +96,23 @@ def fit_error_curve(points: Sequence[ErrorDataPoint], weighted: bool = True) -> 
     """Least-squares fit of ln(e/n) against sqrt(n).
 
     Weights are inverse variances of the log, i.e. (e/sigma)^2, matching a
-    fit "weighted by the statistical uncertainty" of each point.
+    fit "weighted by the statistical uncertainty" of each point.  The 2x2
+    weighted normal equations are solved in closed form about the weighted
+    mean of sqrt(n), which keeps the slope accurate when the sizes cluster.
     """
-    if len(points) < 2:
-        raise FitError("need at least two data points to fit two parameters")
-    n = np.array([p.geometry.qubits for p in points], dtype=float)
-    e = np.array([p.e_hv for p in points], dtype=float)
-    s = np.array([p.sigma for p in points], dtype=float)
-    x = np.sqrt(n)
-    y = np.log(e / n)
-    design = np.column_stack([x, np.ones_like(x)])
-    if weighted:
-        w = np.sqrt((e / s) ** 2)
-        design = design * w[:, None]
-        y = y * w
-    coeffs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < 2:
-        raise FitError("degenerate design matrix (all points at the same size?)")
-    a, c = coeffs
-    return FitParams(a=float(a), b=float(-c))
+    sizes = [p.geometry.qubits for p in points]
+    if len(set(sizes)) < 2:
+        raise FitError("need data points at two or more sizes to fit two parameters")
+    xs = [math.sqrt(n) for n in sizes]
+    ys = [math.log(p.e_hv / n) for p, n in zip(points, sizes)]
+    ws = [(p.e_hv / p.sigma) ** 2 if weighted else 1.0 for p in points]
+    sw = sum(ws)
+    x_mean = sum(w * x for w, x in zip(ws, xs)) / sw
+    y_mean = sum(w * y for w, y in zip(ws, ys)) / sw
+    sxx = sum(w * (x - x_mean) ** 2 for w, x in zip(ws, xs))
+    sxy = sum(w * (x - x_mean) * (y - y_mean) for w, x, y in zip(ws, xs, ys))
+    a = sxy / sxx
+    return FitParams(a=a, b=a * x_mean - y_mean)
 
 
 def extrapolate_error(fit: FitParams, width: int) -> float:
@@ -219,29 +217,59 @@ def _bundled(name: str):
     return resources.files("ftcost").joinpath("data", name)
 
 
-def load_error_data(path: Optional[str] = None) -> list[ErrorDataPoint]:
-    """Read cube error data (columns width,height,rounds,qubits,ehv,ehv_stddev)."""
-    source = open(path, newline="") if path else _bundled("lattice_surgery_p001.csv").open()
+def _file_identity(path: Optional[str]):
+    """Cache key of a data file: ``None`` for the bundled one, else its stat.
+
+    A file rewritten in place gets a new mtime (and usually size), so the
+    next load reads it again.
+    """
+    if not path:
+        return None
+    st = os.stat(path)
+    return st.st_mtime_ns, st.st_size, st.st_ino
+
+
+def _read_rows(path: Optional[str], bundled: str) -> list[dict]:
+    source = open(path, newline="") if path else _bundled(bundled).open()
     with source as f:
-        rows = list(csv.DictReader(f))
+        return list(csv.DictReader(f))
+
+
+def load_error_data(path: Optional[str] = None) -> list[ErrorDataPoint]:
+    """Read cube error data (columns width,height,rounds,qubits,ehv,ehv_stddev).
+
+    Each file is parsed once per process per file identity; every call
+    returns a new list.
+    """
+    return list(_parse_error_data(path or None, _file_identity(path)))
+
+
+def load_msf_table(path: Optional[str] = None) -> list[MsfProtocol]:
+    """Read factory protocols (columns label,p_out,sc_qubits,sc_cycles).
+
+    Each file is parsed once per process per file identity; every call
+    returns a new list.
+    """
+    return list(_parse_msf_table(path or None, _file_identity(path)))
+
+
+@functools.lru_cache(maxsize=8)
+def _parse_error_data(path: Optional[str], identity) -> tuple[ErrorDataPoint, ...]:
     points = []
-    for row in rows:
+    for row in _read_rows(path, "lattice_surgery_p001.csv"):
         geo = PatchGeometry(int(row["width"]), int(row["height"]), int(row["rounds"]))
         if geo.qubits != int(row["qubits"]):
             raise InvalidParameterError(
                 f"row w={geo.width}: qubits column {row['qubits']} != width*height"
             )
         points.append(ErrorDataPoint(geo, float(row["ehv"]), float(row["ehv_stddev"])))
-    return points
+    return tuple(points)
 
 
-def load_msf_table(path: Optional[str] = None) -> list[MsfProtocol]:
-    """Read factory protocols (columns label,p_out,sc_qubits,sc_cycles)."""
-    source = open(path, newline="") if path else _bundled("msf_protocols.csv").open()
-    with source as f:
-        rows = list(csv.DictReader(f))
-    return [
+@functools.lru_cache(maxsize=8)
+def _parse_msf_table(path: Optional[str], identity) -> tuple[MsfProtocol, ...]:
+    return tuple(
         MsfProtocol(row["label"], float(row["p_out"]),
                     float(row["sc_qubits"]), float(row["sc_cycles"]))
-        for row in rows
-    ]
+        for row in _read_rows(path, "msf_protocols.csv")
+    )

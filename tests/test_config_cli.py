@@ -1,7 +1,7 @@
 import pytest
 
 from ftcost.cli import main
-from ftcost.config import load_config, options_from, problem_from
+from ftcost.config import budget_from, load_config, options_from, problem_from
 from ftcost.errors import InvalidParameterError
 
 REPORT_KEYS = [
@@ -67,6 +67,12 @@ class TestConfig:
         with pytest.raises(InvalidParameterError, match=f"^{key}="):
             builder(cfg)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.01", "1", "1.5"])
+    def test_budget_total_must_lie_in_unit_interval(self, value):
+        cfg = load_config(overrides=[f"budget.total={value}"])
+        with pytest.raises(InvalidParameterError, match=f"^budget.total={value} "):
+            budget_from(cfg)
+
     def test_integral_float_is_accepted(self):
         cfg = load_config(overrides=["problem.L=8.0", "noise.n_rus=12"])
         assert problem_from(cfg).lattice_l == 8
@@ -102,6 +108,8 @@ class TestCli:
         ("problem.L", "8.9"), ("problem.w_msf", "2.5"),
         ("noise.n_rus", "0"), ("noise.n_init", "-3"),
         ("floorplan.override_msf", "400.5"),
+        ("budget.total", "nan"), ("budget.total", "0"), ("budget.total", "inf"),
+        ("budget.total", "1.5"),
     ])
     def test_estimate_bad_integer_key_is_one_line(self, capsys, key, value):
         overrides = ["--set", f"{key}={value}"]
@@ -126,6 +134,26 @@ class TestCli:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3
         assert lines[0].startswith("problem.L,")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "--key", "problem.L", "--values", "8,12,14,16"],
+         "no width up to 30 reaches target"),
+        (["estimate", "--set", "data.msf_table_csv={weak_msf}"],
+         "no protocol with p_out below target"),
+        (["fit", "--set", "data.lattice_surgery_csv={one_size}"],
+         "need data points at two or more sizes"),
+    ], ids=["sweep-no-distance", "estimate-no-protocol", "fit-degenerate"])
+    def test_solver_errors_are_one_line(self, tmp_path, capsys, argv, message):
+        weak_msf = tmp_path / "msf.csv"
+        weak_msf.write_text("label,p_out,sc_qubits,sc_cycles\nweak,1e-3,1000,100\n")
+        one_size = tmp_path / "cubes.csv"
+        one_size.write_text("width,height,rounds,qubits,ehv,ehv_stddev\n"
+                            "10,18,36,180,1e-5,1e-6\n10,18,36,180,2e-5,1e-6\n")
+        argv = [arg.format(weak_msf=weak_msf, one_size=one_size) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"ftcost {argv[0]}: error: {message}")
 
     def test_verify_noise_passes(self, capsys):
         rc = main(["verify-noise", "--trials", "50000", "--seed", "9"])

@@ -1,7 +1,9 @@
 import math
+import os
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ftcost import (
@@ -121,6 +123,58 @@ class TestFit:
             fit_error_curve(points)
         with pytest.raises(FitError):
             fit_error_curve(points * 3)  # same size three times
+        geo = patch_geometry(10)
+        spread = [ErrorDataPoint(geo, e, e / 10) for e in (1e-5, 3e-5, 2e-4)]
+        for weighted in (True, False):
+            with pytest.raises(FitError):
+                fit_error_curve(spread, weighted=weighted)
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_bundled_data_matches_lstsq(self, weighted):
+        points = load_error_data()
+        a, b = _lstsq_fit(points, weighted)
+        fit = fit_error_curve(points, weighted=weighted)
+        assert fit.a == pytest.approx(a, rel=1e-13)
+        assert fit.b == pytest.approx(b, rel=1e-13)
+
+    @given(
+        a=st.floats(-2.0, -0.5),
+        b=st.floats(1.0, 8.0),
+        rows=st.lists(
+            st.tuples(st.integers(3, 100), st.floats(-0.1, 0.1), st.floats(0.01, 1.0)),
+            min_size=2, max_size=20),
+        weighted=st.booleans(),
+    )
+    def test_matches_lstsq(self, a, b, rows, weighted):
+        # scattered points off the model, at ladder widths 6..200
+        assume(len({half for half, _, _ in rows}) >= 2)
+        points = []
+        for half, noise, sigma_rel in rows:
+            geo = patch_geometry(2 * half)
+            e = geo.qubits * math.exp(a * math.sqrt(geo.qubits) - b + noise)
+            points.append(ErrorDataPoint(geo, e, sigma_rel * e))
+        want_a, want_b = _lstsq_fit(points, weighted)
+        fit = fit_error_curve(points, weighted=weighted)
+        assert fit.a == pytest.approx(want_a, rel=1e-10)
+        # b is a difference of terms of size |a| sqrt(n), so it is compared on that scale
+        scale = abs(want_a) * max(math.sqrt(p.geometry.qubits) for p in points)
+        assert fit.b == pytest.approx(want_b, rel=1e-10, abs=1e-10 * scale)
+
+
+def _lstsq_fit(points, weighted):
+    """Reference (a, b): ``np.linalg.lstsq`` on the rows [sqrt(n), 1] -> ln(e/n),
+    each row scaled by e/sigma when weighted."""
+    n = np.array([p.geometry.qubits for p in points], dtype=float)
+    e = np.array([p.e_hv for p in points])
+    sigma = np.array([p.sigma for p in points])
+    design = np.column_stack([np.sqrt(n), np.ones_like(n)])
+    y = np.log(e / n)
+    if weighted:
+        design = design * (e / sigma)[:, None]
+        y = y * (e / sigma)
+    (slope, intercept), _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    assert rank == 2
+    return float(slope), float(-intercept)
 
 
 class TestExtrapolate:
@@ -232,3 +286,30 @@ class TestDataLoading:
         protos = load_msf_table()
         assert len(protos) == 6
         assert min(p.p_out for p in protos) == pytest.approx(4.5e-20)
+
+    def test_returned_lists_are_independent(self):
+        points = load_error_data()
+        first = list(points)
+        points.clear()
+        protos = load_msf_table()
+        protos.append(None)
+        assert load_error_data() == first
+        assert len(load_msf_table()) == 6
+
+    def test_rewritten_csv_is_read_again(self, tmp_path):
+        path = tmp_path / "data.csv"
+        header = "width,height,rounds,qubits,ehv,ehv_stddev\n"
+        path.write_text(header + "10,18,36,180,1e-5,1e-6\n")
+        assert load_error_data(str(path))[0].e_hv == 1e-5
+        st_before = os.stat(path)
+        path.write_text(header + "10,18,36,180,2e-5,1e-6\n")  # same size
+        os.utime(path, ns=(st_before.st_atime_ns, st_before.st_mtime_ns + 10**9))
+        assert load_error_data(str(path))[0].e_hv == 2e-5
+
+    def test_malformed_csv_raises_on_every_call(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "width,height,rounds,qubits,ehv,ehv_stddev\n10,18,36,181,1e-5,1e-6\n")
+        for _ in range(3):
+            with pytest.raises(InvalidParameterError):
+                load_error_data(str(path))
