@@ -7,6 +7,7 @@ over the file.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from .errors import InvalidParameterError
@@ -133,7 +134,10 @@ def noise_from(cfg: dict):
 
 
 def budget_from(cfg: dict):
-    total = float(cfg["budget.total"])
+    try:
+        total = float(cfg["budget.total"])
+    except (TypeError, ValueError):
+        total = math.nan
     if not 0.0 < total < 1.0:  # also rejects nan
         raise InvalidParameterError(
             f"budget.total={cfg['budget.total']!r} must be finite and lie in (0, 1)")

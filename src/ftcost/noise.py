@@ -31,6 +31,12 @@ _EXACT_BINOMIAL_LIMIT = 64
 
 PROB_ATOL = 1e-12
 
+#: Letter of the product of two Pauli letters, phase dropped: with
+#: X = 01, Z = 10 and Y = 11 as (z, x) bits, multiplying XORs the bits.
+_LETTER_PRODUCTS = {
+    (a, b): "IXZY"["IXZY".index(a) ^ "IXZY".index(b)] for a in "IXYZ" for b in "IXYZ"
+}
+
 
 @dataclass(frozen=True)
 class PhysicalNoiseParams:
@@ -115,14 +121,12 @@ class PauliChannel:
         so composition is a convolution of the weights over letterwise
         products.
         """
-        from .pauli import _PRODUCTS
-
         if self.arity != other.arity:
             raise InvalidParameterError("cannot compose channels of different arity")
         out: dict[str, float] = {}
         for la, wa in self.terms:
             for lb, wb in other.terms:
-                label = "".join(_PRODUCTS[a, b][1] for a, b in zip(la, lb))
+                label = "".join(_LETTER_PRODUCTS[a, b] for a, b in zip(la, lb))
                 out[label] = out.get(label, 0.0) + wa * wb
         flip = None
         if self.classical_flip_weight is not None or other.classical_flip_weight is not None:

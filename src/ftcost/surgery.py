@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import os
 from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple, Optional, Sequence
@@ -75,8 +74,8 @@ class ErrorDataPoint:
     def __post_init__(self):
         if not 0.0 < self.e_hv < 1.0:
             raise InvalidParameterError(f"e_hv={self.e_hv} must lie in (0, 1)")
-        if self.sigma <= 0.0:
-            raise InvalidParameterError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise InvalidParameterError(f"sigma={self.sigma} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -217,59 +216,63 @@ def _bundled(name: str):
     return resources.files("ftcost").joinpath("data", name)
 
 
-def _file_identity(path: Optional[str]):
-    """Cache key of a data file: ``None`` for the bundled one, else its stat.
-
-    A file rewritten in place gets a new mtime (and usually size), so the
-    next load reads it again.
-    """
-    if not path:
-        return None
-    st = os.stat(path)
-    return st.st_mtime_ns, st.st_size, st.st_ino
-
-
 def _read_rows(path: Optional[str], bundled: str) -> list[dict]:
     source = open(path, newline="") if path else _bundled(bundled).open()
     with source as f:
         return list(csv.DictReader(f))
 
 
+def _parse_rows(path: Optional[str], bundled: str, make) -> list:
+    """``make(row)`` for every CSV row; a bad row is an error naming it."""
+    items = []
+    for i, row in enumerate(_read_rows(path, bundled), start=1):
+        try:
+            items.append(make(row))
+        except (KeyError, TypeError, ValueError) as exc:
+            detail = f"no column {exc}" if isinstance(exc, KeyError) else exc
+            raise InvalidParameterError(f"{path or bundled} data row {i}: {detail}") from None
+    return items
+
+
+def _error_point(row: dict) -> ErrorDataPoint:
+    geo = PatchGeometry(int(row["width"]), int(row["height"]), int(row["rounds"]))
+    if geo.qubits != int(row["qubits"]):
+        raise InvalidParameterError(f"qubits column {row['qubits']} != width*height")
+    return ErrorDataPoint(geo, float(row["ehv"]), float(row["ehv_stddev"]))
+
+
+def _protocol(row: dict) -> MsfProtocol:
+    return MsfProtocol(row["label"], float(row["p_out"]),
+                       float(row["sc_qubits"]), float(row["sc_cycles"]))
+
+
+@functools.cache
+def _bundled_error_data() -> tuple[ErrorDataPoint, ...]:
+    return tuple(_parse_rows(None, "lattice_surgery_p001.csv", _error_point))
+
+
+@functools.cache
+def _bundled_msf_table() -> tuple[MsfProtocol, ...]:
+    return tuple(_parse_rows(None, "msf_protocols.csv", _protocol))
+
+
 def load_error_data(path: Optional[str] = None) -> list[ErrorDataPoint]:
     """Read cube error data (columns width,height,rounds,qubits,ehv,ehv_stddev).
 
-    Each file is parsed once per process per file identity; every call
-    returns a new list.
+    The bundled file is parsed once per process, a file at ``path`` on every
+    call; either way the caller gets a new list.
     """
-    return list(_parse_error_data(path or None, _file_identity(path)))
+    if path:
+        return _parse_rows(path, "lattice_surgery_p001.csv", _error_point)
+    return list(_bundled_error_data())
 
 
 def load_msf_table(path: Optional[str] = None) -> list[MsfProtocol]:
     """Read factory protocols (columns label,p_out,sc_qubits,sc_cycles).
 
-    Each file is parsed once per process per file identity; every call
-    returns a new list.
+    The bundled file is parsed once per process, a file at ``path`` on every
+    call; either way the caller gets a new list.
     """
-    return list(_parse_msf_table(path or None, _file_identity(path)))
-
-
-@functools.lru_cache(maxsize=8)
-def _parse_error_data(path: Optional[str], identity) -> tuple[ErrorDataPoint, ...]:
-    points = []
-    for row in _read_rows(path, "lattice_surgery_p001.csv"):
-        geo = PatchGeometry(int(row["width"]), int(row["height"]), int(row["rounds"]))
-        if geo.qubits != int(row["qubits"]):
-            raise InvalidParameterError(
-                f"row w={geo.width}: qubits column {row['qubits']} != width*height"
-            )
-        points.append(ErrorDataPoint(geo, float(row["ehv"]), float(row["ehv_stddev"])))
-    return tuple(points)
-
-
-@functools.lru_cache(maxsize=8)
-def _parse_msf_table(path: Optional[str], identity) -> tuple[MsfProtocol, ...]:
-    return tuple(
-        MsfProtocol(row["label"], float(row["p_out"]),
-                    float(row["sc_qubits"]), float(row["sc_cycles"]))
-        for row in _read_rows(path, "msf_protocols.csv")
-    )
+    if path:
+        return _parse_rows(path, "msf_protocols.csv", _protocol)
+    return list(_bundled_msf_table())

@@ -73,6 +73,12 @@ class TestConfig:
         with pytest.raises(InvalidParameterError, match=f"^budget.total={value} "):
             budget_from(cfg)
 
+    @pytest.mark.parametrize("value,shown", [("abc", "'abc'"), ("none", "None")])
+    def test_budget_total_must_be_a_number(self, value, shown):
+        cfg = load_config(overrides=[f"budget.total={value}"])
+        with pytest.raises(InvalidParameterError, match=f"^budget.total={shown} "):
+            budget_from(cfg)
+
     def test_integral_float_is_accepted(self):
         cfg = load_config(overrides=["problem.L=8.0", "noise.n_rus=12"])
         assert problem_from(cfg).lattice_l == 8
@@ -120,6 +126,24 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.endswith("\n") and captured.err.count("\n") == 1
         assert captured.err.startswith(f"ftcost estimate: error: {key}={value} ")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["estimate", "--set", "budget.total=abc"], "budget.total='abc' must be finite"),
+        (["sweep", "--key", "budget.total", "--values", "0.01,none"],
+         "budget.total=None must be finite"),
+        (["fit", "--set", "data.lattice_surgery_csv={bad_row}"],
+         "{bad_row} data row 2: sigma=inf must be positive"),
+    ], ids=["budget-text", "budget-none", "fit-bad-row"])
+    def test_bad_value_or_data_is_one_line(self, tmp_path, capsys, argv, message):
+        bad_row = tmp_path / "cubes.csv"
+        bad_row.write_text("width,height,rounds,qubits,ehv,ehv_stddev\n"
+                           "6,9,18,54,2e-3,1e-4\n10,18,36,180,1e-5,inf\n")
+        argv = [arg.format(bad_row=bad_row) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+        assert captured.err.startswith(
+            f"ftcost {argv[0]}: error: {message.format(bad_row=bad_row)}")
 
     def test_fit_prints_ladder(self, capsys):
         assert main(["fit"]) == 0

@@ -29,12 +29,17 @@ def test_importing_the_cli_does_not_import_numpy():
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
 
 
-def test_estimate_and_fit_leave_numpy_unloaded():
+def test_estimate_fit_and_closed_forms_leave_numpy_unloaded():
     proc = _python("-c", (
         "import sys\n"
         "from ftcost.cli import main\n"
         "assert main(['estimate']) == 0\n"
         "assert main(['fit']) == 0\n"
+        "from ftcost.noise import AttemptCaps, derive_noise_params, heralded_cz_distribution,"
+        " heralded_mzz_distribution\n"
+        "params = derive_noise_params(0.01)\n"
+        "heralded_cz_distribution(params, AttemptCaps())\n"
+        "heralded_mzz_distribution(params, AttemptCaps())\n"
         "print('numpy loaded:', 'numpy' in sys.modules)\n"
     ))
     assert proc.returncode == 0, proc.stderr

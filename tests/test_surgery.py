@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -301,10 +300,30 @@ class TestDataLoading:
         header = "width,height,rounds,qubits,ehv,ehv_stddev\n"
         path.write_text(header + "10,18,36,180,1e-5,1e-6\n")
         assert load_error_data(str(path))[0].e_hv == 1e-5
-        st_before = os.stat(path)
-        path.write_text(header + "10,18,36,180,2e-5,1e-6\n")  # same size
-        os.utime(path, ns=(st_before.st_atime_ns, st_before.st_mtime_ns + 10**9))
+        path.write_text(header + "10,18,36,180,2e-5,1e-6\n")  # same size, maybe same mtime
         assert load_error_data(str(path))[0].e_hv == 2e-5
+
+    @pytest.mark.parametrize("ehv,sigma,message", [
+        ("0", "1e-6", "e_hv=0.0 must lie in"),
+        ("1e-5", "0", "sigma=0.0 must be positive"),
+        ("1e-5", "nan", "sigma=nan must be positive"),
+        ("1e-5", "inf", "sigma=inf must be positive"),
+        ("1e-5", "abc", "could not convert"),
+        ("1e-5", "", "could not convert"),
+    ])
+    def test_bad_row_is_named(self, tmp_path, ehv, sigma, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("width,height,rounds,qubits,ehv,ehv_stddev\n"
+                        "6,9,18,54,2e-3,1e-4\n"
+                        f"10,18,36,180,{ehv},{sigma}\n")
+        with pytest.raises(InvalidParameterError, match=f"bad.csv data row 2: {message}"):
+            load_error_data(str(path))
+
+    def test_missing_column_is_named(self, tmp_path):
+        path = tmp_path / "msf.csv"
+        path.write_text("label,p_out,sc_qubits\nweak,1e-3,1000\n")
+        with pytest.raises(InvalidParameterError, match="msf.csv data row 1: no column 'sc_cycles'"):
+            load_msf_table(str(path))
 
     def test_malformed_csv_raises_on_every_call(self, tmp_path):
         path = tmp_path / "bad.csv"
