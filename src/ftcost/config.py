@@ -113,24 +113,35 @@ def _integer(cfg: dict, key: str, minimum: int = 0) -> int:
     return value
 
 
+def _real(cfg: dict, key: str) -> float:
+    """``cfg[key]`` as a finite float; anything else is an error naming the key."""
+    try:
+        value = float(cfg[key])
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"{key}={cfg[key]!r} must be a finite number")
+    return value
+
+
 def problem_from(cfg: dict) -> ProblemSpec:
     l = _integer(cfg, "problem.L", 2)
     return ProblemSpec(
         lattice_l=l,
-        u_over_t=float(cfg["problem.u_over_t"]),
-        sim_time_t=float(cfg["problem.sim_time_multiple"]) * l,
+        u_over_t=_real(cfg, "problem.u_over_t"),
+        sim_time_t=_real(cfg, "problem.sim_time_multiple") * l,
         w_msf=_integer(cfg, "problem.w_msf", 1),
     )
 
 
 def noise_from(cfg: dict):
     biases = {
-        "epsilon": float(cfg["noise.biases.epsilon"]),
-        "distinguishability": float(cfg["noise.biases.distinguishability"]),
-        "idle_ratio": float(cfg["noise.biases.idle_ratio"]),
-        "gate_infidelity": float(cfg["noise.biases.gate_infidelity"]),
+        "epsilon": _real(cfg, "noise.biases.epsilon"),
+        "distinguishability": _real(cfg, "noise.biases.distinguishability"),
+        "idle_ratio": _real(cfg, "noise.biases.idle_ratio"),
+        "gate_infidelity": _real(cfg, "noise.biases.gate_infidelity"),
     }
-    return derive_noise_params(float(cfg["noise.p"]), biases)
+    return derive_noise_params(_real(cfg, "noise.p"), biases)
 
 
 def budget_from(cfg: dict):
@@ -146,10 +157,10 @@ def budget_from(cfg: dict):
 
 def timing_from(cfg: dict) -> TimingModel:
     return TimingModel(
-        single_qubit_ns=float(cfg["timing.single_qubit_ns"]),
-        rus_cycle_ns=float(cfg["timing.rus_cycle_ns"]),
-        syndrome_round_ns=float(cfg["timing.syndrome_round_ns"]),
-        reaction_us=float(cfg["timing.reaction_us"]),
+        single_qubit_ns=_real(cfg, "timing.single_qubit_ns"),
+        rus_cycle_ns=_real(cfg, "timing.rus_cycle_ns"),
+        syndrome_round_ns=_real(cfg, "timing.syndrome_round_ns"),
+        reaction_us=_real(cfg, "timing.reaction_us"),
         caps=AttemptCaps(**{name: _integer(cfg, f"noise.{name}", 1)
                             for name in ("n_rus", "n_init", "n_measure")}),
     )
@@ -164,7 +175,7 @@ def options_from(cfg: dict, precision: str = "headline") -> SolveOptions:
                     _integer(cfg, "floorplan.override_msf"))
     return SolveOptions(
         strategy=str(cfg["synthesis.strategy"]),
-        p_succ=float(cfg["synthesis.p_succ"]),
+        p_succ=_real(cfg, "synthesis.p_succ"),
         mode=str(cfg["synthesis.mode"]),
         precision=precision,
         timing=timing_from(cfg),

@@ -21,21 +21,19 @@ from typing import Optional, Sequence
 from .errors import InvalidParameterError, NoProtocolError
 from .noise import PhysicalNoiseParams
 from .surgery import (
+    LADDER,
     LADDER_WIDTHS,
-    MAX_WIDTH,
     FitParams,
     MsfProtocol,
     PatchGeometry,
     fit_error_curve,
     load_error_data,
     load_msf_table,
-    patch_geometry,
     select_distance,
 )
 from .synthesis import (
     FALLBACK_BRANCH,
     RotationCost,
-    SynthesisPlan,
     direct_plan,
     fallback_plan,
     synthesis_cost,
@@ -98,6 +96,13 @@ class FloorplanCounts:
             raise InvalidParameterError("msf_patches must not exceed total_patches")
 
 
+def _check_plane(lattice_l: int, w_msf: int):
+    if lattice_l < 2 or lattice_l % 2 != 0:
+        raise InvalidParameterError("lattice_l must be an even integer >= 2")
+    if w_msf < 1:
+        raise InvalidParameterError("w_msf must be >= 1")
+
+
 def render_floorplan(lattice_l: int, w_msf: int) -> list[str]:
     """One plane of the patch layout as rows of cell characters.
 
@@ -112,10 +117,7 @@ def render_floorplan(lattice_l: int, w_msf: int) -> list[str]:
     aisle serves the periodic-boundary plaquettes), with one trailing
     workspace row.
     """
-    if lattice_l < 2 or lattice_l % 2 != 0:
-        raise InvalidParameterError("lattice_l must be an even integer >= 2")
-    if w_msf < 1:
-        raise InvalidParameterError("w_msf must be >= 1")
+    _check_plane(lattice_l, w_msf)
     pairs = lattice_l // 2
     col_blocks = []
     for p in range(pairs):
@@ -140,15 +142,21 @@ def floorplan(
     override_total: Optional[int] = None,
     override_msf: Optional[int] = None,
 ) -> FloorplanCounts:
-    """Patch counts over both planes, or an explicit override."""
+    """Patch counts over both planes, or an explicit override.
+
+    The counts are those of ``render_floorplan``'s plane, in closed form: with
+    p = L/2 plaquette pairs, a plane is 3p + (p - 1)(1 + w_msf) columns by
+    p(3 + w_msf) + 1 rows, of which p * w_msf rows are factory aisle.
+    """
     if (override_total is None) != (override_msf is None):
         raise InvalidParameterError("floorplan overrides must be given together")
     if override_total is not None:
         return FloorplanCounts(override_total, override_msf)
-    plane = render_floorplan(lattice_l, w_msf)
-    cells = sum(len(r) for r in plane)
-    msf = sum(r.count("M") for r in plane)
-    return FloorplanCounts(2 * cells, 2 * msf)
+    _check_plane(lattice_l, w_msf)
+    pairs = lattice_l // 2
+    cols = 3 * pairs + (pairs - 1) * (1 + w_msf)
+    rows = pairs * (3 + w_msf) + 1
+    return FloorplanCounts(2 * cols * rows, 2 * pairs * w_msf * cols)
 
 
 def msf_sizing(
@@ -190,10 +198,8 @@ def corridor_capacity_check(plan: FloorplanCounts, geometry: PatchGeometry,
     return plan.msf_patches * geometry.qubits / msf_qubits_required
 
 
-#: Every geometry ``select_distance`` can return, narrowest first: the table,
-#: then the off-table widths it tries when allowed.  Rounds grow with width.
-_LADDER = tuple(patch_geometry(w) for w in range(LADDER_WIDTHS[0], MAX_WIDTH + 1, 2))
-_LADDER_ROUNDS = [g.rounds for g in _LADDER]
+#: Rounds of each ``surgery.LADDER`` entry, the keys the solver bisects.
+_LADDER_ROUNDS = [rung.geometry.rounds for rung in LADDER]
 
 
 @dataclass(frozen=True)
@@ -276,21 +282,6 @@ class EstimateReport:
         return ts, runtime_seconds(self.trotter_steps, ts, self.logical_cycle_ns)
 
 
-def _rotation_for(spec: ProblemSpec, eps_synth: float, tau: float,
-                  options: SolveOptions) -> tuple[SynthesisPlan, RotationCost]:
-    rounding = "integer" if options.precision == "headline" else "none"
-    if options.strategy in FALLBACK_BRANCH:
-        plan = fallback_plan(eps_synth, options.p_succ, spec.lattice_l,
-                             strategy=options.strategy, mode=options.mode,
-                             rounding=rounding)
-        cost = synthesis_cost(plan, "fallback", tau)
-    else:
-        plan = direct_plan(eps_synth, options.strategy, mode=options.mode,
-                           rounding=rounding)
-        cost = synthesis_cost(plan, "direct", tau)
-    return plan, cost
-
-
 def solve_estimate(
     spec: ProblemSpec,
     noise: PhysicalNoiseParams,
@@ -321,10 +312,20 @@ def solve_estimate(
     eps_synth = budget.eps_rot / n_rotations
 
     headline = options.precision == "headline"
+    rounding = "integer" if headline else "none"
+    # the plan does not depend on the rounds a probe tries; only its cost does
+    if options.strategy in FALLBACK_BRANCH:
+        kind = "fallback"
+        plan = fallback_plan(eps_synth, options.p_succ, spec.lattice_l,
+                             strategy=options.strategy, mode=options.mode,
+                             rounding=rounding)
+    else:
+        kind = "direct"
+        plan = direct_plan(eps_synth, options.strategy, mode=options.mode,
+                           rounding=rounding)
 
     def evaluate(rounds: int):
-        tau = timing.reaction_ratio(rounds)
-        plan, rotation = _rotation_for(spec, eps_synth, tau, options)
+        rotation = synthesis_cost(plan, kind, timing.reaction_ratio(rounds))
         if headline:
             rotation = RotationCost(
                 t_states=rotation.t_states,
@@ -335,14 +336,14 @@ def solve_estimate(
         n_l = step.active_cubes * r
         p_l = budget.eps_log / n_l
         geo = select_distance(fit, p_l, allow_off_table=options.allow_off_table)
-        return plan, rotation, step, n_l, p_l, geo
+        return rotation, step, n_l, p_l, geo
 
-    size = len(_LADDER) if options.allow_off_table else len(LADDER_WIDTHS)
+    size = len(LADDER) if options.allow_off_table else len(LADDER_WIDTHS)
     # the start sets the probe order: ``iterations``, and whether a probe below
     # the answer raises NoDistanceFoundError (every probe's error propagates)
     start = options.initial_rounds or (102 if spec.lattice_l == 8 else 60)
     probe = min(bisect_left(_LADDER_ROUNDS, start), size - 1)
-    # _LADDER[lo] is known infeasible (g(r) > r), _LADDER[hi] known feasible
+    # LADDER[lo] is known infeasible (g(r) > r), LADDER[hi] known feasible
     lo, hi = -1, size
     iterations = 0
     while True:
@@ -356,8 +357,8 @@ def solve_estimate(
         if selected == probe or hi - lo == 1:
             break
         probe = selected if lo < selected < hi else lo + 1
-    plan, rotation, step, n_l, p_l, _ = best
-    geometry = _LADDER[hi]
+    rotation, step, n_l, p_l, _ = best
+    geometry = LADDER[hi].geometry
 
     n_t_total = step.t_states * r
     p_msf = budget.eps_msf / n_t_total

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import NamedTuple, Optional, Sequence
 
@@ -120,6 +120,25 @@ def extrapolate_error(fit: FitParams, width: int) -> float:
     return n * math.exp(fit.a * math.sqrt(n) - fit.b)
 
 
+class LadderRung(NamedTuple):
+    """One ladder width with the terms ``extrapolate_error`` derives from it."""
+
+    width: int
+    qubits: int
+    sqrt_qubits: float
+    geometry: PatchGeometry
+
+
+def _rung(width: int) -> LadderRung:
+    geometry = patch_geometry(width)
+    return LadderRung(width, geometry.qubits, math.sqrt(geometry.qubits), geometry)
+
+
+#: Every even width from 6 to ``MAX_WIDTH``, narrowest first: the table, then
+#: the off-table widths.  Rounds grow with width.
+LADDER = tuple(_rung(w) for w in range(LADDER_WIDTHS[0], MAX_WIDTH + 1, 2))
+
+
 def select_distance(
     fit: FitParams,
     target_error: float,
@@ -129,14 +148,19 @@ def select_distance(
     """Smallest ladder width whose fitted error rate meets the target.
 
     The table holds every even width from 6 to 30; off-table widths continue
-    in steps of 2 up to ``max_width``.
+    in steps of 2 up to ``max_width``.  Each width's error is computed as
+    ``extrapolate_error`` computes it.
     """
     if not 0.0 < target_error < 1.0:
         raise InvalidParameterError(f"target_error={target_error} must lie in (0, 1)")
     top = max(max_width, LADDER_WIDTHS[-1]) if allow_off_table else LADDER_WIDTHS[-1]
-    for w in range(LADDER_WIDTHS[0], top + 1, 2):
-        if extrapolate_error(fit, w) <= target_error:
-            return patch_geometry(w)
+    rungs = LADDER
+    if top > MAX_WIDTH:
+        rungs += tuple(_rung(w) for w in range(MAX_WIDTH + 2, top + 1, 2))
+    a, b = fit.a, fit.b
+    for _, n, root, geometry in rungs[:(top - LADDER_WIDTHS[0]) // 2 + 1]:
+        if n * math.exp(a * root - b) <= target_error:
+            return geometry
     raise NoDistanceFoundError(f"no width up to {top} reaches target {target_error:g}")
 
 
@@ -187,13 +211,25 @@ def msf_convert(sc_qubits: float, sc_cycles: float, cultivation_factor: float = 
 
 @dataclass(frozen=True)
 class MsfProtocol:
-    """One magic-state factory protocol with derived honeycomb footprint."""
+    """One magic-state factory protocol with derived honeycomb footprint.
+
+    ``hh_qubits`` and ``hh_rounds`` are ``msf_convert`` of the surface-code
+    footprint, derived once at construction.
+    """
 
     label: str
     p_out: float
     sc_qubits: float
     sc_cycles: float
     cultivation_factor: float = 5.0
+    hh_qubits: float = field(init=False, repr=False, compare=False)
+    hh_rounds: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        hh_qubits, hh_rounds = msf_convert(self.sc_qubits, self.sc_cycles,
+                                           self.cultivation_factor)
+        object.__setattr__(self, "hh_qubits", hh_qubits)
+        object.__setattr__(self, "hh_rounds", hh_rounds)
 
     @property
     def cult_qubits(self) -> float:
@@ -203,23 +239,18 @@ class MsfProtocol:
     def cult_cycles(self) -> float:
         return self.sc_cycles / self.cultivation_factor
 
-    @property
-    def hh_qubits(self) -> float:
-        return msf_convert(self.sc_qubits, self.sc_cycles, self.cultivation_factor)[0]
-
-    @property
-    def hh_rounds(self) -> float:
-        return msf_convert(self.sc_qubits, self.sc_cycles, self.cultivation_factor)[1]
-
 
 def _bundled(name: str):
     return resources.files("ftcost").joinpath("data", name)
 
 
 def _read_rows(path: Optional[str], bundled: str) -> list[dict]:
-    source = open(path, newline="") if path else _bundled(bundled).open()
-    with source as f:
-        return list(csv.DictReader(f))
+    try:
+        with (open(path, newline="") if path else _bundled(bundled).open()) as f:
+            return list(csv.DictReader(f))
+    except OSError as exc:
+        raise InvalidParameterError(
+            f"cannot read {path or bundled}: {exc.strerror or exc}") from None
 
 
 def _parse_rows(path: Optional[str], bundled: str, make) -> list:

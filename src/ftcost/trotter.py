@@ -168,10 +168,8 @@ def golden_cost(lattice_l: int, w_msf: int, rotation: RotationCost) -> CostLedge
 def trotter_step_cost(spec: ProblemSpec, rotation: RotationCost) -> CostLedger:
     """Ledger of one full Trotter step (interaction + pink + golden + pink)."""
     l = spec.lattice_l
-    return (interaction_cost(l, rotation)
-            + pink_cost(l, rotation)
-            + golden_cost(l, spec.w_msf, rotation)
-            + pink_cost(l, rotation))
+    pink = pink_cost(l, rotation)
+    return interaction_cost(l, rotation) + pink + golden_cost(l, spec.w_msf, rotation) + pink
 
 
 def single_plane_step_timesteps(t_synth: float) -> float:

@@ -145,6 +145,32 @@ class TestCli:
         assert captured.err.startswith(
             f"ftcost {argv[0]}: error: {message.format(bad_row=bad_row)}")
 
+    @pytest.mark.parametrize("key,value", [
+        ("problem.u_over_t", "abc"), ("problem.u_over_t", "nan"),
+        ("timing.reaction_us", "nan"), ("problem.sim_time_multiple", "inf"),
+        ("noise.p", "-inf"), ("noise.biases.epsilon", "none"),
+        ("synthesis.p_succ", "abc"), ("timing.syndrome_round_ns", "inf"),
+    ])
+    def test_estimate_bad_real_key_is_one_line(self, capsys, key, value):
+        assert main(["estimate", "--set", f"{key}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+        shown = {"abc": "'abc'", "none": "None"}.get(value, value)
+        assert captured.err.startswith(
+            f"ftcost estimate: error: {key}={shown} must be a finite number")
+
+    @pytest.mark.parametrize("command,key,name", [
+        ("fit", "data.lattice_surgery_csv", "absent.csv"),
+        ("estimate", "data.msf_table_csv", ""),  # the directory itself
+    ])
+    def test_unreadable_data_file_is_one_line(self, tmp_path, capsys, command, key, name):
+        path = tmp_path / name if name else tmp_path
+        assert main([command, "--set", f"{key}={path}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"ftcost {command}: error: cannot read {path}: ")
+
     def test_fit_prints_ladder(self, capsys):
         assert main(["fit"]) == 0
         out = capsys.readouterr().out

@@ -135,6 +135,14 @@ class TestFloorplan:
         assert all(len(row) == 9 for row in plane)
         assert len(plane) == 2 * (3 + 2) + 1
 
+    def test_counts_match_rendering(self):
+        for lattice_l in range(2, 41, 2):
+            for w_msf in range(1, 7):
+                plane = render_floorplan(lattice_l, w_msf)
+                counts = floorplan(lattice_l, w_msf)
+                assert counts.total_patches == 2 * sum(len(row) for row in plane)
+                assert counts.msf_patches == 2 * sum(row.count("M") for row in plane)
+
     def test_rendering_cells(self):
         plane = render_floorplan(8, 2)
         for row in plane:

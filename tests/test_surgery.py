@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from ftcost import (
@@ -22,6 +22,7 @@ from ftcost import (
     select_distance,
     transversal_cnot_overhead,
 )
+from ftcost.surgery import MAX_WIDTH
 
 #: The published ladder: (w, h, rounds, qubits).
 TABLE = [
@@ -213,6 +214,54 @@ class TestSelectDistance:
         off = select_distance(reference_fit, 1e-20, allow_off_table=True)
         assert off.width > 30
 
+    @given(
+        a=st.floats(-3.0, -0.01),
+        b=st.floats(-40.0, 40.0),
+        target=st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.floats(-300.0, -1e-6).map(lambda e: 10.0**e),
+        ),
+        step=st.one_of(st.none(), st.integers(-1, 1), st.integers(-110, 1)),
+        allow_off_table=st.booleans(),
+        max_width=st.one_of(
+            st.integers(6, 29),
+            st.integers(15, MAX_WIDTH // 2 + 20).map(lambda k: 2 * k + 1),
+            st.just(MAX_WIDTH),
+            st.integers(MAX_WIDTH + 1, MAX_WIDTH + 40),
+        ),
+    )
+    @example(a=-0.5, b=0.0, target=0.5, step=0, allow_off_table=False, max_width=MAX_WIDTH)
+    @example(a=-0.5, b=0.0, target=0.5, step=1, allow_off_table=False, max_width=MAX_WIDTH)
+    @example(a=-0.5, b=0.0, target=0.5, step=0, allow_off_table=True, max_width=MAX_WIDTH)
+    @example(a=-0.5, b=0.0, target=0.5, step=0, allow_off_table=True, max_width=MAX_WIDTH + 11)
+    @example(a=-0.5, b=0.0, target=0.5, step=0, allow_off_table=True, max_width=MAX_WIDTH + 10)
+    @example(a=-0.5, b=0.0, target=0.5, step=-1, allow_off_table=True, max_width=MAX_WIDTH + 11)
+    @example(a=-0.5, b=0.0, target=0.5, step=1, allow_off_table=True, max_width=MAX_WIDTH + 11)
+    @example(a=-0.5, b=0.0, target=0.5, step=0, allow_off_table=True, max_width=21)
+    def test_matches_brute_force(self, a, b, target, step, allow_off_table, max_width):
+        fit = FitParams(a, b)
+        top = max(max_width, 30) if allow_off_table else 30
+        if step is not None:  # a target exactly at the error rate of a width near the top
+            width = top - top % 2 + 2 * step
+            assume(width >= 6)
+            target = extrapolate_error(fit, width)
+            assume(0.0 < target < 1.0)
+
+        def brute_force():
+            for w in range(6, top + 1, 2):
+                if extrapolate_error(fit, w) <= target:
+                    return patch_geometry(w)
+            raise NoDistanceFoundError(f"no width up to {top} reaches target {target:g}")
+
+        def outcome(select):
+            try:
+                return select()
+            except NoDistanceFoundError as exc:
+                return str(exc)
+
+        assert outcome(lambda: select_distance(fit, target, allow_off_table, max_width)) \
+            == outcome(brute_force)
+
 
 class TestCnotOverhead:
     def test_positive(self):
@@ -254,6 +303,12 @@ class TestMsfConversion:
             assert abs(proto.hh_rounds - r) <= _ulp3(r), proto.label
             assert proto.cult_qubits == pytest.approx(proto.sc_qubits / 5)
             assert proto.cult_cycles == pytest.approx(proto.sc_cycles / 5)
+
+    def test_footprint_is_msf_convert(self):
+        for proto in load_msf_table():
+            assert (proto.hh_qubits, proto.hh_rounds) == msf_convert(
+                proto.sc_qubits, proto.sc_cycles, proto.cultivation_factor), proto.label
+            assert "hh_" not in repr(proto)
 
 
 def _ulp3(x: float) -> float:
