@@ -40,16 +40,13 @@ from .surgery import (
     FitParams,
     MsfProtocol,
     PatchGeometry,
-    combined_error,
     extrapolate_error,
     fit_error_curve,
     load_error_data,
     load_msf_table,
     msf_convert,
-    msf_qubit_conversion_rate,
     patch_geometry,
     select_distance,
-    transversal_cnot_overhead,
 )
 from .synthesis import (
     RotationCost,

@@ -2,184 +2,184 @@
 
 A config file holds one assignment per line; ``#`` starts a comment.  The
 same keys are accepted from repeated ``--set key=value`` flags, which win
-over the file.
+over the file.  ``SCHEMA`` declares every key once, with its type, default,
+domain and doc line.  ``load_config`` parses and checks each value against
+it, so a bad value is one error naming the key and the builders below only
+assemble.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import InvalidParameterError
-from .noise import DEFAULT_BIASES, derive_noise_params
+from .noise import derive_noise_params
 from .pipeline import SolveOptions, allocate_budget
-from .surgery import fit_error_curve, load_error_data, load_msf_table
-from .timing import AttemptCaps, TimingModel
+from .surgery import (
+    BUNDLED_NOISE_P,
+    fit_error_curve,
+    load_error_data,
+    load_msf_table,
+    read_text,
+)
+from .synthesis import STRATEGIES
+from .timing import TimingModel
 from .trotter import ProblemSpec
 
-DEFAULTS: dict[str, object] = {
-    "problem.L": 8,
-    "problem.u_over_t": 8.0,
-    "problem.sim_time_multiple": 10.0,
-    "problem.w_msf": 2,
-    "noise.p": 0.01,
-    "noise.biases.epsilon": DEFAULT_BIASES["epsilon"],
-    "noise.biases.distinguishability": DEFAULT_BIASES["distinguishability"],
-    "noise.biases.idle_ratio": DEFAULT_BIASES["idle_ratio"],
-    "noise.biases.gate_infidelity": DEFAULT_BIASES["gate_infidelity"],
-    "noise.n_rus": 10,
-    "noise.n_init": 5,
-    "noise.n_measure": 5,
-    "budget.total": 0.01,
-    "budget.policy": "default",
-    "synthesis.strategy": "mixed_fallback",
-    "synthesis.p_succ": 0.99,
-    "synthesis.mode": "worst",
-    "timing.single_qubit_ns": 5.0,
-    "timing.rus_cycle_ns": 30.0,
-    "timing.syndrome_round_ns": 305.0,
-    "timing.reaction_us": 10.0,
-    "floorplan.override_total": None,
-    "floorplan.override_msf": None,
-    "data.lattice_surgery_csv": None,
-    "data.msf_table_csv": None,
-}
+
+class Key(NamedTuple):
+    """One config key.  A value of ``type`` that passes ``ok`` is in its
+    domain, and so is ``none`` where the default is None; any other value is
+    an error saying the key must be ``rule``."""
+
+    name: str
+    type: type
+    default: object
+    rule: str
+    ok: Callable[[object], bool]
+    doc: str
 
 
-def _coerce(raw: str):
-    text = raw.strip()
-    if text.lower() in ("none", ""):
-        return None
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
+def _positive(value) -> bool:
+    return 0 < value < math.inf
+
+
+def _one_of(*choices: str) -> tuple[str, Callable[[object], bool]]:
+    """The rule text and check of a key taking one of ``choices``."""
+    return "one of " + " | ".join(choices), choices.__contains__
+
+
+SCHEMA: dict[str, Key] = {key.name: key for key in (
+    Key("problem.L", int, 8, "an even integer >= 2",
+        lambda v: v >= 2 and v % 2 == 0, "lattice linear size"),
+    Key("problem.u_over_t", float, 8.0, "a finite number > 0", _positive,
+        "interaction ratio U/t"),
+    Key("problem.sim_time_multiple", float, 10.0, "a finite number > 0", _positive,
+        "simulated time / L, in units of 1/t"),
+    Key("problem.w_msf", int, ProblemSpec.w_msf, "an integer >= 1", lambda v: v >= 1,
+        "factory aisle width in patches"),
+    Key("noise.p", float, BUNDLED_NOISE_P, "a finite number in [0, 1)",
+        lambda v: 0 <= v < 1,
+        "noise intensity; another one needs its own cube data"),
+    Key("budget.total", float, 0.01, "finite and lie in (0, 1)", lambda v: 0 < v < 1,
+        "diamond-norm error budget"),
+    Key("synthesis.strategy", str, SolveOptions.strategy, *_one_of(*STRATEGIES),
+        "rotation synthesis scheme"),
+    Key("synthesis.p_succ", float, SolveOptions.p_succ, "a finite number in (0, 1]",
+        lambda v: 0 < v <= 1, "fallback synthesis success probability"),
+    Key("synthesis.mode", str, SolveOptions.mode, *_one_of("worst", "mean"),
+        "T-count law coefficients"),
+    Key("timing.syndrome_round_ns", float, TimingModel.syndrome_round_ns,
+        "a finite number > 0", _positive, "syndrome extraction round"),
+    Key("timing.reaction_us", float, TimingModel.reaction_us, "a finite number > 0",
+        _positive, "decode reaction time"),
+    Key("floorplan.override_total", int, None, "an integer >= 0", lambda v: v >= 0,
+        "patches, both planes; set both overrides or neither"),
+    Key("floorplan.override_msf", int, None, "an integer >= 0", lambda v: v >= 0,
+        "factory aisle patches"),
+    Key("data.lattice_surgery_csv", str, None, "a file path", bool,
+        "cube error data; none: bundled (p = 0.01)"),
+    Key("data.msf_table_csv", str, None, "a file path", bool,
+        "factory protocols; none: bundled"),
+)}
+
+
+def parse_config_file(path: str) -> dict[str, str]:
+    out: dict[str, str] = {}
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
             continue
-    return text
-
-
-def parse_config_file(path: str) -> dict[str, object]:
-    out: dict[str, object] = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise InvalidParameterError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = stripped.split("=", 1)
-            out[key.strip()] = _coerce(value)
+        if "=" not in stripped:
+            raise InvalidParameterError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = stripped.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
-def parse_overrides(pairs: list[str]) -> dict[str, object]:
-    out: dict[str, object] = {}
+def parse_overrides(pairs: list[str]) -> dict[str, str]:
+    out: dict[str, str] = {}
     for pair in pairs:
         if "=" not in pair:
             raise InvalidParameterError(f"--set expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
-        out[key.strip()] = _coerce(value)
+        out[key.strip()] = value.strip()
     return out
 
 
+def _value(key: Key, text: str):
+    """``text`` as a value of ``key``; outside its domain, an error naming the key."""
+    value = None if text.lower() in ("", "none") else text
+    if value is not None and key.type is not str:
+        try:
+            value = float(text)
+        except ValueError:
+            pass
+        else:
+            if key.type is int and value.is_integer():
+                value = int(value)
+    if value is None and key.default is None:
+        return None
+    if isinstance(value, key.type) and key.ok(value):
+        return value
+    shown = text if isinstance(value, (int, float)) or key.type is str else repr(value)
+    raise InvalidParameterError(f"{key.name}={shown} must be {key.rule}")
+
+
 def load_config(path: Optional[str] = None, overrides: Optional[list[str]] = None) -> dict:
-    cfg = dict(DEFAULTS)
-    if path:
-        file_values = parse_config_file(path)
-        _check_keys(file_values)
-        cfg.update(file_values)
-    if overrides:
-        override_values = parse_overrides(overrides)
-        _check_keys(override_values)
-        cfg.update(override_values)
+    """The defaults, then the file at ``path``, then the ``--set`` overrides,
+    each value parsed and checked once against ``SCHEMA``."""
+    texts = parse_config_file(path) if path else {}
+    texts.update(parse_overrides(overrides or []))
+    cfg = {name: key.default for name, key in SCHEMA.items()}
+    for name, text in texts.items():
+        if name not in SCHEMA:
+            raise InvalidParameterError(f"{name}={text} is not a config key")
+        cfg[name] = _value(SCHEMA[name], text)
+    if cfg["noise.p"] != BUNDLED_NOISE_P and cfg["data.lattice_surgery_csv"] is None:
+        raise InvalidParameterError(
+            f"noise.p={cfg['noise.p']} needs data.lattice_surgery_csv: "
+            f"the bundled cube data are for p = {BUNDLED_NOISE_P}")
+    total, msf = cfg["floorplan.override_total"], cfg["floorplan.override_msf"]
+    if (total is None) != (msf is None):
+        unset = "total" if total is None else "msf"
+        raise InvalidParameterError(
+            f"floorplan.override_{unset}=None must be set with the other override")
+    if total is not None and msf > total:
+        raise InvalidParameterError(
+            f"floorplan.override_msf={msf} must not exceed floorplan.override_total={total}")
     return cfg
 
 
-def _check_keys(values: dict):
-    unknown = set(values) - set(DEFAULTS)
-    if unknown:
-        raise InvalidParameterError(f"unknown config keys: {sorted(unknown)}")
-
-
-# -- constructors ---------------------------------------------------------------
-
-def _integer(cfg: dict, key: str, minimum: int = 0) -> int:
-    """``cfg[key]`` as an int >= ``minimum``; anything else is an error naming the key."""
-    value = cfg[key]
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise InvalidParameterError(f"{key}={cfg[key]!r} must be an integer >= {minimum}")
-    return value
-
-
-def _real(cfg: dict, key: str) -> float:
-    """``cfg[key]`` as a finite float; anything else is an error naming the key."""
-    try:
-        value = float(cfg[key])
-    except (TypeError, ValueError):
-        value = math.nan
-    if not math.isfinite(value):
-        raise InvalidParameterError(f"{key}={cfg[key]!r} must be a finite number")
-    return value
-
+# -- builders: every value was checked by ``load_config`` -----------------------
 
 def problem_from(cfg: dict) -> ProblemSpec:
-    l = _integer(cfg, "problem.L", 2)
     return ProblemSpec(
-        lattice_l=l,
-        u_over_t=_real(cfg, "problem.u_over_t"),
-        sim_time_t=_real(cfg, "problem.sim_time_multiple") * l,
-        w_msf=_integer(cfg, "problem.w_msf", 1),
+        lattice_l=cfg["problem.L"],
+        u_over_t=cfg["problem.u_over_t"],
+        sim_time_t=cfg["problem.sim_time_multiple"] * cfg["problem.L"],
+        w_msf=cfg["problem.w_msf"],
     )
 
 
 def noise_from(cfg: dict):
-    biases = {
-        "epsilon": _real(cfg, "noise.biases.epsilon"),
-        "distinguishability": _real(cfg, "noise.biases.distinguishability"),
-        "idle_ratio": _real(cfg, "noise.biases.idle_ratio"),
-        "gate_infidelity": _real(cfg, "noise.biases.gate_infidelity"),
-    }
-    return derive_noise_params(_real(cfg, "noise.p"), biases)
+    return derive_noise_params(cfg["noise.p"])
 
 
 def budget_from(cfg: dict):
-    try:
-        total = float(cfg["budget.total"])
-    except (TypeError, ValueError):
-        total = math.nan
-    if not 0.0 < total < 1.0:  # also rejects nan
-        raise InvalidParameterError(
-            f"budget.total={cfg['budget.total']!r} must be finite and lie in (0, 1)")
-    return allocate_budget(total, str(cfg["budget.policy"]))
-
-
-def timing_from(cfg: dict) -> TimingModel:
-    return TimingModel(
-        single_qubit_ns=_real(cfg, "timing.single_qubit_ns"),
-        rus_cycle_ns=_real(cfg, "timing.rus_cycle_ns"),
-        syndrome_round_ns=_real(cfg, "timing.syndrome_round_ns"),
-        reaction_us=_real(cfg, "timing.reaction_us"),
-        caps=AttemptCaps(**{name: _integer(cfg, f"noise.{name}", 1)
-                            for name in ("n_rus", "n_init", "n_measure")}),
-    )
+    return allocate_budget(cfg["budget.total"])
 
 
 def options_from(cfg: dict, precision: str = "headline") -> SolveOptions:
-    data_csv = cfg["data.lattice_surgery_csv"]
-    msf_csv = cfg["data.msf_table_csv"]
-    override = None
-    if cfg["floorplan.override_total"] is not None or cfg["floorplan.override_msf"] is not None:
-        override = (_integer(cfg, "floorplan.override_total"),
-                    _integer(cfg, "floorplan.override_msf"))
+    override = (cfg["floorplan.override_total"], cfg["floorplan.override_msf"])
     return SolveOptions(
-        strategy=str(cfg["synthesis.strategy"]),
-        p_succ=_real(cfg, "synthesis.p_succ"),
-        mode=str(cfg["synthesis.mode"]),
+        strategy=cfg["synthesis.strategy"],
+        p_succ=cfg["synthesis.p_succ"],
+        mode=cfg["synthesis.mode"],
         precision=precision,
-        timing=timing_from(cfg),
-        fit=fit_error_curve(load_error_data(data_csv)),
-        protocols=load_msf_table(msf_csv),
-        floorplan_override=override,
+        timing=TimingModel(cfg["timing.syndrome_round_ns"], cfg["timing.reaction_us"]),
+        fit=fit_error_curve(load_error_data(cfg["data.lattice_surgery_csv"])),
+        protocols=load_msf_table(cfg["data.msf_table_csv"]),
+        floorplan_override=None if None in override else override,
     )

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidParameterError
-from .timing import AttemptCaps
 
 #: Default relative weights of the four error mechanisms versus the overall
 #: noise intensity p.
@@ -36,6 +35,17 @@ PROB_ATOL = 1e-12
 _LETTER_PRODUCTS = {
     (a, b): "IXZY"["IXZY".index(a) ^ "IXZY".index(b)] for a in "IXYZ" for b in "IXYZ"
 }
+
+
+@dataclass(frozen=True)
+class AttemptCaps:
+    """Maximum attempt count of the capped RUS protocols."""
+
+    n_rus: int = 10
+
+    def __post_init__(self):
+        if isinstance(self.n_rus, bool) or not (isinstance(self.n_rus, int) and self.n_rus >= 1):
+            raise InvalidParameterError(f"n_rus={self.n_rus} must be an integer >= 1")
 
 
 @dataclass(frozen=True)

@@ -65,13 +65,11 @@ class ErrorBudget:
             )
 
 
-def allocate_budget(total: float, policy: str = "default") -> ErrorBudget:
-    """Default split: half algorithmic (2 eps_alg + eps_rot, with
+def allocate_budget(total: float) -> ErrorBudget:
+    """Split the budget: half algorithmic (2 eps_alg + eps_rot, with
     eps_rot = 0.01 eps_alg), half hardware (eps_log = eps_msf = total/4)."""
     if total < 0:
         raise InvalidParameterError("total budget must be nonnegative")
-    if policy != "default":
-        raise InvalidParameterError(f"unknown budget policy {policy!r}")
     eps_alg = (total / 2.0) / 2.01
     return ErrorBudget(
         total_diamond=total,
@@ -293,9 +291,10 @@ def solve_estimate(
     The search starts at ``options.initial_rounds`` (raised to a ladder
     entry), or at 102 rounds for L = 8 and 60 otherwise.
 
-    ``noise`` selects the error-rate dataset regime; the bundled cube data
-    is for overall intensity 0.01, and no rescaling with ``noise.p`` is
-    attempted (the caller supplies matching data otherwise).
+    ``noise`` names the error-rate regime but is not read: the cube error
+    data (``options.fit``) carry it.  The bundled data are for
+    ``surgery.BUNDLED_NOISE_P``, and ``load_config`` rejects another
+    ``noise.p`` unless a data file is given.
 
     In "headline" precision the per-rotation T counts, timesteps, and cubes
     are snapped to whole numbers at the plan boundary; "real" carries full

@@ -86,11 +86,6 @@ class FitParams:
     b: float
 
 
-def combined_error(e_h: float, e_v: float) -> float:
-    """Probability of at least one of two independent logical failures."""
-    return 1.0 - (1.0 - e_h) * (1.0 - e_v)
-
-
 def fit_error_curve(points: Sequence[ErrorDataPoint], weighted: bool = True) -> FitParams:
     """Least-squares fit of ln(e/n) against sqrt(n).
 
@@ -164,34 +159,6 @@ def select_distance(
     raise NoDistanceFoundError(f"no width up to {top} reaches target {target_error:g}")
 
 
-class CnotOverhead(NamedTuple):
-    value: float
-    clamped: bool
-
-
-def transversal_cnot_overhead(e_cnot_plus_4: float, e_4cube: float) -> CnotOverhead:
-    """Error attributable to the transversal CNOT on top of a 4-cube memory.
-
-    Both inputs are Monte-Carlo estimates, so the difference can come out
-    negative; it is clamped to zero with the ``clamped`` flag set.
-    """
-    diff = e_cnot_plus_4 - e_4cube
-    if diff < 0.0:
-        return CnotOverhead(0.0, True)
-    return CnotOverhead(diff, False)
-
-
-def msf_qubit_conversion_rate(width: float) -> float:
-    """Honeycomb-to-surface qubit count ratio at matched logical error.
-
-    Evaluates (5w^2/3) / (2 (w/1.25 + 1)^2) as printed; the published 0.52
-    arises when the honeycomb width is 1.25x the surface width at matched
-    error, so the formula's width argument is ambiguous and the pipeline uses
-    the printed scalar rate instead.
-    """
-    return (5.0 * width**2 / 3.0) / (2.0 * (width / 1.25 + 1.0) ** 2)
-
-
 def round_sig(x: float, sig: int = 3) -> float:
     if x == 0:
         return 0.0
@@ -244,13 +211,20 @@ def _bundled(name: str):
     return resources.files("ftcost").joinpath("data", name)
 
 
-def _read_rows(path: Optional[str], bundled: str) -> list[dict]:
+def read_text(path: str) -> str:
+    """The text of the UTF-8 file at ``path``; one that cannot be read is an
+    error naming it."""
     try:
-        with (open(path, newline="") if path else _bundled(bundled).open()) as f:
-            return list(csv.DictReader(f))
-    except OSError as exc:
+        with open(path, encoding="utf-8", newline="") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParameterError(
-            f"cannot read {path or bundled}: {exc.strerror or exc}") from None
+            f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+def _read_rows(path: Optional[str], bundled: str) -> list[dict]:
+    text = read_text(path) if path else _bundled(bundled).read_text(encoding="utf-8")
+    return list(csv.DictReader(text.splitlines()))
 
 
 def _parse_rows(path: Optional[str], bundled: str, make) -> list:
@@ -275,6 +249,10 @@ def _error_point(row: dict) -> ErrorDataPoint:
 def _protocol(row: dict) -> MsfProtocol:
     return MsfProtocol(row["label"], float(row["p_out"]),
                        float(row["sc_qubits"]), float(row["sc_cycles"]))
+
+
+#: Overall noise intensity p at which the bundled cube error data were simulated.
+BUNDLED_NOISE_P = 0.01
 
 
 @functools.cache

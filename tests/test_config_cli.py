@@ -1,8 +1,34 @@
+from pathlib import Path
+
 import pytest
 
 from ftcost.cli import main
-from ftcost.config import budget_from, load_config, options_from, problem_from
+from ftcost.config import (
+    SCHEMA,
+    budget_from,
+    load_config,
+    noise_from,
+    options_from,
+    problem_from,
+)
 from ftcost.errors import InvalidParameterError
+
+#: Config keys that changed no output and were removed, each with a value
+#: that was once legal.
+REMOVED_KEYS = [
+    ("noise.biases.epsilon", "0.5"), ("noise.biases.distinguishability", "0.1"),
+    ("noise.biases.idle_ratio", "0.01"), ("noise.biases.gate_infidelity", "0.005"),
+    ("noise.n_rus", "10"), ("noise.n_init", "5"), ("noise.n_measure", "5"),
+    ("timing.single_qubit_ns", "5"), ("timing.rus_cycle_ns", "30"),
+    ("budget.policy", "default"),
+]
+
+
+def schema_line(key) -> str:
+    """README's line for one ``SCHEMA`` key: the default and what it may be."""
+    default = "none" if key.default is None else key.default
+    return f"{key.name} = {default}".ljust(34) + f" # {key.doc}; must be {key.rule}"
+
 
 REPORT_KEYS = [
     "trotter_steps", "eps_synth", "n_t_per_rotation", "n_t_fallback",
@@ -62,27 +88,59 @@ class TestConfig:
         ("floorplan.override_total", "1000.5", options_from),
     ])
     def test_integer_keys_reject_non_integers(self, key, value, builder):
-        cfg = load_config(overrides=["floorplan.override_total=1000",
-                                     "floorplan.override_msf=400", f"{key}={value}"])
+        # load_config rejects the value, so it never reaches the builder;
+        # the noise.n_* keys are gone and rejected as unknown
         with pytest.raises(InvalidParameterError, match=f"^{key}="):
-            builder(cfg)
+            builder(load_config(overrides=["floorplan.override_total=1000",
+                                           "floorplan.override_msf=400", f"{key}={value}"]))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.01", "1", "1.5"])
     def test_budget_total_must_lie_in_unit_interval(self, value):
-        cfg = load_config(overrides=[f"budget.total={value}"])
         with pytest.raises(InvalidParameterError, match=f"^budget.total={value} "):
-            budget_from(cfg)
+            budget_from(load_config(overrides=[f"budget.total={value}"]))
 
     @pytest.mark.parametrize("value,shown", [("abc", "'abc'"), ("none", "None")])
     def test_budget_total_must_be_a_number(self, value, shown):
-        cfg = load_config(overrides=[f"budget.total={value}"])
         with pytest.raises(InvalidParameterError, match=f"^budget.total={shown} "):
-            budget_from(cfg)
+            budget_from(load_config(overrides=[f"budget.total={value}"]))
 
     def test_integral_float_is_accepted(self):
-        cfg = load_config(overrides=["problem.L=8.0", "noise.n_rus=12"])
+        cfg = load_config(overrides=["problem.L=8.0", "floorplan.override_total=1e3",
+                                     "floorplan.override_msf=400.0"])
         assert problem_from(cfg).lattice_l == 8
-        assert options_from(cfg).timing.caps.n_rus == 12
+        override = options_from(cfg).floorplan_override
+        assert override == (1000, 400) and all(type(n) is int for n in override)
+
+    def test_every_value_is_parsed_to_its_key_type(self):
+        cfg = load_config(overrides=["problem.u_over_t=4", "timing.reaction_us=12"])
+        assert type(cfg["problem.u_over_t"]) is float and cfg["problem.u_over_t"] == 4.0
+        assert options_from(cfg).timing.reaction_us == 12.0
+        assert {k: type(v) for k, v in load_config().items() if v is not None} == {
+            name: key.type for name, key in SCHEMA.items() if key.default is not None}
+
+    @pytest.mark.parametrize("overrides,message", [
+        (["noise.p=0.05"], "noise.p=0.05 needs data.lattice_surgery_csv"),
+        (["floorplan.override_total=1000"], "floorplan.override_msf=None must be set"),
+        (["floorplan.override_msf=400"], "floorplan.override_total=None must be set"),
+        (["floorplan.override_total=100", "floorplan.override_msf=400"],
+         "floorplan.override_msf=400 must not exceed floorplan.override_total=100"),
+    ])
+    def test_keys_that_go_together(self, overrides, message):
+        with pytest.raises(InvalidParameterError, match=f"^{message}"):
+            load_config(overrides=overrides)
+
+    def test_other_noise_p_with_its_own_data(self, tmp_path):
+        data = tmp_path / "cubes.csv"
+        data.write_text("width,height,rounds,qubits,ehv,ehv_stddev\n"
+                        "6,9,18,54,2e-3,1e-4\n8,12,24,96,3e-4,2e-5\n")
+        cfg = load_config(overrides=["noise.p=0.02", f"data.lattice_surgery_csv={data}"])
+        assert noise_from(cfg).p == 0.02
+
+    def test_readme_lists_every_key(self):
+        """README's key block is ``SCHEMA``, one line per key, in order."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("Keys and defaults:\n\n```\n", 1)[1].split("```", 1)[0]
+        assert block.splitlines() == [schema_line(key) for key in SCHEMA.values()]
 
     def test_custom_data_paths(self, tmp_path):
         data = tmp_path / "cubes.csv"
@@ -115,7 +173,8 @@ class TestCli:
         ("noise.n_rus", "0"), ("noise.n_init", "-3"),
         ("floorplan.override_msf", "400.5"),
         ("budget.total", "nan"), ("budget.total", "0"), ("budget.total", "inf"),
-        ("budget.total", "1.5"),
+        ("budget.total", "1.5"), ("problem.L", "3"), ("synthesis.strategy", "foo"),
+        ("synthesis.mode", "best"), ("noise.p", "0.05"),
     ])
     def test_estimate_bad_integer_key_is_one_line(self, capsys, key, value):
         overrides = ["--set", f"{key}={value}"]
@@ -148,8 +207,9 @@ class TestCli:
     @pytest.mark.parametrize("key,value", [
         ("problem.u_over_t", "abc"), ("problem.u_over_t", "nan"),
         ("timing.reaction_us", "nan"), ("problem.sim_time_multiple", "inf"),
-        ("noise.p", "-inf"), ("noise.biases.epsilon", "none"),
-        ("synthesis.p_succ", "abc"), ("timing.syndrome_round_ns", "inf"),
+        ("noise.p", "-inf"), ("synthesis.p_succ", "abc"),
+        ("timing.syndrome_round_ns", "inf"), ("problem.u_over_t", "-1"),
+        ("timing.reaction_us", "-1"), ("synthesis.p_succ", "2"), ("noise.p", "1"),
     ])
     def test_estimate_bad_real_key_is_one_line(self, capsys, key, value):
         assert main(["estimate", "--set", f"{key}={value}"]) == 2
@@ -163,13 +223,30 @@ class TestCli:
     @pytest.mark.parametrize("command,key,name", [
         ("fit", "data.lattice_surgery_csv", "absent.csv"),
         ("estimate", "data.msf_table_csv", ""),  # the directory itself
+        ("estimate", "data.lattice_surgery_csv", "latin1.csv"),
+        ("estimate", "--config", "absent.cfg"),
+        ("fit", "--config", "latin1.cfg"),
     ])
     def test_unreadable_data_file_is_one_line(self, tmp_path, capsys, command, key, name):
         path = tmp_path / name if name else tmp_path
-        assert main([command, "--set", f"{key}={path}"]) == 2
+        if name.startswith("latin1"):  # bytes that are not UTF-8
+            path.write_bytes("problem.L = 8 # größe\n".encode("latin-1"))
+        source = ["--config", str(path)] if key == "--config" else ["--set", f"{key}={path}"]
+        assert main([command, *source]) == 2
         captured = capsys.readouterr()
         assert captured.err.endswith("\n") and captured.err.count("\n") == 1
         assert captured.err.startswith(f"ftcost {command}: error: cannot read {path}: ")
+
+    @pytest.mark.parametrize("key,value", REMOVED_KEYS)
+    def test_removed_key_is_unknown(self, tmp_path, capsys, key, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n")
+        for argv in (["estimate", "--set", f"{key}={value}"], ["estimate", "--config", str(path)],
+                     ["sweep", "--key", key, "--values", value]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"ftcost {argv[0]}: error: {key}={value} is not a config key\n"
 
     def test_fit_prints_ladder(self, capsys):
         assert main(["fit"]) == 0

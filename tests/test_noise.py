@@ -137,7 +137,7 @@ class TestHeraldedCz:
         k1 = by_label["success_with_1_losses"]
         assert k1.is_close(dist_cz.compose(loss_channel(1)))
 
-    @pytest.mark.parametrize("name", ["n_rus", "n_init", "n_measure"])
+    @pytest.mark.parametrize("name", ["n_rus"])
     @pytest.mark.parametrize("value", [True, 0, 2.0])
     def test_attempt_caps_reject_non_integers_and_bools(self, name, value):
         with pytest.raises(InvalidParameterError, match=f"^{name}="):

@@ -104,10 +104,6 @@ class TestBudget:
         assert 2 * b.eps_alg + b.eps_rot + b.eps_log + b.eps_msf <= total + 1e-15
         assert 2 * b.eps_alg + b.eps_rot == pytest.approx(total / 2)
 
-    def test_unknown_policy(self):
-        with pytest.raises(InvalidParameterError):
-            allocate_budget(0.01, policy="greedy")
-
 
 class TestFloorplan:
     def test_calibration_point(self):

@@ -11,16 +11,13 @@ from ftcost import (
     FitParams,
     InvalidParameterError,
     NoDistanceFoundError,
-    combined_error,
     extrapolate_error,
     fit_error_curve,
     load_error_data,
     load_msf_table,
     msf_convert,
-    msf_qubit_conversion_rate,
     patch_geometry,
     select_distance,
-    transversal_cnot_overhead,
 )
 from ftcost.surgery import MAX_WIDTH
 
@@ -58,18 +55,6 @@ class TestPatchGeometry:
         for w in (0, -2, 7):
             with pytest.raises(InvalidParameterError):
                 patch_geometry(w)
-
-
-class TestCombinedError:
-    def test_examples(self):
-        assert combined_error(0.0, 0.0) == 0.0
-        assert combined_error(1e-3, 2e-3) == pytest.approx(2.998e-3)
-        assert combined_error(0.2, 0.0) == pytest.approx(0.2)
-
-    @given(a=st.floats(0, 1), b=st.floats(0, 1))
-    def test_symmetric_and_dominating(self, a, b):
-        assert combined_error(a, b) == pytest.approx(combined_error(b, a))
-        assert combined_error(a, b) >= max(a, b) - 1e-12
 
 
 def _synthetic_points(a, b, widths, sigma_rel=1e-9):
@@ -263,24 +248,7 @@ class TestSelectDistance:
             == outcome(brute_force)
 
 
-class TestCnotOverhead:
-    def test_positive(self):
-        assert transversal_cnot_overhead(5e-3, 3e-3) == (pytest.approx(2e-3), False)
-
-    def test_zero(self):
-        assert transversal_cnot_overhead(4e-3, 4e-3) == (0.0, False)
-
-    def test_clamped(self):
-        value, clamped = transversal_cnot_overhead(3e-3, 5e-3)
-        assert value == 0.0 and clamped
-
-
 class TestMsfConversion:
-    def test_qubit_rate_formula(self):
-        assert msf_qubit_conversion_rate(1e8) == pytest.approx(5 * 1.25**2 / 6, rel=1e-6)
-        assert msf_qubit_conversion_rate(25) == pytest.approx((5 * 625 / 3) / (2 * 441))
-        assert msf_qubit_conversion_rate(5) == pytest.approx(0.8333333, rel=1e-6)
-
     def test_convert_examples(self):
         assert msf_convert(4620, 42.6) == (480, 35.8)  # printed 35.7; 1 ulp at 3 s.f.
         assert msf_convert(73400, 128) == (7630, 108)

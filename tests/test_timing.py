@@ -2,17 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ftcost import AttemptCaps, InvalidParameterError, TimingModel, logical_cycle_time
+from ftcost import InvalidParameterError, TimingModel, logical_cycle_time
 
 TIMING = TimingModel()
 
 
 def test_defaults():
-    assert TIMING.single_qubit_ns == 5.0
-    assert TIMING.rus_cycle_ns == 30.0
-    assert TIMING.init_time_ns == 150.0
-    assert TIMING.measure_time_ns == 150.0
-    assert TIMING.rus_gate_ns == 300.0
     assert TIMING.syndrome_round_ns == 305.0
     assert TIMING.reaction_rounds == 33
 
@@ -52,12 +47,3 @@ def test_overrides_rescale_reaction_rounds():
     t = TimingModel(syndrome_round_ns=500.0, reaction_us=10.0)
     assert t.reaction_rounds == 20
 
-
-def test_attempt_caps_set_the_capped_times():
-    t = TimingModel(caps=AttemptCaps(n_rus=3, n_init=2, n_measure=4))
-    assert (t.rus_gate_ns, t.init_time_ns, t.measure_time_ns) == (90.0, 60.0, 120.0)
-    assert TIMING.caps == AttemptCaps()
-    with pytest.raises(InvalidParameterError, match="^n_init="):
-        TimingModel(caps=AttemptCaps(n_init=-3))
-    with pytest.raises(TypeError):
-        TimingModel(n_rus=0)
