@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 
@@ -101,31 +102,29 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """One CSV row per value, written as soon as it is solved, so an error
+    at a later value keeps the rows before it."""
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         print("sweep: --values must list at least one value", file=sys.stderr)
         return 2
-    rows = []
-    header = None
-    for value in values:
-        cfg_overrides = list(args.overrides) + [f"{args.key}={value}"]
-        cfg = cfgmod.load_config(args.config, cfg_overrides)
-        report = solve_estimate(
-            cfgmod.problem_from(cfg), cfgmod.noise_from(cfg),
-            cfgmod.budget_from(cfg), cfgmod.options_from(cfg, args.precision),
-        )
-        kv = report.key_values()
-        header = [args.key] + list(kv)
-        rows.append([value] + [_fmt(v) for v in kv.values()])
-    if args.out:
-        with open(args.out, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(header)
-            writer.writerows(rows)
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
+    with contextlib.ExitStack() as stack:
+        sink = writer = None
+        for value in values:
+            cfg_overrides = list(args.overrides) + [f"{args.key}={value}"]
+            cfg = cfgmod.load_config(args.config, cfg_overrides)
+            report = solve_estimate(
+                cfgmod.problem_from(cfg), cfgmod.noise_from(cfg),
+                cfgmod.budget_from(cfg), cfgmod.options_from(cfg, args.precision),
+            )
+            kv = report.key_values()
+            if writer is None:
+                sink = (stack.enter_context(open(args.out, "w", newline=""))
+                        if args.out else sys.stdout)
+                writer = csv.writer(sink)
+                writer.writerow([args.key] + list(kv))
+            writer.writerow([value] + [_fmt(v) for v in kv.values()])
+            sink.flush()
     return 0
 
 

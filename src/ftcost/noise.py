@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import InvalidParameterError
 
-#: Default relative weights of the four error mechanisms versus the overall
+#: Fixed relative weights of the four error mechanisms versus the overall
 #: noise intensity p.
 DEFAULT_BIASES = {
     "epsilon": 0.9,
@@ -192,26 +192,15 @@ class HeraldedOutcomeDistribution:
         return [o.label for o in self.outcomes]
 
 
-def derive_noise_params(p: float, bias_overrides: Optional[dict] = None) -> PhysicalNoiseParams:
+def derive_noise_params(p: float) -> PhysicalNoiseParams:
     """Scale the four physical error parameters off the overall intensity p.
 
-    Defaults: epsilon = 0.9 p, distinguishability = 0.085 p,
-    idle_ratio = 0.01 p, gate_infidelity = 0.005 p.
+    epsilon = 0.9 p, distinguishability = 0.085 p, idle_ratio = 0.01 p,
+    gate_infidelity = 0.005 p; every bias is below 1, so each lies in [0, 1).
     """
     if not 0.0 <= p < 1.0:
         raise InvalidParameterError(f"p={p} must lie in [0, 1)")
-    biases = dict(DEFAULT_BIASES)
-    if bias_overrides:
-        unknown = set(bias_overrides) - set(biases)
-        if unknown:
-            raise InvalidParameterError(f"unknown bias keys: {sorted(unknown)}")
-        biases.update(bias_overrides)
-    if any(b < 0 for b in biases.values()):
-        raise InvalidParameterError("biases must be nonnegative")
-    derived = {k: b * p for k, b in biases.items()}
-    if any(v >= 1.0 for v in derived.values()):
-        raise InvalidParameterError("a derived error parameter reached 1")
-    return PhysicalNoiseParams(p=p, **derived)
+    return PhysicalNoiseParams(p=p, **{k: b * p for k, b in DEFAULT_BIASES.items()})
 
 
 def cycle_outcome_distribution(epsilon: float, distinguishability: float) -> CycleOutcomeDistribution:

@@ -369,6 +369,11 @@ def solve_estimate(
         spec.lattice_l, spec.w_msf,
         *(options.floorplan_override or (None, None)),
     )
+    msf_qubits_available = plan_counts.msf_patches * geometry.qubits
+    if options.floorplan_override and msf_qubits_available < msf_qubits:
+        raise InvalidParameterError(
+            f"floorplan.override_msf={plan_counts.msf_patches} holds {msf_qubits_available} "
+            f"factory qubits at width {geometry.width}; the factories need {msf_qubits:.6g}")
     physical_qubits = plan_counts.total_patches * geometry.qubits
     cycle_ns = timing.logical_cycle_ns(geometry.rounds)
     return EstimateReport(
@@ -393,7 +398,7 @@ def solve_estimate(
         msf_protocol=chosen.label,
         msf_factories=factories,
         msf_qubits_required=msf_qubits,
-        msf_qubits_available=plan_counts.msf_patches * geometry.qubits,
+        msf_qubits_available=msf_qubits_available,
         runtime_seconds=runtime_seconds(r, step.logical_timesteps, cycle_ns),
         iterations=iterations,
         budget=budget,

@@ -93,7 +93,15 @@ def fit_error_curve(points: Sequence[ErrorDataPoint], weighted: bool = True) -> 
     fit "weighted by the statistical uncertainty" of each point.  The 2x2
     weighted normal equations are solved in closed form about the weighted
     mean of sqrt(n), which keeps the slope accurate when the sizes cluster.
+
+    The fit is memoized on the values of the points, never on where they were
+    read from, so equal data are fitted once and changed data are refitted.
     """
+    return _fit(tuple(points), weighted)
+
+
+@functools.lru_cache(maxsize=8)
+def _fit(points: tuple[ErrorDataPoint, ...], weighted: bool) -> FitParams:
     sizes = [p.geometry.qubits for p in points]
     if len(set(sizes)) < 2:
         raise FitError("need data points at two or more sizes to fit two parameters")

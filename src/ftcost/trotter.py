@@ -9,6 +9,7 @@ parallel Z-rotations, and undoes the diagonalization.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -129,13 +130,15 @@ def pink_cost(lattice_l: int, rotation: RotationCost) -> CostLedger:
     )
 
 
+@functools.lru_cache(maxsize=64)
 def golden_diag_cubes(lattice_l: int, w_msf: int) -> float:
     """Active cubes of the golden-layer diagonalization, all four passes.
 
     Base cost per plaquette is half the bulk diagonalization plus idling
     through the two rounds it does not participate in; corridor terms cover
     the long-range boundary edge operators and the column shift through the
-    factory aisle.
+    factory aisle.  It depends on neither the rounds nor the rotation, so it
+    is computed once per ``(lattice_l, w_msf)``; a bad pair raises every time.
     """
     if lattice_l % 2 != 0 or lattice_l < 2:
         raise InvalidParameterError("lattice_l must be an even integer >= 2")
@@ -166,10 +169,25 @@ def golden_cost(lattice_l: int, w_msf: int, rotation: RotationCost) -> CostLedge
 
 
 def trotter_step_cost(spec: ProblemSpec, rotation: RotationCost) -> CostLedger:
-    """Ledger of one full Trotter step (interaction + pink + golden + pink)."""
-    l = spec.lattice_l
-    pink = pink_cost(l, rotation)
-    return interaction_cost(l, rotation) + pink + golden_cost(l, spec.w_msf, rotation) + pink
+    """Ledger of one full Trotter step (interaction + pink + golden + pink).
+
+    Each field is the one the four sub-evolution ledgers above sum to, added
+    in the same order, so it equals their sum bit for bit.
+    """
+    l2 = spec.lattice_l**2
+    rot_t, rot_ts, rot_cubes = (l2 * rotation.t_states, rotation.logical_timesteps,
+                                l2 * rotation.active_cubes)
+    # the golden layer diagonalizes as many plaquettes as the pink one
+    diag_t = (l2 / 2) * PLAQ_DIAG_T_STATES + rot_t
+    pink_ts = PLAQ_DIAG_TIMESTEPS + rot_ts
+    pink_cubes = (l2 / 2) * PLAQ_DIAG_CUBES + rot_cubes
+    golden_cubes = golden_diag_cubes(spec.lattice_l, spec.w_msf) + rot_cubes
+    return CostLedger(
+        t_states=rot_t + diag_t + diag_t + diag_t,
+        logical_timesteps=rot_ts + pink_ts + (GOLDEN_DIAG_TIMESTEPS + rot_ts) + pink_ts,
+        active_cubes=rot_cubes + pink_cubes + golden_cubes + pink_cubes,
+        transversal_cnots=float(2 * l2),
+    )
 
 
 def single_plane_step_timesteps(t_synth: float) -> float:

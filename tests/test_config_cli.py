@@ -262,14 +262,35 @@ class TestCli:
         assert len(lines) == 3
         assert lines[0].startswith("problem.L,")
 
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out-file"])
+    def test_sweep_keeps_rows_before_an_error(self, tmp_path, capsys, out):
+        # L=12 finds no width: the L=8 row is already written, then one error line
+        def sweep(values):
+            path = tmp_path / f"{values}.csv"
+            rc = main(["sweep", "--key", "problem.L", "--values", values]
+                      + (["--out", str(path)] if out else []))
+            captured = capsys.readouterr()
+            return rc, path.read_text() if out else captured.out, captured.err
+
+        rc, solved, err = sweep("8")
+        assert rc == 0 and err == "" and len(solved.splitlines()) == 2
+        rc, partial, err = sweep("8,12")
+        assert rc == 2 and partial == solved
+        assert err.startswith("ftcost sweep: error: no width up to 30") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv,message", [
+        (["estimate", "--set", "floorplan.override_total=10", "--set",
+          "floorplan.override_msf=4"],
+         "floorplan.override_msf=4 holds 6120 factory qubits at width 30; "
+         "the factories need 158730"),
         (["sweep", "--key", "problem.L", "--values", "8,12,14,16"],
          "no width up to 30 reaches target"),
         (["estimate", "--set", "data.msf_table_csv={weak_msf}"],
          "no protocol with p_out below target"),
         (["fit", "--set", "data.lattice_surgery_csv={one_size}"],
          "need data points at two or more sizes"),
-    ], ids=["sweep-no-distance", "estimate-no-protocol", "fit-degenerate"])
+    ], ids=["estimate-small-override", "sweep-no-distance", "estimate-no-protocol",
+            "fit-degenerate"])
     def test_solver_errors_are_one_line(self, tmp_path, capsys, argv, message):
         weak_msf = tmp_path / "msf.csv"
         weak_msf.write_text("label,p_out,sc_qubits,sc_cycles\nweak,1e-3,1000,100\n")

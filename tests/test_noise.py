@@ -45,8 +45,6 @@ class TestDeriveNoiseParams:
             derive_noise_params(1.0)
         with pytest.raises(InvalidParameterError):
             derive_noise_params(-0.1)
-        with pytest.raises(InvalidParameterError):
-            derive_noise_params(0.5, {"epsilon": 2.5})
 
 
 class TestCycleOutcomes:

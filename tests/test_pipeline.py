@@ -269,6 +269,16 @@ class TestSolveEstimate:
         assert rep.floorplan.total_patches == 1000
         assert rep.physical_qubits == 1000 * rep.geometry.qubits
 
+    def test_floorplan_override_too_small_for_the_factories(self):
+        # the reference needs 39 factories of 4070 qubits at width 30 (1530 qubits)
+        with pytest.raises(InvalidParameterError,
+                           match=r"^floorplan.override_msf=103 holds 157590 .* need 158730$"):
+            solve_estimate(REFERENCE_SPEC, REFERENCE_NOISE, REFERENCE_BUDGET,
+                           SolveOptions(floorplan_override=(1000, 103)))
+        rep = solve_estimate(REFERENCE_SPEC, REFERENCE_NOISE, REFERENCE_BUDGET,
+                             SolveOptions(floorplan_override=(1000, 104)))
+        assert rep.msf_qubits_available == 159120 >= rep.msf_qubits_required
+
     def test_two_cycle_broken_toward_larger_width(self, monkeypatch):
         # a 2-cycle between adjacent rungs does occur with the fitted curve
         # (see test_least_feasible_entry_need_not_be_a_fixed_point); the stub

@@ -19,6 +19,7 @@ from ftcost import (
     patch_geometry,
     select_distance,
 )
+from ftcost import surgery
 from ftcost.surgery import MAX_WIDTH
 
 #: The published ladder: (w, h, rounds, qubits).
@@ -113,6 +114,34 @@ class TestFit:
         for weighted in (True, False):
             with pytest.raises(FitError):
                 fit_error_curve(spread, weighted=weighted)
+
+    def test_degenerate_raises_on_every_call(self):
+        # a failed fit is never memoized, so the same points fail again
+        points = _synthetic_points(-1.0, 2.0, [6]) * 2
+        for _ in range(3):
+            with pytest.raises(FitError):
+                fit_error_curve(points)
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_memoized_fit_equals_a_fresh_one(self, weighted):
+        points = load_error_data()
+        first = fit_error_curve(points, weighted=weighted)
+        assert fit_error_curve(load_error_data(), weighted=weighted) == first
+        assert surgery._fit.__wrapped__(tuple(points), weighted) == first
+
+    def test_rewritten_file_is_refitted(self, tmp_path):
+        # the memo is keyed on the rows, so a same-size rewrite at the same
+        # path, maybe within one mtime tick, gives the new fit
+        path = tmp_path / "data.csv"
+        header = "width,height,rounds,qubits,ehv,ehv_stddev\n"
+        path.write_text(header + "6,9,18,54,2e-3,1e-4\n10,18,36,180,1e-5,1e-6\n")
+        old = fit_error_curve(load_error_data(str(path)))
+        path.write_text(header + "6,9,18,54,3e-3,1e-4\n10,18,36,180,1e-5,1e-6\n")
+        new = fit_error_curve(load_error_data(str(path)))
+        assert new != old
+        rows = ((6, 3e-3, 1e-4), (10, 1e-5, 1e-6))
+        points = tuple(ErrorDataPoint(patch_geometry(w), e, sigma) for w, e, sigma in rows)
+        assert new == surgery._fit.__wrapped__(points, True)
 
     @pytest.mark.parametrize("weighted", [True, False])
     def test_bundled_data_matches_lstsq(self, weighted):

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ftcost import (
@@ -108,10 +108,11 @@ class TestSubEvolutionCosts:
         assert golden_diag_cubes(2, 2) == pytest.approx(4 * (210.5 + 3 + 12))
 
     def test_golden_invalid(self):
-        with pytest.raises(InvalidParameterError):
-            golden_diag_cubes(7, 2)
-        with pytest.raises(InvalidParameterError):
-            golden_diag_cubes(8, 0)
+        for _ in range(2):  # errors are not memoized
+            with pytest.raises(InvalidParameterError):
+                golden_diag_cubes(7, 2)
+            with pytest.raises(InvalidParameterError):
+                golden_diag_cubes(8, 0)
 
     def test_golden_timesteps(self):
         zero = RotationCost(0, 0, 0)
@@ -136,6 +137,22 @@ class TestTrotterStep:
                  + golden_cost(8, 2, REFERENCE_ROTATION)
                  + pink_cost(8, REFERENCE_ROTATION))
         assert step == parts
+
+    @given(
+        l=st.integers(1, 20).map(lambda half: 2 * half),
+        w=st.integers(1, 6),
+        fields=st.tuples(*[st.floats(0, 1e3) for _ in range(3)]),
+    )
+    @example(l=8, w=2, fields=(0.1, 0.2, 0.3))  # a reordered sum differs here
+    @settings(max_examples=200)
+    def test_step_is_the_exact_sum_of_its_parts(self, l, w, fields):
+        # the one-ledger step adds each field in the order of the four
+        # sub-evolution ledgers, so it equals their sum bit for bit
+        rotation = RotationCost(*fields)
+        step = trotter_step_cost(ProblemSpec(l, 8.0, 10.0 * l, w), rotation)
+        pink = pink_cost(l, rotation)
+        assert step == interaction_cost(l, rotation) + pink + golden_cost(l, w, rotation) + pink
+        assert type(step.transversal_cnots) is float
 
     def test_diagonalization_floor(self):
         zero = RotationCost(0, 0, 0)
