@@ -67,7 +67,7 @@ SCHEMA: dict[str, Key] = {key.name: key for key in (
     Key("synthesis.strategy", str, SolveOptions.strategy, *_one_of(*STRATEGIES),
         "rotation synthesis scheme"),
     Key("synthesis.p_succ", float, SolveOptions.p_succ, "a finite number in (0, 1]",
-        lambda v: 0 < v <= 1, "fallback synthesis success probability"),
+        lambda v: 0 < v <= 1, "synthesis success probability; only fallback and mixed_fallback read it"),
     Key("synthesis.mode", str, SolveOptions.mode, *_one_of("worst", "mean"),
         "T-count law coefficients"),
     Key("timing.syndrome_round_ns", float, TimingModel.syndrome_round_ns,

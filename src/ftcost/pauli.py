@@ -20,6 +20,8 @@ for _a, _b, _c in (("X", "Y", "Z"), ("Y", "Z", "X"), ("Z", "X", "Y")):
     _PRODUCTS[(_b, _a)] = (-1j, _c)
 
 _PHASES = (1, -1, 1j, -1j)
+_LETTERS = frozenset("IXYZ")
+_XY_BITS, _YZ_BITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,7 @@ class PauliString:
     phase: complex = 1
 
     def __post_init__(self):
-        if any(c not in "IXYZ" for c in self.letters):
+        if not _LETTERS.issuperset(self.letters):
             raise InvalidParameterError(f"bad Pauli letters {self.letters!r}")
         if self.phase not in _PHASES:
             raise InvalidParameterError(f"phase must be a fourth root of unity, got {self.phase}")
@@ -64,6 +66,8 @@ class PauliString:
         return PauliString(self.letters, _canon_phase(np.conj(self.phase)))
 
     def commutes_with(self, other: "PauliString") -> bool:
+        if self.n_qubits != other.n_qubits:
+            raise InvalidParameterError("cannot compare strings of different sizes")
         anti = sum(
             1 for a, b in zip(self.letters, other.letters)
             if a != "I" and b != "I" and a != b
@@ -78,14 +82,12 @@ class PauliString:
         and Y letters, and that entry is phase * (-i)^{#Y} * (-1)^{popcount(i & zy)},
         where zy marks the Y and Z letters.
         """
-        flip = 0
-        signs = np.array([self.phase * (-1j) ** self.letters.count("Y")], dtype=complex)
-        for c in self.letters:
-            flip = 2 * flip + (c in "XY")
-            signs = np.outer(signs, (1, -1 if c in "YZ" else 1)).ravel()
+        flip = int("0" + self.letters.translate(_XY_BITS), 2)
+        zy = int("0" + self.letters.translate(_YZ_BITS), 2)
+        signs = np.array([1 - 2 * ((i & zy).bit_count() & 1) for i in range(2**self.n_qubits)])
         rows = np.arange(len(signs))
         out = np.zeros((len(signs), len(signs)), dtype=complex)
-        out[rows, rows ^ flip] = signs
+        out[rows, rows ^ flip] = self.phase * (-1j) ** self.letters.count("Y") * signs
         return out
 
     def __str__(self):

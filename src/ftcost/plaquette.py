@@ -34,6 +34,7 @@ from .pauli import (
 
 N_QUBITS = 5  # vertices 1..4 plus the auxiliary face qubit
 AUX = 5
+OperatorMap = dict[str, PauliString]
 
 
 def _string(phase: complex = 1, **letters: str) -> PauliString:
@@ -43,7 +44,7 @@ def _string(phase: complex = 1, **letters: str) -> PauliString:
     return PauliString("".join(chars), phase)
 
 
-def plaquette_operator_map() -> dict[str, PauliString]:
+def plaquette_operator_map() -> OperatorMap:
     """Vertex and edge operators of the bulk plaquette.
 
     Boundary edges are oriented as subscripted; the diagonals E31 and E24
@@ -80,7 +81,7 @@ _VERTICES = {
 _BOUNDARY_EDGES = ((2, 1), (2, 3), (4, 3), (4, 1))
 
 
-def _directed_edges(mapping: dict[str, PauliString]) -> dict[tuple[int, int], PauliString]:
+def _directed_edges(mapping: OperatorMap) -> dict[tuple[int, int], PauliString]:
     edges = {
         (2, 1): mapping["E21"],
         (3, 2): mapping["E32"],
@@ -92,7 +93,7 @@ def _directed_edges(mapping: dict[str, PauliString]) -> dict[tuple[int, int], Pa
     return edges
 
 
-def check_majorana_relations(mapping: dict[str, PauliString] | None = None) -> dict[str, bool]:
+def check_majorana_relations(mapping: OperatorMap | None = None) -> dict[str, bool]:
     """Verify the algebraic relations of the mapped vertex/edge operators.
 
     Checks Hermiticity, self-inversion and tracelessness, the
@@ -130,12 +131,15 @@ def check_majorana_relations(mapping: dict[str, PauliString] | None = None) -> d
     return report
 
 
-def build_plaquette_hamiltonian(t_coupling: float) -> PauliSum:
+def build_plaquette_hamiltonian(t_coupling: float, mapping: OperatorMap | None = None) -> PauliSum:
     """Qubit image of the single-plaquette hopping Hamiltonian.
 
-    Each boundary edge contributes -t/(2i) (E_jk V_k + V_j E_jk).
+    Each boundary edge contributes -t/(2i) (E_jk V_k + V_j E_jk); ``t_coupling``
+    must be finite, and 0 gives the empty sum.
     """
-    mapping = plaquette_operator_map()
+    if not math.isfinite(t_coupling):
+        raise InvalidParameterError(f"t_coupling={t_coupling!r} must be finite")
+    mapping = mapping or plaquette_operator_map()
     edges = _directed_edges(mapping)
     terms = []
     for (j, k) in _BOUNDARY_EDGES:
@@ -148,14 +152,14 @@ def build_plaquette_hamiltonian(t_coupling: float) -> PauliSum:
     return PauliSum.from_terms(terms)
 
 
-def fourier_transform(j: int, k: int) -> np.ndarray:
+def fourier_transform(j: int, k: int, mapping: OperatorMap | None = None) -> np.ndarray:
     """Dense two-mode fermionic Fourier transform between plaquette modes.
 
     Built as exp(i pi/4 V_j) exp(pi/8 V_j E_kj) exp(pi/8 E_kj V_k); the edge
     enters with orientation k->j, the convention under which this reproduces
     the explicit rotation sequences of the diagonalizing circuit.
     """
-    mapping = plaquette_operator_map()
+    mapping = mapping or plaquette_operator_map()
     edges = _directed_edges(mapping)
     edges[(1, 3)] = mapping["E31"]
     edges[(3, 1)] = -mapping["E31"]
@@ -202,30 +206,36 @@ def _z_diagonal(qubit: int) -> np.ndarray:
 _Z2, _Z3 = _z_diagonal(2), _z_diagonal(3)
 
 
-def build_diagonalization_circuit(theta: float = 0.0) -> np.ndarray:
-    """Dense circuit F31 F24 C e^{i theta Z2} e^{i theta Z3} C† F24† F31†."""
-    return _circuit().evolution(theta)
+def build_diagonalization_circuit(theta: float = 0.0,
+                                  circuit: DiagonalizationCircuit | None = None) -> np.ndarray:
+    """Dense F31 F24 C e^{i theta Z2} e^{i theta Z3} C† F24† F31†, from ``circuit``'s halves if given."""
+    return (circuit or _circuit()).evolution(theta)
 
 
-def _circuit() -> DiagonalizationCircuit:
-    cd = diagonalizing_clifford_dagger()
-    f31 = fourier_transform(3, 1)
-    f24 = fourier_transform(2, 4)
+def _circuit(mapping: OperatorMap | None = None, cd: np.ndarray | None = None) -> DiagonalizationCircuit:
+    cd = diagonalizing_clifford_dagger() if cd is None else cd
+    f31 = fourier_transform(3, 1, mapping)
+    f24 = fourier_transform(2, 4, mapping)
     inverse = cd @ f24.conj().T @ f31.conj().T
     forward = f31 @ f24 @ cd.conj().T
     return DiagonalizationCircuit(forward, inverse)
 
 
-def check_clifford_relations(atol: float = 1e-12) -> dict[str, float]:
-    """Dense checks that C maps Z2, Z3 onto the plaquette hopping axes."""
-    cd = diagonalizing_clifford_dagger()
+def check_clifford_relations(cd: np.ndarray | None = None,
+                             circuit: DiagonalizationCircuit | None = None) -> dict[str, float]:
+    """Dense checks that C maps Z2, Z3 onto the plaquette hopping axes.
+
+    ``cd`` is C† and ``circuit`` the circuit halves; each is built here if
+    not given.  The caller bounds the returned deviations.
+    """
+    cd = diagonalizing_clifford_dagger() if cd is None else cd
     c = cd.conj().T
     z2 = _string(q2="Z").dense()
     z3 = _string(q3="Z").dense()
     return {
         "C Z2 C† = X2X3Xaux": float(np.linalg.norm(c @ z2 @ cd - _string(q2="X", q3="X", q5="X").dense())),
         "C Z3 C† = Y2Y3Xaux": float(np.linalg.norm(c @ z3 @ cd - _string(q2="Y", q3="Y", q5="X").dense())),
-        "circuit unitarity": unitarity_defect(build_diagonalization_circuit(0.37)),
+        "circuit unitarity": unitarity_defect(build_diagonalization_circuit(0.37, circuit)),
     }
 
 
@@ -236,19 +246,23 @@ def _angle_list(theta) -> tuple[list[float], bool]:
     return [float(a) for a in theta], False
 
 
-def verify_plaquette_evolution(t_coupling: float, theta):
+def verify_plaquette_evolution(t_coupling: float, theta, mapping: OperatorMap | None = None,
+                               circuit: DiagonalizationCircuit | None = None):
     """Deviation between exp(-i theta/t H_plaquette) and the circuit.
 
-    ``theta`` is the inner rotation angle t*T_sim/(2r); global phases are
-    quotiented out of the comparison.  It is one angle, giving one float, or
-    a sequence of angles, giving their deviations in order.  H, its spectrum
-    and the circuit halves are built once per call; each angle then costs
-    its eigenphases, the diagonal inner rotation and two 32x32 products.
+    ``t_coupling`` is finite and nonzero; ``theta`` is the inner rotation
+    angle t*T_sim/(2r), one angle giving one float or a sequence giving their
+    deviations in order.  Global phases are quotiented out.  H (from
+    ``mapping``) and its spectrum are built once per call, the halves are
+    ``circuit``, built here if not given; each angle then costs its
+    eigenphases, the diagonal inner rotation and two 32x32 products.
     """
+    if not (math.isfinite(t_coupling) and t_coupling != 0):
+        raise InvalidParameterError(f"t_coupling={t_coupling!r} must be finite and nonzero")
     angles, single = _angle_list(theta)
-    w, v = np.linalg.eigh(build_plaquette_hamiltonian(t_coupling).dense())
+    w, v = np.linalg.eigh(build_plaquette_hamiltonian(t_coupling, mapping).dense())
     v_dagger = v.conj().T
-    circuit = _circuit()
+    circuit = circuit or _circuit(mapping)
     devs = [
         phase_quotient_distance((v * np.exp(-1j * (a / t_coupling) * w)) @ v_dagger,
                                 circuit.evolution(a))
@@ -257,18 +271,18 @@ def verify_plaquette_evolution(t_coupling: float, theta):
     return devs[0] if single else devs
 
 
-def verify_fourier_identity(theta):
+def verify_fourier_identity(theta, f23: np.ndarray | None = None):
     """Deviation of F23-conjugated number rotations from the hopping rotation.
 
     Checks F23 e^{i theta n2} e^{-i theta n3} F23† against
     e^{i theta (X2X3Xaux + Y2Y3Xaux)/2}.  ``theta`` is one angle, giving one
-    float, or a sequence of angles, giving their deviations in order.  F23
-    and the hopping axis are built once per call; the number rotations are
-    diagonal and applied as a vector, and the right-hand side is a generic
-    matrix exponential of the axis at each angle.
+    float, or a sequence of angles, giving their deviations in order.  F23 is
+    ``f23``, built here if not given, and the hopping axis is built once per
+    call; the number rotations are diagonal and applied as a vector, and the
+    right-hand side is a generic matrix exponential of the axis at each angle.
     """
     angles, single = _angle_list(theta)
-    f23 = fourier_transform(2, 3)
+    f23 = fourier_transform(2, 3) if f23 is None else f23
     f23_dagger = f23.conj().T
     n2_minus_n3 = (_Z3 - _Z2) / 2
     axis = (_string(q2="X", q3="X", q5="X").dense() + _string(q2="Y", q3="Y", q5="X").dense()) / 2
@@ -285,10 +299,10 @@ def run_verification(n_angles: int = 20, seed: int = 0, tolerance: float = 1e-10
 
     ``n_angles`` must be an integer >= 1, ``seed`` a non-negative integer
     and ``tolerance`` finite and > 0.
-    Each identity is checked by one call over all angles, so the dense
-    operators are built once per run and memory does not grow with
-    ``n_angles``.  Returns a report dict; ``report["passed"]`` aggregates
-    everything.
+    The operator map, C†, F31, F24, F23 and the circuit halves are built once
+    per run and shared by the checks, which loop over the angles one at a
+    time, so memory does not grow with ``n_angles``.  Returns a report dict;
+    ``report["passed"]`` aggregates everything.
     """
     if isinstance(n_angles, bool) or not isinstance(n_angles, numbers.Integral) or n_angles < 1:
         raise InvalidParameterError(f"n_angles={n_angles!r} must be an integer >= 1")
@@ -296,13 +310,17 @@ def run_verification(n_angles: int = 20, seed: int = 0, tolerance: float = 1e-10
         raise InvalidParameterError(f"seed={seed!r} must be a non-negative integer")
     if not (isinstance(tolerance, numbers.Real) and math.isfinite(tolerance) and tolerance > 0):
         raise InvalidParameterError(f"tolerance={tolerance!r} must be finite and > 0")
-    relations = check_majorana_relations()
-    clifford = check_clifford_relations()
+    mapping = plaquette_operator_map()
+    cd = diagonalizing_clifford_dagger()
+    circuit = _circuit(mapping, cd)
+    relations = check_majorana_relations(mapping)
+    clifford = check_clifford_relations(cd, circuit)
     rng = np.random.default_rng(seed)
     angles = [float(a) for a in rng.uniform(0.0, math.pi, n_angles)]
     fourier_angles = angles[: max(3, n_angles // 4)]
-    evolution = dict(zip(angles, verify_plaquette_evolution(1.0, angles)))
-    fourier = dict(zip(fourier_angles, verify_fourier_identity(fourier_angles)))
+    evolution = dict(zip(angles, verify_plaquette_evolution(1.0, angles, mapping, circuit)))
+    fourier = dict(zip(fourier_angles,
+                       verify_fourier_identity(fourier_angles, fourier_transform(2, 3, mapping))))
     passed = (
         all(relations.values())
         and all(v <= 1e-12 for v in clifford.values())
@@ -318,7 +336,7 @@ def run_verification(n_angles: int = 20, seed: int = 0, tolerance: float = 1e-10
     }
 
 
-def mutated_map(target: str = "E21", qubit: int = 0) -> dict[str, PauliString]:
+def mutated_map(target: str = "E21", qubit: int = 0) -> OperatorMap:
     """The operator map with one letter corrupted, for negative tests."""
     mapping = plaquette_operator_map()
     original = mapping[target]

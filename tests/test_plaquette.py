@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -57,6 +58,10 @@ class TestPauliStrings:
         ab = (pa_ * pb_)
         ba = (pb_ * pa_)
         assert pa_.commutes_with(pb_) == (ab.phase == ba.phase)
+
+    def test_commute_rejects_different_sizes(self):
+        with pytest.raises(InvalidParameterError, match="different sizes"):
+            PauliString("XZ").commutes_with(PauliString("ZXY"))
 
     @given(letters=strings1to6, phase=phases)
     @settings(max_examples=200)
@@ -146,6 +151,11 @@ class TestPlaquetteHamiltonian:
     def test_zero_coupling_empty(self):
         assert len(build_plaquette_hamiltonian(0.0)) == 0
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coupling_rejected(self, t):
+        with pytest.raises(InvalidParameterError, match="^t_coupling="):
+            build_plaquette_hamiltonian(t)
+
     def test_scales_linearly(self):
         h1 = build_plaquette_hamiltonian(1.0).dense()
         h2 = build_plaquette_hamiltonian(2.0).dense()
@@ -201,6 +211,11 @@ class TestEvolutionIdentity:
         # theta = t*T/(2r) absorbs the coupling, so any t verifies
         assert verify_plaquette_evolution(2.5, 1.1) <= 1e-10
 
+    @pytest.mark.parametrize("t", [0.0, math.nan, math.inf])
+    def test_zero_or_non_finite_coupling_rejected(self, t):
+        with pytest.raises(InvalidParameterError, match="^t_coupling="):
+            verify_plaquette_evolution(t, 0.3)
+
     def test_fourier_identity(self):
         assert verify_fourier_identity(0.0) < 1e-13
         assert verify_fourier_identity(math.pi / 4) <= 1e-10
@@ -220,19 +235,48 @@ class TestEvolutionIdentity:
             assert abs(fou - verify_fourier_identity(a)) <= 1e-13
         assert verify_plaquette_evolution(1.0, []) == []
 
-    def test_many_angles_keep_their_order(self, monkeypatch):
+    def test_many_angles_keep_their_order(self):
         # with the circuit halves and F23 replaced by the identity, the
         # deviations differ from angle to angle, so a mixed-up order shows
         eye = np.eye(32)
-        monkeypatch.setattr(plaquette, "_circuit", lambda: DiagonalizationCircuit(eye, eye))
-        monkeypatch.setattr(plaquette, "fourier_transform", lambda j, k: eye)
+        circuit = DiagonalizationCircuit(eye, eye)
         angles = [0.2, 0.9, 1.7, 2.6]
         for many, single in (
-            (verify_plaquette_evolution(1.0, angles), lambda a: verify_plaquette_evolution(1.0, a)),
-            (verify_fourier_identity(angles), verify_fourier_identity),
+            (verify_plaquette_evolution(1.0, angles, circuit=circuit),
+             lambda a: verify_plaquette_evolution(1.0, a, circuit=circuit)),
+            (verify_fourier_identity(angles, eye), lambda a: verify_fourier_identity(a, eye)),
         ):
             assert len({round(d, 6) for d in many}) == len(angles)
             assert many == pytest.approx([single(a) for a in angles], abs=1e-13)
+
+    @pytest.mark.parametrize("n_angles", [1, 20])
+    def test_run_verification_builds_each_operator_once(self, monkeypatch, n_angles):
+        calls = Counter()
+
+        def counted(name):
+            inner = getattr(plaquette, name)
+
+            def wrapper(*args):
+                # a transform counts per (j, k) pair, every other builder by name
+                calls[(name, *args[:2]) if name == "fourier_transform" else name] += 1
+                return inner(*args)
+            return wrapper
+
+        for name in ("plaquette_operator_map", "diagonalizing_clifford_dagger",
+                     "_circuit", "fourier_transform"):
+            monkeypatch.setattr(plaquette, name, counted(name))
+        assert run_verification(n_angles=n_angles, seed=2)["passed"]
+        assert calls == {"plaquette_operator_map": 1, "diagonalizing_clifford_dagger": 1,
+                         "_circuit": 1, ("fourier_transform", 3, 1): 1,
+                         ("fourier_transform", 2, 4): 1, ("fourier_transform", 2, 3): 1}
+
+    @pytest.mark.parametrize("seed", [0, 7, 31])
+    def test_run_verification_equals_fresh_checks(self, seed):
+        report = run_verification(n_angles=9, seed=seed)
+        angles, fourier_angles = list(report["evolution"]), list(report["fourier"])
+        assert report["evolution"] == dict(zip(angles, verify_plaquette_evolution(1.0, angles)))
+        assert report["fourier"] == dict(zip(fourier_angles,
+                                             verify_fourier_identity(fourier_angles)))
 
     @pytest.mark.parametrize("n_angles", [1, 7])
     def test_run_verification_report_shapes(self, n_angles):
