@@ -24,10 +24,6 @@ DEFAULT_BIASES = {
     "gate_infidelity": 0.005,
 }
 
-#: Exact integer binomial coefficients are used up to this N; beyond it the
-#: binomial sums switch to log-space accumulation.
-_EXACT_BINOMIAL_LIMIT = 64
-
 PROB_ATOL = 1e-12
 
 #: Letter of the product of two Pauli letters, phase dropped: with
@@ -188,9 +184,6 @@ class HeraldedOutcomeDistribution:
                 return o.probability
         return 0.0
 
-    def labels(self) -> list[str]:
-        return [o.label for o in self.outcomes]
-
 
 def derive_noise_params(p: float) -> PhysicalNoiseParams:
     """Scale the four physical error parameters off the overall intensity p.
@@ -297,24 +290,15 @@ def init_measure_outcomes(epsilon: float, attempts: int, kind: str = "init"):
 # -- heralded protocol distributions ------------------------------------------
 
 def _binomial_loss_sum(k: int, n: int, p1: float, pr: float) -> float:
-    """sum_{t=1}^{n} C(t-1, k) p1^k pr^(t-1-k)."""
-    if n <= _EXACT_BINOMIAL_LIMIT:
-        return sum(
-            math.comb(t - 1, k) * p1**k * pr ** (t - 1 - k)
-            for t in range(k + 1, n + 1)
-        )
-    # overflow-safe accumulation for very large caps
-    if p1 == 0.0:
-        return 0.0
-    total = 0.0
-    log_p1k = k * math.log(p1)
-    log_pr = math.log(pr) if pr > 0.0 else None
-    for t in range(k + 1, n + 1):
-        log_c = math.lgamma(t) - math.lgamma(k + 1) - math.lgamma(t - k)
-        if t - 1 - k == 0:
-            total += math.exp(log_c + log_p1k)
-        elif log_pr is not None:
-            total += math.exp(log_c + log_p1k + (t - 1 - k) * log_pr)
+    """sum_{t=k+1}^{n} C(t-1, k) p1^k pr^(t-1-k).
+
+    Each term is the last times pr (t-1) / (t-1-k), so no binomial
+    coefficient is formed and no term overflows at any cap.
+    """
+    term = total = p1**k
+    for t in range(k + 2, n + 1):
+        term *= pr * (t - 1) / (t - 1 - k)
+        total += term
     return total
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InvalidParameterError, NoProtocolError
@@ -27,6 +27,7 @@ from .surgery import (
     MsfProtocol,
     PatchGeometry,
     fit_error_curve,
+    ladder_rungs,
     load_error_data,
     load_msf_table,
     select_distance,
@@ -84,10 +85,6 @@ def allocate_budget(total: float) -> ErrorBudget:
 class FloorplanCounts:
     total_patches: int
     msf_patches: int
-
-    @property
-    def data_workspace_patches(self) -> int:
-        return self.total_patches - self.msf_patches
 
     def __post_init__(self):
         if not 0 <= self.msf_patches <= self.total_patches:
@@ -211,7 +208,7 @@ class SolveOptions:
     protocols: Optional[Sequence[MsfProtocol]] = None
     floorplan_override: Optional[tuple[int, int]] = None
     initial_rounds: Optional[int] = None
-    allow_off_table: bool = False
+    max_width: int = LADDER_WIDTHS[-1]  # up to surgery.MAX_WIDTH for off-table widths
 
 
 @dataclass(frozen=True)
@@ -244,7 +241,6 @@ class EstimateReport:
     msf_qubits_available: int
     runtime_seconds: float
     iterations: int
-    budget: Optional[ErrorBudget] = field(repr=False, compare=False, default=None)
 
     def key_values(self) -> dict:
         """The machine-readable report, exactly the documented keys."""
@@ -302,6 +298,7 @@ def solve_estimate(
     """
     if options.precision not in ("headline", "real"):
         raise InvalidParameterError("precision must be 'headline' or 'real'")
+    size = len(ladder_rungs(options.max_width))
     fit = options.fit or fit_error_curve(load_error_data())
     protocols = options.protocols or load_msf_table()
     timing = options.timing
@@ -334,10 +331,9 @@ def solve_estimate(
         step = trotter_step_cost(spec, rotation)
         n_l = step.active_cubes * r
         p_l = budget.eps_log / n_l
-        geo = select_distance(fit, p_l, allow_off_table=options.allow_off_table)
+        geo = select_distance(fit, p_l, options.max_width)
         return rotation, step, n_l, p_l, geo
 
-    size = len(LADDER) if options.allow_off_table else len(LADDER_WIDTHS)
     # the start sets the probe order: ``iterations``, and whether a probe below
     # the answer raises NoDistanceFoundError (every probe's error propagates)
     start = options.initial_rounds or (102 if spec.lattice_l == 8 else 60)
@@ -401,5 +397,4 @@ def solve_estimate(
         msf_qubits_available=msf_qubits_available,
         runtime_seconds=runtime_seconds(r, step.logical_timesteps, cycle_ns),
         iterations=iterations,
-        budget=budget,
     )

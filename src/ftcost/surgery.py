@@ -27,12 +27,14 @@ _TABLE_HEIGHTS = {
 }
 
 LADDER_WIDTHS = tuple(sorted(_TABLE_HEIGHTS))
-#: Widest off-table width ``select_distance`` tries by default.
+#: Widest width the ladder holds.
 MAX_WIDTH = 200
 
-#: Scalar conversion rates from surface-code to honeycomb factory footprints.
+#: Scalar conversion rates from surface-code to honeycomb factory footprints,
+#: applied after the cultivation reduction.
 MSF_QUBIT_RATE = 0.52
 MSF_ROUND_RATE = 4.2
+CULTIVATION_FACTOR = 5.0
 
 
 @dataclass(frozen=True)
@@ -124,9 +126,8 @@ def extrapolate_error(fit: FitParams, width: int) -> float:
 
 
 class LadderRung(NamedTuple):
-    """One ladder width with the terms ``extrapolate_error`` derives from it."""
+    """One ladder geometry with the terms ``extrapolate_error`` derives from it."""
 
-    width: int
     qubits: int
     sqrt_qubits: float
     geometry: PatchGeometry
@@ -134,7 +135,7 @@ class LadderRung(NamedTuple):
 
 def _rung(width: int) -> LadderRung:
     geometry = patch_geometry(width)
-    return LadderRung(width, geometry.qubits, math.sqrt(geometry.qubits), geometry)
+    return LadderRung(geometry.qubits, math.sqrt(geometry.qubits), geometry)
 
 
 #: Every even width from 6 to ``MAX_WIDTH``, narrowest first: the table, then
@@ -142,29 +143,34 @@ def _rung(width: int) -> LadderRung:
 LADDER = tuple(_rung(w) for w in range(LADDER_WIDTHS[0], MAX_WIDTH + 1, 2))
 
 
+def ladder_rungs(max_width: int) -> tuple[LadderRung, ...]:
+    """The ``LADDER`` entries up to ``max_width``, an integer in [6, ``MAX_WIDTH``]."""
+    if (isinstance(max_width, bool) or not isinstance(max_width, int)
+            or not LADDER_WIDTHS[0] <= max_width <= MAX_WIDTH):
+        raise InvalidParameterError(
+            f"max_width={max_width!r} must be an integer in [{LADDER_WIDTHS[0]}, {MAX_WIDTH}]")
+    return LADDER[:(max_width - LADDER_WIDTHS[0]) // 2 + 1]
+
+
 def select_distance(
     fit: FitParams,
     target_error: float,
-    allow_off_table: bool = False,
-    max_width: int = MAX_WIDTH,
+    max_width: int = LADDER_WIDTHS[-1],
 ) -> PatchGeometry:
-    """Smallest ladder width whose fitted error rate meets the target.
+    """Smallest ladder width up to ``max_width`` whose fitted error meets the target.
 
     The table holds every even width from 6 to 30; off-table widths continue
-    in steps of 2 up to ``max_width``.  Each width's error is computed as
+    in steps of 2 up to ``MAX_WIDTH``.  Each width's error is computed as
     ``extrapolate_error`` computes it.
     """
+    rungs = ladder_rungs(max_width)
     if not 0.0 < target_error < 1.0:
         raise InvalidParameterError(f"target_error={target_error} must lie in (0, 1)")
-    top = max(max_width, LADDER_WIDTHS[-1]) if allow_off_table else LADDER_WIDTHS[-1]
-    rungs = LADDER
-    if top > MAX_WIDTH:
-        rungs += tuple(_rung(w) for w in range(MAX_WIDTH + 2, top + 1, 2))
     a, b = fit.a, fit.b
-    for _, n, root, geometry in rungs[:(top - LADDER_WIDTHS[0]) // 2 + 1]:
+    for n, root, geometry in rungs:
         if n * math.exp(a * root - b) <= target_error:
             return geometry
-    raise NoDistanceFoundError(f"no width up to {top} reaches target {target_error:g}")
+    raise NoDistanceFoundError(f"no width up to {max_width} reaches target {target_error:g}")
 
 
 def round_sig(x: float, sig: int = 3) -> float:
@@ -173,14 +179,14 @@ def round_sig(x: float, sig: int = 3) -> float:
     return round(x, sig - 1 - math.floor(math.log10(abs(x))))
 
 
-def msf_convert(sc_qubits: float, sc_cycles: float, cultivation_factor: float = 5.0):
+def msf_convert(sc_qubits: float, sc_cycles: float):
     """Convert a surface-code factory footprint to honeycomb patches/rounds.
 
-    Applies the cultivation reduction then the 0.52 qubit and 4.2 round
+    Applies the 5x cultivation reduction then the 0.52 qubit and 4.2 round
     rates, rounding to 3 significant figures as the published table does.
     """
-    hh_qubits = round_sig(MSF_QUBIT_RATE * sc_qubits / cultivation_factor)
-    hh_rounds = round_sig(MSF_ROUND_RATE * sc_cycles / cultivation_factor)
+    hh_qubits = round_sig(MSF_QUBIT_RATE * sc_qubits / CULTIVATION_FACTOR)
+    hh_rounds = round_sig(MSF_ROUND_RATE * sc_cycles / CULTIVATION_FACTOR)
     return hh_qubits, hh_rounds
 
 
@@ -196,23 +202,13 @@ class MsfProtocol:
     p_out: float
     sc_qubits: float
     sc_cycles: float
-    cultivation_factor: float = 5.0
     hh_qubits: float = field(init=False, repr=False, compare=False)
     hh_rounds: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        hh_qubits, hh_rounds = msf_convert(self.sc_qubits, self.sc_cycles,
-                                           self.cultivation_factor)
+        hh_qubits, hh_rounds = msf_convert(self.sc_qubits, self.sc_cycles)
         object.__setattr__(self, "hh_qubits", hh_qubits)
         object.__setattr__(self, "hh_rounds", hh_rounds)
-
-    @property
-    def cult_qubits(self) -> float:
-        return self.sc_qubits / self.cultivation_factor
-
-    @property
-    def cult_cycles(self) -> float:
-        return self.sc_cycles / self.cultivation_factor
 
 
 def _bundled(name: str):

@@ -79,15 +79,12 @@ class SynthesisPlan:
     reproducing headline figures.
     """
 
-    epsilon_synth: float
     n_t: float
     n_t_fallback: float
     n_t_success: float
-    p_succ: float
     p_all: float
     ptilde_fail: float
     ptilde_succ: float
-    lattice_l: int
 
 
 def fallback_plan(
@@ -124,15 +121,12 @@ def fallback_plan(
     else:
         ptilde_fail = 0.0
     return SynthesisPlan(
-        epsilon_synth=epsilon_synth,
         n_t=n_t,
         n_t_fallback=n_fb,
         n_t_success=n_succ,
-        p_succ=p_succ,
         p_all=p_all,
         ptilde_fail=ptilde_fail,
         ptilde_succ=1.0 - ptilde_fail,
-        lattice_l=lattice_l,
     )
 
 
@@ -147,31 +141,37 @@ def direct_plan(
     if rounding == "integer":
         n_t = float(round(n_t))
     return SynthesisPlan(
-        epsilon_synth=epsilon_synth,
         n_t=n_t,
         n_t_fallback=0.0,
         n_t_success=n_t,
-        p_succ=1.0,
         p_all=1.0,
         ptilde_fail=0.0,
         ptilde_succ=1.0,
-        lattice_l=1,
     )
 
 
 @dataclass(frozen=True)
 class RotationCost:
-    """Fault-tolerant cost of one synthesized Z-rotation."""
+    """Additive record of fault-tolerant resources: one synthesized
+    Z-rotation, one sub-evolution, or one Trotter step."""
 
-    t_states: float
-    logical_timesteps: float
-    active_cubes: float
+    t_states: float = 0.0
+    logical_timesteps: float = 0.0
+    active_cubes: float = 0.0
     transversal_cnots: float = 0.0
 
     def __post_init__(self):
         if min(self.t_states, self.logical_timesteps,
                self.active_cubes, self.transversal_cnots) < 0:
-            raise InvalidParameterError("rotation cost entries must be nonnegative")
+            raise InvalidParameterError("cost entries must be nonnegative")
+
+    def __add__(self, other: "RotationCost") -> "RotationCost":
+        return RotationCost(
+            self.t_states + other.t_states,
+            self.logical_timesteps + other.logical_timesteps,
+            self.active_cubes + other.active_cubes,
+            self.transversal_cnots + other.transversal_cnots,
+        )
 
 
 def synthesis_cost(plan: SynthesisPlan, strategy_kind: str, tau_ratio: float) -> RotationCost:

@@ -16,6 +16,9 @@ from dataclasses import dataclass
 from .errors import InvalidParameterError
 from .synthesis import RotationCost
 
+#: A sub-evolution's or a step's ledger is the rotation's record type.
+CostLedger = RotationCost
+
 #: Per-plaquette diagonalization cost (forward plus inverse direction).
 PLAQ_DIAG_T_STATES = 8
 PLAQ_DIAG_TIMESTEPS_ONE_WAY = 9
@@ -59,29 +62,6 @@ class ProblemSpec:
             raise InvalidParameterError("sim_time_t must be positive")
         if self.w_msf < 1:
             raise InvalidParameterError("w_msf must be >= 1")
-
-
-@dataclass(frozen=True)
-class CostLedger:
-    """Additive record of fault-tolerant resources."""
-
-    t_states: float = 0.0
-    logical_timesteps: float = 0.0
-    active_cubes: float = 0.0
-    transversal_cnots: float = 0.0
-
-    def __post_init__(self):
-        if min(self.t_states, self.logical_timesteps,
-               self.active_cubes, self.transversal_cnots) < 0:
-            raise InvalidParameterError("ledger entries must be nonnegative")
-
-    def __add__(self, other: "CostLedger") -> "CostLedger":
-        return CostLedger(
-            self.t_states + other.t_states,
-            self.logical_timesteps + other.logical_timesteps,
-            self.active_cubes + other.active_cubes,
-            self.transversal_cnots + other.transversal_cnots,
-        )
 
 
 def kappa(u_over_t: float) -> float:

@@ -248,6 +248,16 @@ class TestCli:
             assert captured.out == ""
             assert captured.err == f"ftcost {argv[0]}: error: {key}={value} is not a config key\n"
 
+    @pytest.mark.parametrize("command, golden", [
+        ("estimate", "estimate_default.txt"), ("fit", "fit_default.txt"),
+    ])
+    def test_default_output_matches_golden(self, capsys, command, golden):
+        # the files hold the stdout of the command at defaults; a change that
+        # is meant to print the same leaves them as they are
+        assert main([command]) == 0
+        expected = (Path(__file__).resolve().parent / "data" / golden).read_text()
+        assert capsys.readouterr().out == expected
+
     def test_fit_prints_ladder(self, capsys):
         assert main(["fit"]) == 0
         out = capsys.readouterr().out

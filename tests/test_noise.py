@@ -98,9 +98,10 @@ class TestHeraldedCz:
         assert all(o.channel.total_weight() == pytest.approx(1.0, abs=1e-12)
                    for o in d.outcomes)
 
-    def test_large_cap_uses_log_space_sums(self):
-        # n_rus = 70 crosses the exact-binomial limit; normalization and
-        # agreement with the direct integer-binomial evaluation must survive
+    def test_large_cap_matches_integer_binomial(self):
+        # a cap past 64 attempts, where the binomial coefficients outgrow a
+        # double's 53-bit mantissa: normalization and agreement with the direct
+        # integer-binomial evaluation must survive
         d = heralded_cz_distribution(REFERENCE_PARAMS, AttemptCaps(n_rus=70))
         assert d.total() == pytest.approx(1.0, abs=1e-12)
         cyc = cycle_outcome_distribution(REFERENCE_PARAMS.epsilon,
@@ -110,6 +111,25 @@ class TestHeraldedCz:
             for t in range(4, 71)
         )
         assert d.probability("success_with_3_losses") == pytest.approx(exact_p3, rel=1e-9)
+
+    @pytest.mark.parametrize("p1", [0.001, 0.01, 0.05, 0.2, 0.5, 0.9])
+    def test_loss_sum_matches_integer_binomial(self, p1):
+        # every k < n <= 64, with the rest of the cycle mass on repeats
+        pr = 1.0 - p1
+        worst = 0.0
+        for n in range(2, 65):
+            for k in range(1, n):
+                exact = sum(math.comb(t - 1, k) * p1**k * pr ** (t - 1 - k)
+                            for t in range(k + 1, n + 1))
+                got = noise._binomial_loss_sum(k, n, p1, pr)
+                worst = max(worst, abs(got - exact) / exact)
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("n_rus", [1, 64, 65, 500, 2000])
+    def test_normalized_at_large_caps(self, n_rus):
+        d = heralded_cz_distribution(REFERENCE_PARAMS, AttemptCaps(n_rus=n_rus))
+        assert abs(d.total() - 1.0) <= 1e-12
+        assert len(d.outcomes) == n_rus + 2
 
     @given(p=st.floats(1e-4, 0.5))
     @settings(max_examples=25)

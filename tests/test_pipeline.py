@@ -29,14 +29,16 @@ from ftcost import (
     trotter_steps,
 )
 from ftcost.pipeline import FloorplanCounts, SolveOptions, render_floorplan
-from ftcost.surgery import LADDER_WIDTHS
+from ftcost.surgery import MAX_WIDTH
 
 REFERENCE_SPEC = ProblemSpec(8, 8.0, 80.0, 2)
 REFERENCE_NOISE = derive_noise_params(0.01)
 REFERENCE_BUDGET = allocate_budget(0.01)
 FIT = fit_error_curve(load_error_data())
-TABLE_LADDER = [patch_geometry(w) for w in LADDER_WIDTHS]
-OFF_TABLE_LADDER = TABLE_LADDER + [patch_geometry(w) for w in range(32, 201, 2)]
+
+
+def ladder(max_width):
+    return [patch_geometry(w) for w in range(6, max_width + 1, 2)]
 
 
 def selected_rounds(spec, budget, options, rounds):
@@ -61,8 +63,7 @@ def selected_rounds(spec, budget, options, rounds):
                                 round(rotation.active_cubes))
     cubes = trotter_step_cost(spec, rotation).active_cubes * steps
     try:
-        return select_distance(options.fit, budget.eps_log / cubes,
-                               allow_off_table=options.allow_off_table).rounds
+        return select_distance(options.fit, budget.eps_log / cubes, options.max_width).rounds
     except NoDistanceFoundError:
         return math.inf
 
@@ -71,11 +72,12 @@ solve_cases = st.tuples(
     st.builds(lambda l, u: ProblemSpec(l, u, 10.0 * l),
               st.sampled_from([2, 4, 6, 8, 10, 12]), st.floats(1.0, 16.0)),
     st.builds(allocate_budget, st.floats(1e-4, 0.3)),
-    st.builds(lambda strategy, p_succ, precision, off: SolveOptions(
+    st.builds(lambda strategy, p_succ, precision, max_width: SolveOptions(
         strategy=strategy, p_succ=p_succ, precision=precision, fit=FIT,
-        allow_off_table=off),
+        max_width=max_width),
         st.sampled_from(["diagonal", "mixed_diagonal", "fallback", "mixed_fallback"]),
-        st.floats(0.5, 1.0), st.sampled_from(["headline", "real"]), st.booleans()),
+        st.floats(0.5, 1.0), st.sampled_from(["headline", "real"]),
+        st.one_of(st.sampled_from([30, MAX_WIDTH]), st.integers(6, MAX_WIDTH))),
 )
 
 
@@ -110,7 +112,6 @@ class TestFloorplan:
         counts = floorplan(8, 2)
         assert counts.total_patches == 882
         assert counts.msf_patches == 336
-        assert counts.data_workspace_patches == 546
 
     def test_override_echoed(self):
         counts = floorplan(8, 2, override_total=1000, override_msf=300)
@@ -229,7 +230,7 @@ class TestSolveEstimate:
         qubits, runtimes = [], []
         for total in (0.05, 0.01, 0.002):
             rep = solve_estimate(REFERENCE_SPEC, REFERENCE_NOISE, allocate_budget(total),
-                                 SolveOptions(allow_off_table=True))
+                                 SolveOptions(max_width=MAX_WIDTH))
             qubits.append(rep.physical_qubits)
             runtimes.append(rep.runtime_seconds)
         assert qubits == sorted(qubits)
@@ -239,6 +240,20 @@ class TestSolveEstimate:
         from ftcost import NoDistanceFoundError
         with pytest.raises(NoDistanceFoundError):
             solve_estimate(REFERENCE_SPEC, REFERENCE_NOISE, allocate_budget(0.002))
+
+    @pytest.mark.parametrize("options", [
+        SolveOptions(max_width=202, initial_rounds=10_000),
+        SolveOptions(max_width=201),
+        SolveOptions(max_width=5, initial_rounds=1),
+        SolveOptions(max_width=30.0),
+    ])
+    def test_max_width_outside_the_ladder_rejected(self, options):
+        # checked before the solver forms a ladder index, so a start past the
+        # ladder cannot end in an IndexError
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^max_width={options.max_width!r} must be an integer "
+                                 rf"in \[6, {MAX_WIDTH}\]$"):
+            solve_estimate(REFERENCE_SPEC, REFERENCE_NOISE, REFERENCE_BUDGET, options)
 
     def test_budget_inequalities(self, reference_report):
         r = reference_report
@@ -285,7 +300,7 @@ class TestSolveEstimate:
         # pins the smallest one, 60 <-> 66 rounds, from a start of 60
         import ftcost.pipeline as pl
 
-        def oscillating_select(fit, target, allow_off_table=False):
+        def oscillating_select(fit, target, max_width=30):
             return patch_geometry(20) if target <= 3.3e-14 else patch_geometry(18)
 
         monkeypatch.setattr(pl, "select_distance", oscillating_select)
@@ -307,8 +322,8 @@ class TestSolveEstimate:
     @given(case=solve_cases)
     def test_selection_nonincreasing_in_rounds(self, case):
         spec, budget, options = case
-        ladder = OFF_TABLE_LADDER if options.allow_off_table else TABLE_LADDER
-        selected = [selected_rounds(spec, budget, options, geo.rounds) for geo in ladder]
+        selected = [selected_rounds(spec, budget, options, geo.rounds)
+                    for geo in ladder(options.max_width)]
         assert selected == sorted(selected, reverse=True)
 
     @settings(max_examples=40, deadline=None)
@@ -319,11 +334,11 @@ class TestSolveEstimate:
             rep = solve_estimate(spec, REFERENCE_NOISE, budget, options)
         except NoDistanceFoundError:
             return
-        ladder = OFF_TABLE_LADDER if options.allow_off_table else TABLE_LADDER
-        least = next(geo for geo in ladder
+        rungs = ladder(options.max_width)
+        least = next(geo for geo in rungs
                      if selected_rounds(spec, budget, options, geo.rounds) <= geo.rounds)
         assert rep.geometry == least
-        assert 1 <= rep.iterations <= len(ladder)
+        assert 1 <= rep.iterations <= len(rungs)
 
 
 class TestRuntimeAndCorridor:

@@ -225,8 +225,14 @@ class TestSelectDistance:
     def test_no_distance(self, reference_fit):
         with pytest.raises(NoDistanceFoundError):
             select_distance(reference_fit, 1e-20)
-        off = select_distance(reference_fit, 1e-20, allow_off_table=True)
+        off = select_distance(reference_fit, 1e-20, max_width=MAX_WIDTH)
         assert off.width > 30
+
+    @pytest.mark.parametrize("max_width", [5, 4, 201, 202, -1, 30.0, "30", True, None])
+    def test_max_width_outside_the_ladder_rejected(self, reference_fit, max_width):
+        with pytest.raises(InvalidParameterError) as info:
+            select_distance(reference_fit, 1e-10, max_width)
+        assert str(info.value) == f"max_width={max_width!r} must be an integer in [6, {MAX_WIDTH}]"
 
     @given(
         a=st.floats(-3.0, -0.01),
@@ -236,25 +242,20 @@ class TestSelectDistance:
             st.floats(-300.0, -1e-6).map(lambda e: 10.0**e),
         ),
         step=st.one_of(st.none(), st.integers(-1, 1), st.integers(-110, 1)),
-        allow_off_table=st.booleans(),
-        max_width=st.one_of(
-            st.integers(6, 29),
-            st.integers(15, MAX_WIDTH // 2 + 20).map(lambda k: 2 * k + 1),
-            st.just(MAX_WIDTH),
-            st.integers(MAX_WIDTH + 1, MAX_WIDTH + 40),
-        ),
+        max_width=st.integers(6, MAX_WIDTH),
     )
-    @example(a=-0.5, b=0.0, target=0.5, step=0, allow_off_table=False, max_width=MAX_WIDTH)
-    @example(a=-0.5, b=0.0, target=0.5, step=1, allow_off_table=False, max_width=MAX_WIDTH)
-    @example(a=-0.5, b=0.0, target=0.5, step=0, allow_off_table=True, max_width=MAX_WIDTH)
-    @example(a=-0.5, b=0.0, target=0.5, step=0, allow_off_table=True, max_width=MAX_WIDTH + 11)
-    @example(a=-0.5, b=0.0, target=0.5, step=0, allow_off_table=True, max_width=MAX_WIDTH + 10)
-    @example(a=-0.5, b=0.0, target=0.5, step=-1, allow_off_table=True, max_width=MAX_WIDTH + 11)
-    @example(a=-0.5, b=0.0, target=0.5, step=1, allow_off_table=True, max_width=MAX_WIDTH + 11)
-    @example(a=-0.5, b=0.0, target=0.5, step=0, allow_off_table=True, max_width=21)
-    def test_matches_brute_force(self, a, b, target, step, allow_off_table, max_width):
+    @example(a=-0.5, b=0.0, target=0.5, step=0, max_width=30)
+    @example(a=-0.5, b=0.0, target=0.5, step=1, max_width=30)
+    @example(a=-0.5, b=0.0, target=0.5, step=0, max_width=MAX_WIDTH)
+    @example(a=-0.5, b=0.0, target=0.5, step=1, max_width=MAX_WIDTH)
+    @example(a=-0.5, b=0.0, target=0.5, step=-1, max_width=MAX_WIDTH - 1)
+    @example(a=-0.5, b=0.0, target=0.5, step=0, max_width=MAX_WIDTH - 1)
+    @example(a=-0.5, b=0.0, target=0.5, step=0, max_width=6)
+    @example(a=-0.5, b=0.0, target=0.5, step=0, max_width=7)
+    @example(a=-0.5, b=0.0, target=0.5, step=0, max_width=21)
+    def test_matches_brute_force(self, a, b, target, step, max_width):
         fit = FitParams(a, b)
-        top = max(max_width, 30) if allow_off_table else 30
+        top = max_width
         if step is not None:  # a target exactly at the error rate of a width near the top
             width = top - top % 2 + 2 * step
             assume(width >= 6)
@@ -273,15 +274,14 @@ class TestSelectDistance:
             except NoDistanceFoundError as exc:
                 return str(exc)
 
-        assert outcome(lambda: select_distance(fit, target, allow_off_table, max_width)) \
-            == outcome(brute_force)
+        assert outcome(lambda: select_distance(fit, target, max_width)) == outcome(brute_force)
 
 
 class TestMsfConversion:
     def test_convert_examples(self):
         assert msf_convert(4620, 42.6) == (480, 35.8)  # printed 35.7; 1 ulp at 3 s.f.
         assert msf_convert(73400, 128) == (7630, 108)
-        assert msf_convert(100, 10, cultivation_factor=1) == (52, 42)
+        assert msf_convert(500, 50) == (52, 42)  # the rates after the 5x reduction
 
     def test_all_table_rows(self):
         # printed honeycomb columns, reproduced within one unit in the third
@@ -298,13 +298,11 @@ class TestMsfConversion:
             q, r = printed[proto.label]
             assert abs(proto.hh_qubits - q) <= _ulp3(q), proto.label
             assert abs(proto.hh_rounds - r) <= _ulp3(r), proto.label
-            assert proto.cult_qubits == pytest.approx(proto.sc_qubits / 5)
-            assert proto.cult_cycles == pytest.approx(proto.sc_cycles / 5)
 
     def test_footprint_is_msf_convert(self):
         for proto in load_msf_table():
             assert (proto.hh_qubits, proto.hh_rounds) == msf_convert(
-                proto.sc_qubits, proto.sc_cycles, proto.cultivation_factor), proto.label
+                proto.sc_qubits, proto.sc_cycles), proto.label
             assert "hh_" not in repr(proto)
 
 
