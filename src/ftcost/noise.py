@@ -8,6 +8,7 @@ protocol's outcome categories carry known Pauli channels.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -24,6 +25,8 @@ DEFAULT_BIASES = {
     "gate_infidelity": 0.005,
 }
 
+#: Tolerance of the probability checks.  They are written as
+#: ``not x <= PROB_ATOL`` rather than ``x > PROB_ATOL`` so that a NaN fails them.
 PROB_ATOL = 1e-12
 
 #: Letter of the product of two Pauli letters, phase dropped: with
@@ -83,9 +86,9 @@ class CycleOutcomeDistribution:
     def __post_init__(self):
         vals = (self.p_success, self.p_repeat_indist, self.p_repeat_dist,
                 self.p_one_loss, self.p_two_loss)
-        if any(v < -PROB_ATOL for v in vals):
+        if any(not v >= -PROB_ATOL for v in vals):
             raise InvalidParameterError("cycle outcome probabilities must be nonnegative")
-        if abs(sum(vals) - 1.0) > PROB_ATOL:
+        if not abs(sum(vals) - 1.0) <= PROB_ATOL:
             raise InvalidParameterError("cycle outcome probabilities must sum to 1")
 
 
@@ -107,9 +110,9 @@ class PauliChannel:
         for label, w in self.terms:
             if len(label) != self.arity or any(c not in "IXYZ" for c in label):
                 raise InvalidParameterError(f"bad Pauli label {label!r} for arity {self.arity}")
-            if w < -PROB_ATOL:
+            if not w >= -PROB_ATOL:
                 raise InvalidParameterError(f"negative weight {w} on {label!r}")
-        if abs(self.total_weight() - 1.0) > PROB_ATOL:
+        if not abs(self.total_weight() - 1.0) <= PROB_ATOL:
             raise InvalidParameterError("channel weights must sum to 1")
         if self.classical_flip_weight is not None and not 0.0 <= self.classical_flip_weight <= 1.0:
             raise InvalidParameterError("classical flip weight must lie in [0, 1]")
@@ -170,9 +173,9 @@ class HeraldedOutcomeDistribution:
     trials: Optional[int] = None
 
     def __post_init__(self):
-        if any(o.probability < -PROB_ATOL for o in self.outcomes):
+        if any(not o.probability >= -PROB_ATOL for o in self.outcomes):
             raise InvalidParameterError("outcome probabilities must be nonnegative")
-        if abs(self.total() - 1.0) > PROB_ATOL:
+        if not abs(self.total() - 1.0) <= PROB_ATOL:
             raise InvalidParameterError("outcome probabilities must sum to 1")
 
     def total(self) -> float:
@@ -228,7 +231,7 @@ def loss_channel(k) -> PauliChannel:
     """
     if k == math.inf:
         return PauliChannel(2, (("II", 0.25), ("ZI", 0.25), ("IZ", 0.25), ("ZZ", 0.25)))
-    if not (isinstance(k, int) and k >= 1):
+    if isinstance(k, bool) or not (isinstance(k, int) and k >= 1):
         raise InvalidParameterError(f"k={k} must be a positive integer or math.inf")
     half_pow = 0.5 ** (k + 1)
     return PauliChannel(2, (
@@ -253,7 +256,7 @@ def distinguishability_mzz_channel(distinguishability: float) -> PauliChannel:
 
 def idle_channel(t: float, t2: float) -> PauliChannel:
     """Dephasing after idling for time t with decoherence time t2."""
-    if t < 0 or t2 <= 0:
+    if not (t >= 0 and t2 > 0):
         raise InvalidParameterError("idle_channel needs t >= 0 and t2 > 0")
     p_d = (1.0 - math.exp(-t / t2)) / 2.0
     return PauliChannel(1, (("I", 1.0 - p_d), ("Z", p_d)))
@@ -275,7 +278,7 @@ def init_measure_outcomes(epsilon: float, attempts: int, kind: str = "init"):
     """
     if not 0.0 <= epsilon < 1.0:
         raise InvalidParameterError(f"epsilon={epsilon} must lie in [0, 1)")
-    if not (isinstance(attempts, int) and attempts >= 1):
+    if isinstance(attempts, bool) or not (isinstance(attempts, int) and attempts >= 1):
         raise InvalidParameterError(f"attempts={attempts} must be an integer >= 1")
     success = 1.0 - epsilon**attempts
     if kind == "init":
@@ -403,9 +406,13 @@ def mc_rus_oracle(
     are those of one draw of the whole stream, whatever the block size, and
     peak memory is bounded by ``_BLOCK_ROWS * n_rus * 8`` bytes rather than
     growing with ``trials``.
-    """
-    import numpy as np
 
+    ``kind`` does not enter the draw, so one walk over the uniforms
+    classifies every trial for both kinds at once, and the counts of the last
+    (cycle_dist, n_rus, trials, seed, streams) are kept: asking for ``cz``
+    and then ``mzz`` at one key draws once.  A caller that wants one kind
+    still pays for classifying both.
+    """
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
         raise InvalidParameterError(f"trials={trials!r} must be an integer >= 1")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
@@ -415,7 +422,25 @@ def mc_rus_oracle(
     if kind not in ("cz", "mzz"):
         raise InvalidParameterError(f"kind must be 'cz' or 'mzz', got {kind!r}")
 
-    n = caps.n_rus
+    trials = int(trials)
+    cz, mzz = _mc_counts(cycle_dist, caps.n_rus, trials, int(seed), int(streams))
+    outcomes = tuple(
+        HeraldedOutcome(label, count / trials, None)
+        for label, count in zip(_category_labels(kind, caps.n_rus), cz if kind == "cz" else mzz)
+    )
+    return HeraldedOutcomeDistribution(outcomes, trials=trials)
+
+
+@functools.lru_cache(maxsize=1)
+def _mc_counts(
+    cycle_dist: CycleOutcomeDistribution, n_rus: int, trials: int, seed: int, streams: int,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The cz and mzz counts of one seeded draw, in ``_category_labels`` order.
+
+    One entry is enough: every caller asks for both kinds at one key in a row.
+    """
+    import numpy as np
+
     # upper edges of the success, repeat and single-loss bins; the residual
     # mass above the last edge is the double loss, so float rounding in the
     # cumulative sum cannot produce an out-of-range draw
@@ -424,8 +449,8 @@ def mc_rus_oracle(
         cycle_dist.p_repeat,
         cycle_dist.p_one_loss,
     ])
-    labels = _category_labels(kind, n)
-    counts = np.zeros(len(labels), dtype=np.int64)
+    cz = np.zeros(n_rus + 2, dtype=np.int64)
+    mzz = np.zeros(3, dtype=np.int64)
     children = np.random.SeedSequence(seed).spawn(streams)
     base, extra = divmod(trials, streams)
     for i, child in enumerate(children):
@@ -433,13 +458,10 @@ def mc_rus_oracle(
         rng = np.random.Generator(np.random.PCG64(child))
         for start in range(0, chunk, _BLOCK_ROWS):
             rows = min(_BLOCK_ROWS, chunk - start)
-            counts += _classify(rng.random((rows, n)), edges, kind)
-
-    outcomes = tuple(
-        HeraldedOutcome(label, int(count) / trials, None)
-        for label, count in zip(labels, counts)
-    )
-    return HeraldedOutcomeDistribution(outcomes, trials=trials)
+            block_cz, block_mzz = _classify(rng.random((rows, n_rus)), edges)
+            cz += block_cz
+            mzz += block_mzz
+    return tuple(cz.tolist()), tuple(mzz.tolist())
 
 
 def _category_labels(kind: str, n: int) -> list[str]:
@@ -449,47 +471,55 @@ def _category_labels(kind: str, n: int) -> list[str]:
     return [MZZ_PURE_SUCCESS, MZZ_LOSS_SUCCESS, MZZ_ABORT]
 
 
-def _classify(draws: np.ndarray, edges: np.ndarray, kind: str) -> np.ndarray:
-    """Category counts of one block of trials, in ``_category_labels`` order.
+def _classify(draws: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cz and mzz counts of one block of trials, in ``_category_labels`` order.
 
-    Walks the cycles column by column and compares each only for the trials
-    still running, so a trial costs the cycles it runs, not ``n_rus``.
+    Walks the cycles column by column over the trials with no success yet,
+    so a trial costs the cycles it runs, not ``n_rus``.  Only a success stops
+    the parity measurement, so a trial runs on after a double loss: cz counts
+    it as a failure when the double loss comes and bins none of it later.
     """
     import numpy as np
 
     rows, n = draws.shape
     success_edge, repeat_edge, one_loss_edge = edges
-    cz = kind == "cz"
-    counts = np.zeros(n + 2 if cz else 3, dtype=np.int64)
-    running = np.arange(rows)
-    # cz: single losses so far; mzz: whether any loss came so far
-    history = np.zeros(rows, dtype=np.intp if cz else bool)
-    for cycle in range(n):
-        draw = draws[running, cycle]
-        success = draw < success_edge
-        if cz:
-            # a double loss stops the protocol as a failure; a success is
-            # binned by the number of single losses before it (the sum below
-            # also counts double losses, but those trials stop here)
-            failure = draw >= one_loss_edge
-            counts[n] += np.count_nonzero(failure)
-            counts[:n] += np.bincount(history[success], minlength=n)
-            history += draw >= repeat_edge
-            stop = success | failure
-        else:
-            # losses never stop the parity measurement; only success does
-            history |= draw >= repeat_edge
-            lossy = np.count_nonzero(success & history)
-            counts[0] += np.count_nonzero(success) - lossy
-            counts[1] += lossy
-            stop = success
-        keep = np.flatnonzero(~stop)
-        running = running[keep]
-        history = history[keep]
+    cz = np.zeros(n + 2, dtype=np.int64)
+    mzz = np.zeros(3, dtype=np.int64)
+    # cycle 0: every trial runs and none has lost a photon, so a success is
+    # pure for both kinds
+    draw = draws[:, 0]
+    success = draw < success_edge
+    cz[0] = mzz[0] = np.count_nonzero(success)
+    running = np.flatnonzero(~success)
+    draw = draw[running]
+    # losses so far, single or double: a trial with a double loss is never
+    # binned by cz again, so for the ones cz bins these are single losses
+    losses = (draw >= repeat_edge).astype(np.intp)
+    doubled = draw >= one_loss_edge
+    cz[n] = np.count_nonzero(doubled)
+    for cycle in range(1, n):
         if running.size == 0:
             break
-    counts[-1] = running.size  # abort: no success within n_rus cycles
-    return counts
+        draw = draws[running, cycle]
+        success = draw < success_edge
+        # mzz bins a success by whether any loss came before it
+        lossy = np.count_nonzero(losses[success])
+        mzz[0] += np.count_nonzero(success) - lossy
+        mzz[1] += lossy
+        # cz bins it by the single losses before it
+        cz[:n] += np.bincount(losses[success & ~doubled], minlength=n)
+        double = draw >= one_loss_edge
+        cz[n] += np.count_nonzero(double & ~doubled)
+        losses += draw >= repeat_edge
+        doubled |= double
+        keep = np.flatnonzero(~success)
+        running = running[keep]
+        losses = losses[keep]
+        doubled = doubled[keep]
+    # abort: no success within n_rus cycles, and for cz no double loss either
+    mzz[2] = running.size
+    cz[n + 1] = running.size - np.count_nonzero(doubled)
+    return cz, mzz
 
 
 def binomial_sigma(p: float, trials: int) -> float:

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 from .errors import InvalidParameterError, NoProtocolError
 from .noise import PhysicalNoiseParams
 from .surgery import (
+    BUNDLED_NOISE_P,
     LADDER,
     LADDER_WIDTHS,
     FitParams,
@@ -287,9 +288,11 @@ def solve_estimate(
     The search starts at ``options.initial_rounds`` (raised to a ladder
     entry), or at 102 rounds for L = 8 and 60 otherwise.
 
-    ``noise`` names the error-rate regime but is not read: the cube error
-    data (``options.fit``) carry it.  The bundled data are for
-    ``surgery.BUNDLED_NOISE_P``, and ``load_config`` rejects another
+    The cube error data (``options.fit``) carry the error-rate regime, and
+    only ``noise.p`` is read.  With ``options.fit`` unset the bundled data
+    are used, which are for ``surgery.BUNDLED_NOISE_P``, so another
+    ``noise.p`` is an ``InvalidParameterError``; with a fit given, ``noise``
+    is not checked against it.  ``load_config`` likewise rejects another
     ``noise.p`` unless a data file is given.
 
     In "headline" precision the per-rotation T counts, timesteps, and cubes
@@ -299,6 +302,10 @@ def solve_estimate(
     if options.precision not in ("headline", "real"):
         raise InvalidParameterError("precision must be 'headline' or 'real'")
     size = len(ladder_rungs(options.max_width))
+    if options.fit is None and noise.p != BUNDLED_NOISE_P:
+        raise InvalidParameterError(
+            f"noise.p={noise.p} needs options.fit: "
+            f"the bundled cube data are for p = {BUNDLED_NOISE_P}")
     fit = options.fit or fit_error_curve(load_error_data())
     protocols = options.protocols or load_msf_table()
     timing = options.timing

@@ -258,6 +258,17 @@ class TestCli:
         expected = (Path(__file__).resolve().parent / "data" / golden).read_text()
         assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize("argv, golden", [
+        (["--trials", "200000"], "verify_noise_200k.txt"),
+        (["--trials", "200000", "--n-rus", "30", "--p", "0.05"], "verify_noise_200k_n30_p05.txt"),
+    ])
+    def test_verify_noise_output_matches_golden(self, capsys, argv, golden):
+        # the MC counts are seeded, so every printed frequency is exact: a
+        # change to the draw or to the classification shows here
+        assert main(["verify-noise", *argv]) == 0
+        expected = (Path(__file__).resolve().parent / "data" / golden).read_text()
+        assert capsys.readouterr().out == expected
+
     def test_fit_prints_ladder(self, capsys):
         assert main(["fit"]) == 0
         out = capsys.readouterr().out

@@ -19,7 +19,15 @@ from ftcost import (
     single_qubit_gate_channel,
 )
 from ftcost import noise
-from ftcost.noise import PauliChannel, binomial_sigma
+from ftcost.noise import (
+    CycleOutcomeDistribution,
+    HeraldedOutcome,
+    HeraldedOutcomeDistribution,
+    PauliChannel,
+    binomial_sigma,
+)
+
+NAN = float("nan")
 
 REFERENCE_PARAMS = derive_noise_params(0.01)
 CAPS = AttemptCaps()
@@ -245,6 +253,53 @@ class TestChannels:
             PauliChannel(1, (("I", 1.5), ("Z", -0.5)))
 
 
+class TestValidatorsRejectNanAndBool:
+    """A NaN fails every probability check, and a bool is not a count."""
+
+    @pytest.mark.parametrize("terms", [
+        (("I", NAN),),
+        (("I", 1.0), ("Z", NAN)),
+        (("I", NAN), ("Z", 1.0)),
+    ])
+    def test_pauli_channel(self, terms):
+        with pytest.raises(InvalidParameterError):
+            PauliChannel(1, terms)
+
+    @pytest.mark.parametrize("vals", [
+        (NAN, 0, 0, 0, 0),
+        (1.0, NAN, 0, 0, 0),
+        (0.5, 0.5, 0, 0, NAN),
+    ])
+    def test_cycle_outcome_distribution(self, vals):
+        with pytest.raises(InvalidParameterError):
+            CycleOutcomeDistribution(*vals)
+
+    @pytest.mark.parametrize("probs", [(NAN,), (1.0, NAN), (NAN, 1.0)])
+    def test_heralded_outcome_distribution(self, probs):
+        outcomes = tuple(HeraldedOutcome(f"o{i}", p, None) for i, p in enumerate(probs))
+        with pytest.raises(InvalidParameterError):
+            HeraldedOutcomeDistribution(outcomes)
+
+    @pytest.mark.parametrize("t,t2", [(NAN, 1.0), (1.0, NAN), (-1.0, 1.0), (1.0, 0.0),
+                                      (math.inf, math.inf)])
+    def test_idle_channel(self, t, t2):
+        with pytest.raises(InvalidParameterError):
+            idle_channel(t, t2)
+
+    @pytest.mark.parametrize("k", [True, False, 0, NAN, 1.5])
+    def test_loss_channel(self, k):
+        with pytest.raises(InvalidParameterError, match="^k="):
+            loss_channel(k)
+
+    @pytest.mark.parametrize("epsilon,attempts,name", [
+        (0.1, True, "attempts"), (0.1, False, "attempts"), (0.1, 0, "attempts"),
+        (0.1, 2.0, "attempts"), (NAN, 3, "epsilon"),
+    ])
+    def test_init_measure_outcomes(self, epsilon, attempts, name):
+        with pytest.raises(InvalidParameterError, match=f"^{name}="):
+            init_measure_outcomes(epsilon, attempts)
+
+
 class TestMcOracle:
     def test_deterministic(self):
         cyc = cycle_outcome_distribution(0.009, 8.5e-4)
@@ -376,3 +431,58 @@ class TestMcOracleCounts:
         trials = 2 * noise._BLOCK_ROWS + 5
         args = (cyc, 3, trials, 5, kind, 1)
         assert _oracle_counts(*args) == _reference_counts(*args)
+
+
+def _cycle(p):
+    params = derive_noise_params(p)
+    return cycle_outcome_distribution(params.epsilon, params.distinguishability)
+
+
+class TestMcOracleOneDraw:
+    """One draw serves both kinds, and the kept counts answer only their own key."""
+
+    @given(p=st.floats(0.0, 0.6), n_rus=st.integers(1, 40), trials=st.integers(1, 3_000),
+           seed=st.integers(0, 2**32), streams=st.integers(1, 9))
+    @settings(max_examples=30, deadline=None)
+    def test_both_kinds_at_one_key_match_the_reference(self, p, n_rus, trials, seed, streams):
+        for kind in ("cz", "mzz"):
+            args = (_cycle(p), n_rus, trials, seed, kind, streams)
+            assert _oracle_counts(*args) == _reference_counts(*args)
+
+    def test_order_and_calls_between_do_not_matter(self):
+        cyc, other = _cycle(0.05), _cycle(0.2)
+        caps = AttemptCaps(n_rus=6)
+        key = (cyc, caps, 2_001, 5)
+        cz_first = (mc_rus_oracle(*key, kind="cz"), mc_rus_oracle(*key, kind="mzz"))
+        mzz_first = (mc_rus_oracle(*key, kind="mzz"), mc_rus_oracle(*key, kind="cz"))
+        interleaved = []
+        for kind in ("cz", "mzz"):
+            mc_rus_oracle(other, caps, 2_001, 5, kind=kind)
+            interleaved.append(mc_rus_oracle(*key, kind=kind))
+            mc_rus_oracle(cyc, AttemptCaps(n_rus=7), 2_001, 5, kind=kind)
+        assert cz_first == mzz_first[::-1] == tuple(interleaved)
+        for kind in ("cz", "mzz"):
+            args = (cyc, 6, 2_001, 5, kind, 8)
+            assert _oracle_counts(*args) == _reference_counts(*args)
+
+    @pytest.mark.parametrize("field,value", [
+        ("p", 0.3), ("n_rus", 9), ("trials", 1_501), ("seed", 12), ("streams", 3),
+    ])
+    def test_no_stale_hit_when_one_input_changes(self, field, value):
+        base = {"p": 0.05, "n_rus": 8, "trials": 1_500, "seed": 11, "streams": 8}
+        for key in (base, dict(base, **{field: value})):
+            for kind in ("cz", "mzz"):
+                args = (_cycle(key["p"]), key["n_rus"], key["trials"], key["seed"], kind,
+                        key["streams"])
+                assert _oracle_counts(*args) == _reference_counts(*args)
+
+    def test_numpy_integers_hit_the_same_entry(self):
+        cyc = _cycle(0.05)
+        noise._mc_counts.cache_clear()
+        plain = mc_rus_oracle(cyc, CAPS, 3_000, 7, kind="cz", streams=4)
+        wide = mc_rus_oracle(cyc, CAPS, np.int64(3_000), np.int64(7), kind="cz",
+                             streams=np.int64(4))
+        assert wide == plain
+        assert type(wide.trials) is int
+        info = noise._mc_counts.cache_info()
+        assert (info.hits, info.misses, info.maxsize) == (1, 1, 1)

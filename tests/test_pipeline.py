@@ -255,6 +255,19 @@ class TestSolveEstimate:
                                  rf"in \[6, {MAX_WIDTH}\]$"):
             solve_estimate(REFERENCE_SPEC, REFERENCE_NOISE, REFERENCE_BUDGET, options)
 
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.0100001])
+    def test_noise_regime_other_than_the_bundled_data_rejected(self, p):
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^noise\.p={p} needs options\.fit: "
+                                 rf"the bundled cube data are for p = 0\.01$"):
+            solve_estimate(REFERENCE_SPEC, derive_noise_params(p), REFERENCE_BUDGET)
+
+    def test_noise_regime_unchecked_with_a_given_fit(self, reference_report):
+        # the fit carries the regime, as on the CLI and sweep path
+        rep = solve_estimate(REFERENCE_SPEC, derive_noise_params(0.05), REFERENCE_BUDGET,
+                             SolveOptions(fit=FIT))
+        assert rep == reference_report
+
     def test_budget_inequalities(self, reference_report):
         r = reference_report
         assert r.p_l_target * r.n_l_total <= REFERENCE_BUDGET.eps_log * (1 + 1e-12)
