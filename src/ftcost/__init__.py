@@ -51,7 +51,6 @@ from .surgery import (
 from .synthesis import (
     RotationCost,
     SynthesisPlan,
-    SynthesisStrategy,
     crossover_L,
     direct_plan,
     fallback_plan,

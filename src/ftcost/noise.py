@@ -145,13 +145,13 @@ class PauliChannel:
             flip = fa * (1 - fb) + fb * (1 - fa)
         return PauliChannel(self.arity, tuple(sorted(out.items())), flip)
 
-    def is_close(self, other: "PauliChannel", atol: float = PROB_ATOL) -> bool:
+    def is_close(self, other: "PauliChannel") -> bool:
         labels = {l for l, _ in self.terms} | {l for l, _ in other.terms}
-        if any(abs(self.weight(l) - other.weight(l)) > atol for l in labels):
+        if any(abs(self.weight(l) - other.weight(l)) > PROB_ATOL for l in labels):
             return False
         fa = self.classical_flip_weight or 0.0
         fb = other.classical_flip_weight or 0.0
-        return abs(fa - fb) <= atol
+        return abs(fa - fb) <= PROB_ATOL
 
 
 @dataclass(frozen=True)
@@ -216,12 +216,6 @@ def cycle_outcome_distribution(epsilon: float, distinguishability: float) -> Cyc
 
 
 # -- channel constructors -----------------------------------------------------
-
-def phase_erasure_channel(qubit: int = 0, arity: int = 2) -> PauliChannel:
-    """([I] + [Z_qubit]) / 2 on one of ``arity`` qubits."""
-    z = "".join("Z" if i == qubit else "I" for i in range(arity))
-    return PauliChannel(arity, (("I" * arity, 0.5), (z, 0.5)))
-
 
 def loss_channel(k) -> PauliChannel:
     """k-fold composition of the single-photon-loss channel on an emitter pair.
@@ -362,7 +356,7 @@ def heralded_mzz_distribution(params: PhysicalNoiseParams, caps: AttemptCaps) ->
     qa = (1.0 - ps) ** n
     qe = 1.0 - qa - q0
 
-    erasure = phase_erasure_channel(qubit=0, arity=2)
+    erasure = PauliChannel(2, (("II", 0.5), ("ZI", 0.5)))  # ([I] + [Z_1]) / 2
     dist_mzz = distinguishability_mzz_channel(d)
     abort_channel = PauliChannel(2, erasure.terms, classical_flip_weight=0.5)
     return HeraldedOutcomeDistribution((

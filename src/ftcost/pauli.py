@@ -22,6 +22,8 @@ for _a, _b, _c in (("X", "Y", "Z"), ("Y", "Z", "X"), ("Z", "X", "Y")):
 _PHASES = (1, -1, 1j, -1j)
 _LETTERS = frozenset("IXYZ")
 _XY_BITS, _YZ_BITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
+#: Coefficients at or below this magnitude are dropped, or read as real.
+COEFF_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -114,8 +116,7 @@ class PauliSum:
     terms: tuple[tuple[complex, PauliString], ...]
 
     @staticmethod
-    def from_terms(terms: Iterable[tuple[complex, PauliString]],
-                   atol: float = 1e-12) -> "PauliSum":
+    def from_terms(terms: Iterable[tuple[complex, PauliString]]) -> "PauliSum":
         merged: dict[str, complex] = {}
         n = None
         for coeff, string in terms:
@@ -125,12 +126,12 @@ class PauliSum:
                 raise InvalidParameterError("mixed qubit counts in Pauli sum")
             merged[string.letters] = merged.get(string.letters, 0) + coeff * string.phase
         kept = tuple(
-            (c, PauliString(l)) for l, c in sorted(merged.items()) if abs(c) > atol
+            (c, PauliString(l)) for l, c in sorted(merged.items()) if abs(c) > COEFF_ATOL
         )
         return PauliSum(kept)
 
-    def is_hermitian(self, atol: float = 1e-12) -> bool:
-        return all(abs(c.imag) < atol for c, _ in self.terms)
+    def is_hermitian(self) -> bool:
+        return all(abs(c.imag) < COEFF_ATOL for c, _ in self.terms)
 
     def dense(self) -> np.ndarray:
         if not self.terms:

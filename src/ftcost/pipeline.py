@@ -43,6 +43,7 @@ from .synthesis import (
 from .timing import DEFAULT_TIMING, TimingModel
 from .trotter import (
     ProblemSpec,
+    check_plane,
     single_plane_step_timesteps,
     trotter_step_cost,
     trotter_steps,
@@ -61,7 +62,7 @@ class ErrorBudget:
 
     def __post_init__(self):
         consumed = 2 * self.eps_alg + self.eps_rot + self.eps_log + self.eps_msf
-        if consumed > self.total_diamond + 1e-15:
+        if not consumed <= self.total_diamond + 1e-15:
             raise InvalidParameterError(
                 f"budget overcommitted: {consumed} > {self.total_diamond}"
             )
@@ -70,8 +71,8 @@ class ErrorBudget:
 def allocate_budget(total: float) -> ErrorBudget:
     """Split the budget: half algorithmic (2 eps_alg + eps_rot, with
     eps_rot = 0.01 eps_alg), half hardware (eps_log = eps_msf = total/4)."""
-    if total < 0:
-        raise InvalidParameterError("total budget must be nonnegative")
+    if not total >= 0:
+        raise InvalidParameterError(f"total={total} must be nonnegative")
     eps_alg = (total / 2.0) / 2.01
     return ErrorBudget(
         total_diamond=total,
@@ -92,13 +93,6 @@ class FloorplanCounts:
             raise InvalidParameterError("msf_patches must not exceed total_patches")
 
 
-def _check_plane(lattice_l: int, w_msf: int):
-    if lattice_l < 2 or lattice_l % 2 != 0:
-        raise InvalidParameterError("lattice_l must be an even integer >= 2")
-    if w_msf < 1:
-        raise InvalidParameterError("w_msf must be >= 1")
-
-
 def render_floorplan(lattice_l: int, w_msf: int) -> list[str]:
     """One plane of the patch layout as rows of cell characters.
 
@@ -113,7 +107,7 @@ def render_floorplan(lattice_l: int, w_msf: int) -> list[str]:
     aisle serves the periodic-boundary plaquettes), with one trailing
     workspace row.
     """
-    _check_plane(lattice_l, w_msf)
+    check_plane(lattice_l, w_msf)
     pairs = lattice_l // 2
     col_blocks = []
     for p in range(pairs):
@@ -132,23 +126,17 @@ def render_floorplan(lattice_l: int, w_msf: int) -> list[str]:
     return rows
 
 
-def floorplan(
-    lattice_l: int,
-    w_msf: int,
-    override_total: Optional[int] = None,
-    override_msf: Optional[int] = None,
-) -> FloorplanCounts:
-    """Patch counts over both planes, or an explicit override.
+def floorplan(lattice_l: int, w_msf: int,
+              override: Optional[tuple[int, int]] = None) -> FloorplanCounts:
+    """Patch counts over both planes, or an explicit ``(total, msf)`` override.
 
     The counts are those of ``render_floorplan``'s plane, in closed form: with
     p = L/2 plaquette pairs, a plane is 3p + (p - 1)(1 + w_msf) columns by
     p(3 + w_msf) + 1 rows, of which p * w_msf rows are factory aisle.
     """
-    if (override_total is None) != (override_msf is None):
-        raise InvalidParameterError("floorplan overrides must be given together")
-    if override_total is not None:
-        return FloorplanCounts(override_total, override_msf)
-    _check_plane(lattice_l, w_msf)
+    if override is not None:
+        return FloorplanCounts(*override)
+    check_plane(lattice_l, w_msf)
     pairs = lattice_l // 2
     cols = 3 * pairs + (pairs - 1) * (1 + w_msf)
     rows = pairs * (3 + w_msf) + 1
@@ -223,7 +211,6 @@ class EstimateReport:
     n_t_per_rotation: float
     n_t_fallback: float
     t_synth_timesteps: float
-    cubes_per_rotation: float
     timesteps_per_step: float
     cubes_per_step: float
     t_states_per_step: float
@@ -285,8 +272,9 @@ def solve_estimate(
 ) -> EstimateReport:
     """The resource estimate at the least ladder entry r with g(r) <= r.
 
-    The search starts at ``options.initial_rounds`` (raised to a ladder
-    entry), or at 102 rounds for L = 8 and 60 otherwise.
+    The search starts at ``options.initial_rounds``, an integer >= 1 raised
+    to a ladder entry, or when it is None at 102 rounds for L = 8 and 60
+    otherwise.
 
     The cube error data (``options.fit``) carry the error-rate regime, and
     only ``noise.p`` is read.  With ``options.fit`` unset the bundled data
@@ -343,7 +331,11 @@ def solve_estimate(
 
     # the start sets the probe order: ``iterations``, and whether a probe below
     # the answer raises NoDistanceFoundError (every probe's error propagates)
-    start = options.initial_rounds or (102 if spec.lattice_l == 8 else 60)
+    start = options.initial_rounds
+    if start is None:
+        start = 102 if spec.lattice_l == 8 else 60
+    elif not (type(start) is int and start >= 1):  # not a bool or a float
+        raise InvalidParameterError(f"initial_rounds={start!r} must be None or an integer >= 1")
     probe = min(bisect_left(_LADDER_ROUNDS, start), size - 1)
     # LADDER[lo] is known infeasible (g(r) > r), LADDER[hi] known feasible
     lo, hi = -1, size
@@ -368,10 +360,7 @@ def solve_estimate(
         n_t_total, budget.eps_msf, spec.lattice_l,
         geometry.rounds, timing.reaction_rounds, protocols,
     )
-    plan_counts = floorplan(
-        spec.lattice_l, spec.w_msf,
-        *(options.floorplan_override or (None, None)),
-    )
+    plan_counts = floorplan(spec.lattice_l, spec.w_msf, options.floorplan_override)
     msf_qubits_available = plan_counts.msf_patches * geometry.qubits
     if options.floorplan_override and msf_qubits_available < msf_qubits:
         raise InvalidParameterError(
@@ -385,7 +374,6 @@ def solve_estimate(
         n_t_per_rotation=plan.n_t,
         n_t_fallback=plan.n_t_fallback,
         t_synth_timesteps=rotation.logical_timesteps,
-        cubes_per_rotation=rotation.active_cubes,
         timesteps_per_step=step.logical_timesteps,
         cubes_per_step=step.active_cubes,
         t_states_per_step=step.t_states,

@@ -71,13 +71,6 @@ def plaquette_operator_map() -> OperatorMap:
     return mapping
 
 
-#: Vertex support of each mapped operator, for the share-a-vertex rule.
-_VERTICES = {
-    "V1": {1}, "V2": {2}, "V3": {3}, "V4": {4},
-    "E21": {2, 1}, "E32": {3, 2}, "E43": {4, 3}, "E14": {1, 4},
-    "E31": {3, 1}, "E24": {2, 4},
-}
-
 _BOUNDARY_EDGES = ((2, 1), (2, 3), (4, 3), (4, 1))
 
 
@@ -113,7 +106,7 @@ def check_majorana_relations(mapping: OperatorMap | None = None) -> dict[str, bo
     names = sorted(mapping)
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            share = bool(_VERTICES[a] & _VERTICES[b])
+            share = not set(a[1:]).isdisjoint(b[1:])  # the names list the vertices
             commute = mapping[a].commutes_with(mapping[b])
             label = "anticommute" if share else "commute"
             report[f"{{{a},{b}}}={label}"] = (commute != share)
@@ -204,6 +197,9 @@ def _z_diagonal(qubit: int) -> np.ndarray:
 
 
 _Z2, _Z3 = _z_diagonal(2), _z_diagonal(3)
+#: The hopping axes C maps Z2 and Z3 onto.
+_X2X3XAUX = _string(q2="X", q3="X", q5="X").dense()
+_Y2Y3XAUX = _string(q2="Y", q3="Y", q5="X").dense()
 
 
 def build_diagonalization_circuit(theta: float = 0.0,
@@ -233,8 +229,8 @@ def check_clifford_relations(cd: np.ndarray | None = None,
     z2 = _string(q2="Z").dense()
     z3 = _string(q3="Z").dense()
     return {
-        "C Z2 C† = X2X3Xaux": float(np.linalg.norm(c @ z2 @ cd - _string(q2="X", q3="X", q5="X").dense())),
-        "C Z3 C† = Y2Y3Xaux": float(np.linalg.norm(c @ z3 @ cd - _string(q2="Y", q3="Y", q5="X").dense())),
+        "C Z2 C† = X2X3Xaux": float(np.linalg.norm(c @ z2 @ cd - _X2X3XAUX)),
+        "C Z3 C† = Y2Y3Xaux": float(np.linalg.norm(c @ z3 @ cd - _Y2Y3XAUX)),
         "circuit unitarity": unitarity_defect(build_diagonalization_circuit(0.37, circuit)),
     }
 
@@ -285,7 +281,7 @@ def verify_fourier_identity(theta, f23: np.ndarray | None = None):
     f23 = fourier_transform(2, 3) if f23 is None else f23
     f23_dagger = f23.conj().T
     n2_minus_n3 = (_Z3 - _Z2) / 2
-    axis = (_string(q2="X", q3="X", q5="X").dense() + _string(q2="Y", q3="Y", q5="X").dense()) / 2
+    axis = (_X2X3XAUX + _Y2Y3XAUX) / 2
     devs = [
         float(np.linalg.norm((f23 * np.exp(1j * a * n2_minus_n3)) @ f23_dagger
                              - expm_hermitian(-a * axis)))

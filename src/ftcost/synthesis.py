@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .errors import InvalidParameterError
 
@@ -20,53 +20,34 @@ _DIRECT_CUBE_SLOPE = 16.0 / 3.0      # printed 5.33
 _FALLBACK_CUBE_SLOPE = 19.0 / 3.0    # printed 6.33
 
 
-@dataclass(frozen=True)
-class SynthesisStrategy:
-    """T-count law coefficients for one synthesis strategy."""
-
-    name: str
-    mean_slope: float
-    mean_offset: float
-    worst_slope: float
-    worst_offset: float
-
-    def coefficients(self, mode: str) -> tuple[float, float]:
-        if mode == "mean":
-            return self.mean_slope, self.mean_offset
-        if mode == "worst":
-            return self.worst_slope, self.worst_offset
-        raise InvalidParameterError(f"mode must be 'mean' or 'worst', got {mode!r}")
-
-
+#: T-count law (slope, offset) of each strategy in each mode.
 STRATEGIES = {
-    "diagonal": SynthesisStrategy("diagonal", 3.02, 1.77, 3.02, 9.19),
-    "mixed_diagonal": SynthesisStrategy("mixed_diagonal", 1.52, -0.01, 1.54, 6.85),
-    "fallback": SynthesisStrategy("fallback", 1.03, 5.75, 1.05, 11.83),
-    "mixed_fallback": SynthesisStrategy("mixed_fallback", 0.53, 4.86, 0.57, 8.83),
+    "diagonal": {"mean": (3.02, 1.77), "worst": (3.02, 9.19)},
+    "mixed_diagonal": {"mean": (1.52, -0.01), "worst": (1.54, 6.85)},
+    "fallback": {"mean": (1.03, 5.75), "worst": (1.05, 11.83)},
+    "mixed_fallback": {"mean": (0.53, 4.86), "worst": (0.57, 8.83)},
 }
 
 #: Which strategy synthesizes the reject branch of each fallback scheme.
 FALLBACK_BRANCH = {"fallback": "diagonal", "mixed_fallback": "mixed_diagonal"}
 
 
-def _strategy(s: Union[str, SynthesisStrategy]) -> SynthesisStrategy:
-    if isinstance(s, SynthesisStrategy):
-        return s
-    try:
-        return STRATEGIES[s]
-    except KeyError:
-        raise InvalidParameterError(
-            f"unknown strategy {s!r}; choose from {sorted(STRATEGIES)}"
-        ) from None
-
-
-def t_count(strategy: Union[str, SynthesisStrategy], epsilon_synth: float,
-            mode: str = "worst") -> float:
+def t_count(strategy: str, epsilon_synth: float, mode: str = "worst") -> float:
     """Expected T-count of one rotation at the given synthesis accuracy."""
     if not 0.0 < epsilon_synth < 1.0:
         raise InvalidParameterError(f"epsilon_synth={epsilon_synth} must lie in (0, 1)")
-    c1, c2 = _strategy(strategy).coefficients(mode)
+    if strategy not in STRATEGIES:
+        raise InvalidParameterError(
+            f"unknown strategy {strategy!r}; choose from {sorted(STRATEGIES)}")
+    if mode not in ("mean", "worst"):
+        raise InvalidParameterError(f"mode must be 'mean' or 'worst', got {mode!r}")
+    c1, c2 = STRATEGIES[strategy][mode]
     return c1 * math.log2(1.0 / epsilon_synth) + c2
+
+
+def _check_rounding(rounding: str):
+    if rounding not in ("none", "integer"):
+        raise InvalidParameterError(f"rounding={rounding!r} must be 'none' or 'integer'")
 
 
 @dataclass(frozen=True)
@@ -91,7 +72,7 @@ def fallback_plan(
     epsilon_synth: float,
     p_succ: float,
     lattice_l: int,
-    strategy: Union[str, SynthesisStrategy] = "mixed_fallback",
+    strategy: str = "mixed_fallback",
     mode: str = "worst",
     rounding: str = "none",
 ) -> SynthesisPlan:
@@ -100,15 +81,13 @@ def fallback_plan(
         raise InvalidParameterError(f"p_succ={p_succ} must lie in (0, 1]")
     if lattice_l < 1:
         raise InvalidParameterError("lattice_l must be >= 1")
-    strategy = _strategy(strategy)
-    if strategy.name not in FALLBACK_BRANCH:
-        raise InvalidParameterError(f"{strategy.name!r} is not a fallback strategy")
+    _check_rounding(rounding)
     n_t = t_count(strategy, epsilon_synth, mode)
-    n_fb = t_count(FALLBACK_BRANCH[strategy.name], epsilon_synth, mode)
+    if strategy not in FALLBACK_BRANCH:
+        raise InvalidParameterError(f"{strategy!r} is not a fallback strategy")
+    n_fb = t_count(FALLBACK_BRANCH[strategy], epsilon_synth, mode)
     if rounding == "integer":
         n_t, n_fb = float(round(n_t)), float(round(n_fb))
-    elif rounding != "none":
-        raise InvalidParameterError(f"rounding must be 'none' or 'integer', got {rounding!r}")
     p_fail = 1.0 - p_succ
     # accept-branch T-count; clamped at zero where the model breaks down
     # (very low p_succ makes the decomposition unphysical)
@@ -132,11 +111,12 @@ def fallback_plan(
 
 def direct_plan(
     epsilon_synth: float,
-    strategy: Union[str, SynthesisStrategy] = "mixed_diagonal",
+    strategy: str = "mixed_diagonal",
     mode: str = "worst",
     rounding: str = "none",
 ) -> SynthesisPlan:
     """Plan for a direct (no-fallback) synthesis layer."""
+    _check_rounding(rounding)
     n_t = t_count(strategy, epsilon_synth, mode)
     if rounding == "integer":
         n_t = float(round(n_t))
@@ -161,9 +141,10 @@ class RotationCost:
     transversal_cnots: float = 0.0
 
     def __post_init__(self):
-        if min(self.t_states, self.logical_timesteps,
-               self.active_cubes, self.transversal_cnots) < 0:
-            raise InvalidParameterError("cost entries must be nonnegative")
+        if not (self.t_states >= 0 and self.logical_timesteps >= 0
+                and self.active_cubes >= 0 and self.transversal_cnots >= 0):
+            name, value = next((k, v) for k, v in vars(self).items() if not v >= 0)
+            raise InvalidParameterError(f"{name}={value} must be nonnegative")
 
     def __add__(self, other: "RotationCost") -> "RotationCost":
         return RotationCost(
@@ -179,8 +160,8 @@ def synthesis_cost(plan: SynthesisPlan, strategy_kind: str, tau_ratio: float) ->
 
     ``tau_ratio`` is the reaction time in units of the logical cycle.
     """
-    if tau_ratio < 0:
-        raise InvalidParameterError("tau_ratio must be nonnegative")
+    if not tau_ratio >= 0:
+        raise InvalidParameterError(f"tau_ratio={tau_ratio} must be nonnegative")
     tau = tau_ratio
     if strategy_kind == "direct":
         timesteps = plan.n_t * (1.0 + tau) + 3.0
@@ -211,28 +192,20 @@ def max_t_injection_rate(tau_ratio: float) -> float:
     return 1.0 / (1.0 + tau_ratio)
 
 
-def crossover_L(
-    epsilon_policy: Callable[[int], float],
-    p_succ: float,
-    tau_ratio: float,
-    mode: str = "worst",
-    rounding: str = "integer",
-    l_max: int = 64,
-) -> Optional[int]:
+def crossover_L(epsilon_policy: Callable[[int], float], p_succ: float,
+                tau_ratio: float) -> Optional[int]:
     """Smallest lattice size where direct synthesis beats the fallback layer.
 
     Compares mixed-diagonal direct timesteps against mixed-fallback layer
-    timesteps at each L; returns None when the fallback never loses up to
-    ``l_max``.
+    timesteps at each L up to 64, worst-case T counts rounded to whole T
+    gates; returns None when the fallback never loses.
     """
-    for lattice_l in range(1, l_max + 1):
+    for lattice_l in range(1, 65):
         eps = epsilon_policy(lattice_l)
-        plan = fallback_plan(eps, p_succ, lattice_l, rounding=rounding, mode=mode)
+        plan = fallback_plan(eps, p_succ, lattice_l, rounding="integer")
         fb = synthesis_cost(plan, "fallback", tau_ratio).logical_timesteps
-        direct = synthesis_cost(
-            direct_plan(eps, "mixed_diagonal", mode=mode, rounding=rounding),
-            "direct", tau_ratio,
-        ).logical_timesteps
+        direct = synthesis_cost(direct_plan(eps, "mixed_diagonal", rounding="integer"),
+                                "direct", tau_ratio).logical_timesteps
         if direct <= fb:
             return lattice_l
     return None

@@ -40,6 +40,17 @@ SINGLE_PLANE_SYNTH_LAYERS = 6
 SINGLE_PLANE_DIAG_TIMESTEPS = 354
 
 
+def check_plane(lattice_l: int, w_msf: int):
+    """The plane rule: L an even integer >= 2, the aisle width an integer >= 1."""
+    # ``type(v) is int`` turns away floats such as 2.0 and bools alike
+    if not (type(lattice_l) is int and lattice_l >= 2 and lattice_l % 2 == 0):
+        raise InvalidParameterError(
+            f"lattice_l={lattice_l!r} must be an even integer >= 2 "
+            "(plaquette layers need L^2/4 whole plaquettes)")
+    if not (type(w_msf) is int and w_msf >= 1):
+        raise InvalidParameterError(f"w_msf={w_msf!r} must be an integer >= 1")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Simulation instance: lattice size, coupling, time, and aisle width."""
@@ -50,18 +61,11 @@ class ProblemSpec:
     w_msf: int = 2
 
     def __post_init__(self):
-        if not (isinstance(self.lattice_l, int) and self.lattice_l >= 2
-                and self.lattice_l % 2 == 0):
-            raise InvalidParameterError(
-                f"lattice_l={self.lattice_l} must be an even integer >= 2 "
-                "(plaquette layers need L^2/4 whole plaquettes)"
-            )
-        if self.u_over_t <= 0:
-            raise InvalidParameterError("u_over_t must be positive")
-        if self.sim_time_t <= 0:
-            raise InvalidParameterError("sim_time_t must be positive")
-        if self.w_msf < 1:
-            raise InvalidParameterError("w_msf must be >= 1")
+        check_plane(self.lattice_l, self.w_msf)
+        if not 0 < self.u_over_t < math.inf:
+            raise InvalidParameterError(f"u_over_t={self.u_over_t} must be positive and finite")
+        if not 0 < self.sim_time_t < math.inf:
+            raise InvalidParameterError(f"sim_time_t={self.sim_time_t} must be positive and finite")
 
 
 def kappa(u_over_t: float) -> float:
@@ -110,7 +114,7 @@ def pink_cost(lattice_l: int, rotation: RotationCost) -> CostLedger:
     )
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def golden_diag_cubes(lattice_l: int, w_msf: int) -> float:
     """Active cubes of the golden-layer diagonalization, all four passes.
 
@@ -118,12 +122,10 @@ def golden_diag_cubes(lattice_l: int, w_msf: int) -> float:
     through the two rounds it does not participate in; corridor terms cover
     the long-range boundary edge operators and the column shift through the
     factory aisle.  It depends on neither the rounds nor the rotation, so it
-    is computed once per ``(lattice_l, w_msf)``; a bad pair raises every time.
+    is computed once per ``(lattice_l, w_msf)``, typed so that ``2.0`` is not
+    served the entry of ``2``; a bad pair raises every time.
     """
-    if lattice_l % 2 != 0 or lattice_l < 2:
-        raise InvalidParameterError("lattice_l must be an even integer >= 2")
-    if w_msf < 1:
-        raise InvalidParameterError("w_msf must be >= 1")
+    check_plane(lattice_l, w_msf)
     l2 = lattice_l**2
     half = lattice_l / 2 - 1
     base_per_plaquette = PLAQ_DIAG_CUBES / 2 + (GOLDEN_GROUPS - 1) * _IDLE_CUBES_PER_ROUND

@@ -250,12 +250,16 @@ class TestCli:
 
     @pytest.mark.parametrize("command, golden", [
         ("estimate", "estimate_default.txt"), ("fit", "fit_default.txt"),
+        ("verify-plaquette", "verify_plaquette_default.txt"),
+        ("estimate --precision real", "estimate_real.txt"),
+        ("sweep --key problem.L --values 2,4,6,8,10", "sweep_L_2_to_10.txt"),
     ])
     def test_default_output_matches_golden(self, capsys, command, golden):
-        # the files hold the stdout of the command at defaults; a change that
-        # is meant to print the same leaves them as they are
-        assert main([command]) == 0
-        expected = (Path(__file__).resolve().parent / "data" / golden).read_text()
+        # the files hold the stdout of the command line; a change that is meant
+        # to print the same leaves them as they are.  They are read as bytes,
+        # since the sweep's csv rows end in \r\n
+        assert main(command.split()) == 0
+        expected = (Path(__file__).resolve().parent / "data" / golden).read_bytes().decode()
         assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("argv, golden", [

@@ -10,6 +10,7 @@ from ftcost import (
     NoProtocolError,
     ProblemSpec,
     RotationCost,
+    TimingModel,
     allocate_budget,
     corridor_capacity_check,
     derive_noise_params,
@@ -35,6 +36,28 @@ REFERENCE_SPEC = ProblemSpec(8, 8.0, 80.0, 2)
 REFERENCE_NOISE = derive_noise_params(0.01)
 REFERENCE_BUDGET = allocate_budget(0.01)
 FIT = fit_error_curve(load_error_data())
+
+
+@pytest.mark.parametrize("build, prefix", [
+    (lambda: ProblemSpec(8, math.nan, 80.0), "u_over_t=nan"),
+    (lambda: ProblemSpec(8, math.inf, 80.0), "u_over_t=inf"),
+    (lambda: ProblemSpec(8, 8.0, math.nan), "sim_time_t=nan"),
+    (lambda: ProblemSpec(8, 8.0, math.inf), "sim_time_t=inf"),
+    (lambda: TimingModel(math.nan), "syndrome_round_ns=nan"),
+    (lambda: TimingModel(math.inf), "syndrome_round_ns=inf"),
+    (lambda: TimingModel(305.0, math.nan), "reaction_us=nan"),
+    (lambda: TimingModel(305.0, math.inf), "reaction_us=inf"),
+    (lambda: allocate_budget(math.nan), "total=nan"),
+    (lambda: synthesis_cost(direct_plan(1e-10), "direct", math.nan), "tau_ratio=nan"),
+    (lambda: RotationCost(math.nan), "t_states=nan"),
+    (lambda: RotationCost(1.0, math.nan), "logical_timesteps=nan"),
+    (lambda: RotationCost(1.0, 2.0, 3.0, -1.0), "transversal_cnots=-1.0"),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_nan_and_inf_rejected_with_the_argument_named(build, prefix):
+    # each comparison is written so that NaN fails it; inf would end in an
+    # OverflowError from a ceil or round further down
+    with pytest.raises(InvalidParameterError, match=rf"^{prefix} must be "):
+        build()
 
 
 def ladder(max_width):
@@ -114,12 +137,8 @@ class TestFloorplan:
         assert counts.msf_patches == 336
 
     def test_override_echoed(self):
-        counts = floorplan(8, 2, override_total=1000, override_msf=300)
+        counts = floorplan(8, 2, (1000, 300))
         assert (counts.total_patches, counts.msf_patches) == (1000, 300)
-
-    def test_partial_override_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            floorplan(8, 2, override_total=1000)
 
     def test_small_lattice_matches_rendering(self):
         plane = render_floorplan(4, 2)
@@ -254,6 +273,20 @@ class TestSolveEstimate:
                            match=rf"^max_width={options.max_width!r} must be an integer "
                                  rf"in \[6, {MAX_WIDTH}\]$"):
             solve_estimate(REFERENCE_SPEC, REFERENCE_NOISE, REFERENCE_BUDGET, options)
+
+    @pytest.mark.parametrize("start", [0, -60, 60.0, True, "60"])
+    def test_initial_rounds_must_be_none_or_a_positive_integer(self, start):
+        # a falsy 0 must not fall back to the default start
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^initial_rounds={start!r} must be None or an integer >= 1$"):
+            solve_estimate(REFERENCE_SPEC, REFERENCE_NOISE, REFERENCE_BUDGET,
+                           SolveOptions(initial_rounds=start))
+
+    def test_initial_rounds_one_starts_at_the_first_entry(self, reference_report):
+        report = solve_estimate(REFERENCE_SPEC, REFERENCE_NOISE, REFERENCE_BUDGET,
+                                SolveOptions(initial_rounds=1))
+        assert report.key_values() | {"iterations": 0} == \
+            reference_report.key_values() | {"iterations": 0}
 
     @pytest.mark.parametrize("p", [0.0, 0.05, 0.0100001])
     def test_noise_regime_other_than_the_bundled_data_rejected(self, p):

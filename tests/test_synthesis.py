@@ -27,8 +27,7 @@ class TestTCount:
             "mixed_fallback": (0.53, 4.86, 0.57, 8.83),
         }
         for name, coeffs in expected.items():
-            s = STRATEGIES[name]
-            assert (s.mean_slope, s.mean_offset, s.worst_slope, s.worst_offset) == coeffs
+            assert STRATEGIES[name]["mean"] + STRATEGIES[name]["worst"] == coeffs
 
     def test_reference_values(self):
         assert round(t_count("mixed_fallback", EPS_REFERENCE, "worst")) == 33
@@ -52,6 +51,18 @@ class TestTCount:
             t_count("nope", 0.5)
         with pytest.raises(InvalidParameterError):
             t_count("diagonal", 0.5, mode="typical")
+
+
+@pytest.mark.parametrize("plan", [
+    lambda rounding: direct_plan(EPS_REFERENCE, rounding=rounding),
+    lambda rounding: fallback_plan(EPS_REFERENCE, 0.99, 8, rounding=rounding),
+], ids=["direct", "fallback"])
+@pytest.mark.parametrize("rounding", ["bogus", "Integer", None])
+def test_unknown_rounding_rejected(plan, rounding):
+    # a direct plan must not silently skip rounding for a misspelt value
+    with pytest.raises(InvalidParameterError,
+                       match=rf"^rounding={rounding!r} must be 'none' or 'integer'$"):
+        plan(rounding)
 
 
 class TestFallbackPlan:

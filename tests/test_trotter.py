@@ -16,6 +16,7 @@ from ftcost import (
     trotter_step_cost,
     trotter_steps,
 )
+from ftcost.pipeline import floorplan, render_floorplan
 from ftcost.trotter import golden_diag_cubes, single_plane_step_timesteps
 
 #: Converged per-rotation cost of the reference instance.
@@ -113,6 +114,20 @@ class TestSubEvolutionCosts:
                 golden_diag_cubes(7, 2)
             with pytest.raises(InvalidParameterError):
                 golden_diag_cubes(8, 0)
+
+    @pytest.mark.parametrize("check", [
+        lambda l, w: ProblemSpec(l, 8.0, 80.0, w),
+        golden_diag_cubes, floorplan, render_floorplan,
+    ], ids=["ProblemSpec", "golden_diag_cubes", "floorplan", "render_floorplan"])
+    @pytest.mark.parametrize("l, w, prefix", [
+        (8, 2.5, "w_msf=2.5"), (8, 2.0, "w_msf=2.0"), (8, 0, "w_msf=0"),
+        (8, True, "w_msf=True"), (7, 2, "lattice_l=7"), (0, 2, "lattice_l=0"),
+        (8.0, 2, "lattice_l=8.0"),
+    ])
+    def test_one_plane_rule(self, check, l, w, prefix):
+        golden_diag_cubes(8, 2)  # a cached (8, 2) must not serve (8, 2.0)
+        with pytest.raises(InvalidParameterError, match=rf"^{prefix} must be "):
+            check(l, w)
 
     def test_golden_timesteps(self):
         zero = RotationCost(0, 0, 0)
