@@ -59,7 +59,6 @@ from .synthesis import (
 )
 from .timing import TimingModel, logical_cycle_time
 from .trotter import (
-    CostLedger,
     ProblemSpec,
     golden_cost,
     interaction_cost,

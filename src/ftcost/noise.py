@@ -97,14 +97,14 @@ class PauliChannel:
     """A probability-weighted mixture of Pauli super-operators.
 
     ``terms`` maps Pauli labels (one letter per qubit, e.g. ``"ZZ"``) to
-    weights.  ``classical_flip_weight``, when set, is the probability of
-    flipping an attached classical measurement record; the quantum terms
-    always sum to 1 on their own.
+    weights.  ``classical_flip_weight`` is the probability of flipping an
+    attached classical measurement record, 0 when there is none; the quantum
+    terms always sum to 1 on their own.
     """
 
     arity: int
     terms: tuple[tuple[str, float], ...]
-    classical_flip_weight: Optional[float] = None
+    classical_flip_weight: float = 0.0
 
     def __post_init__(self):
         for label, w in self.terms:
@@ -114,7 +114,7 @@ class PauliChannel:
                 raise InvalidParameterError(f"negative weight {w} on {label!r}")
         if not abs(self.total_weight() - 1.0) <= PROB_ATOL:
             raise InvalidParameterError("channel weights must sum to 1")
-        if self.classical_flip_weight is not None and not 0.0 <= self.classical_flip_weight <= 1.0:
+        if not 0.0 <= self.classical_flip_weight <= 1.0:
             raise InvalidParameterError("classical flip weight must lie in [0, 1]")
 
     def total_weight(self) -> float:
@@ -137,21 +137,16 @@ class PauliChannel:
             for lb, wb in other.terms:
                 label = "".join(_LETTER_PRODUCTS[a, b] for a, b in zip(la, lb))
                 out[label] = out.get(label, 0.0) + wa * wb
-        flip = None
-        if self.classical_flip_weight is not None or other.classical_flip_weight is not None:
-            fa = self.classical_flip_weight or 0.0
-            fb = other.classical_flip_weight or 0.0
-            # record flips compose like independent bit flips
-            flip = fa * (1 - fb) + fb * (1 - fa)
+        fa, fb = self.classical_flip_weight, other.classical_flip_weight
+        # record flips compose like independent bit flips
+        flip = fa * (1 - fb) + fb * (1 - fa)
         return PauliChannel(self.arity, tuple(sorted(out.items())), flip)
 
     def is_close(self, other: "PauliChannel") -> bool:
         labels = {l for l, _ in self.terms} | {l for l, _ in other.terms}
         if any(abs(self.weight(l) - other.weight(l)) > PROB_ATOL for l in labels):
             return False
-        fa = self.classical_flip_weight or 0.0
-        fb = other.classical_flip_weight or 0.0
-        return abs(fa - fb) <= PROB_ATOL
+        return abs(self.classical_flip_weight - other.classical_flip_weight) <= PROB_ATOL
 
 
 @dataclass(frozen=True)
@@ -221,11 +216,10 @@ def loss_channel(k) -> PauliChannel:
     """k-fold composition of the single-photon-loss channel on an emitter pair.
 
     Weights (1/4 + 2^-(k+1)) on II, 1/4 on each single Z, (1/4 - 2^-(k+1)) on
-    ZZ; ``k=math.inf`` gives the uniform two-qubit dephasing mixture.
+    ZZ; ``k=math.inf`` gives the uniform two-qubit dephasing mixture, as
+    2^-inf is 0.
     """
-    if k == math.inf:
-        return PauliChannel(2, (("II", 0.25), ("ZI", 0.25), ("IZ", 0.25), ("ZZ", 0.25)))
-    if isinstance(k, bool) or not (isinstance(k, int) and k >= 1):
+    if isinstance(k, bool) or (k != math.inf and not (isinstance(k, int) and k >= 1)):
         raise InvalidParameterError(f"k={k} must be a positive integer or math.inf")
     half_pow = 0.5 ** (k + 1)
     return PauliChannel(2, (
@@ -325,10 +319,9 @@ def heralded_cz_distribution(params: PhysicalNoiseParams, caps: AttemptCaps) -> 
 
     p0 = ps * (1.0 - pr**n) / (1.0 - pr)
     pa = (pr + p1) ** n
-    if p2 == 0.0:
-        pf = 0.0  # the quotient is 0/0-prone at epsilon = 0; the limit is 0
-    else:
-        pf = p2 * (1.0 - (pr + p1) ** n) / (1.0 - pr - p1)
+    # 1 - pr - p1 = ps + p2 >= 1/3 for every epsilon in [0, 1), so the
+    # quotient is defined everywhere and gives 0 at p2 = 0
+    pf = p2 * (1.0 - (pr + p1) ** n) / (1.0 - pr - p1)
 
     dist_cz = distinguishability_cz_channel(d)
     full_dephase = loss_channel(math.inf)

@@ -71,8 +71,8 @@ class ErrorBudget:
 def allocate_budget(total: float) -> ErrorBudget:
     """Split the budget: half algorithmic (2 eps_alg + eps_rot, with
     eps_rot = 0.01 eps_alg), half hardware (eps_log = eps_msf = total/4)."""
-    if not total >= 0:
-        raise InvalidParameterError(f"total={total} must be nonnegative")
+    if not 0 <= total < math.inf:
+        raise InvalidParameterError(f"total={total} must be nonnegative and finite")
     eps_alg = (total / 2.0) / 2.01
     return ErrorBudget(
         total_diamond=total,

@@ -45,12 +45,16 @@ def _string(phase: complex = 1, **letters: str) -> PauliString:
 
 
 def plaquette_operator_map() -> OperatorMap:
-    """Vertex and edge operators of the bulk plaquette.
+    """Vertex and edge operators of the bulk plaquette, as a new dict.
 
     Boundary edges are oriented as subscripted; the diagonals E31 and E24
     hold the derived operators (orientations 1->3 and 4->2, see module
     docstring).
     """
+    return dict(_MAP)
+
+
+def _bulk_map() -> OperatorMap:
     e21 = _string(-1, q2="X", q1="Y", q5="Y")
     e23 = _string(+1, q2="X", q3="Y", q5="X")
     e43 = _string(-1, q4="X", q3="Y", q5="Y")
@@ -75,11 +79,14 @@ _BOUNDARY_EDGES = ((2, 1), (2, 3), (4, 3), (4, 1))
 
 
 def _directed_edges(mapping: OperatorMap) -> dict[tuple[int, int], PauliString]:
+    """Every edge of ``mapping`` in both orientations, the diagonals included."""
     edges = {
         (2, 1): mapping["E21"],
         (3, 2): mapping["E32"],
         (4, 3): mapping["E43"],
         (1, 4): mapping["E14"],
+        (1, 3): mapping["E31"],
+        (4, 2): mapping["E24"],
     }
     for (j, k), e in list(edges.items()):
         edges[(k, j)] = -e
@@ -94,7 +101,7 @@ def check_majorana_relations(mapping: OperatorMap | None = None) -> dict[str, bo
     edge-concatenation identities for the two diagonals, and the closed-loop
     product around the plaquette.
     """
-    mapping = mapping or plaquette_operator_map()
+    mapping = mapping or _MAP
     report: dict[str, bool] = {}
     identity = PauliString("I" * N_QUBITS)
 
@@ -124,7 +131,7 @@ def check_majorana_relations(mapping: OperatorMap | None = None) -> dict[str, bo
     return report
 
 
-def build_plaquette_hamiltonian(t_coupling: float, mapping: OperatorMap | None = None) -> PauliSum:
+def build_plaquette_hamiltonian(t_coupling: float) -> PauliSum:
     """Qubit image of the single-plaquette hopping Hamiltonian.
 
     Each boundary edge contributes -t/(2i) (E_jk V_k + V_j E_jk); ``t_coupling``
@@ -132,34 +139,23 @@ def build_plaquette_hamiltonian(t_coupling: float, mapping: OperatorMap | None =
     """
     if not math.isfinite(t_coupling):
         raise InvalidParameterError(f"t_coupling={t_coupling!r} must be finite")
-    mapping = mapping or plaquette_operator_map()
-    edges = _directed_edges(mapping)
     terms = []
     for (j, k) in _BOUNDARY_EDGES:
-        e = edges[(j, k)]
-        vj = mapping[f"V{j}"]
-        vk = mapping[f"V{k}"]
+        e, vj, vk = _EDGES[(j, k)], _MAP[f"V{j}"], _MAP[f"V{k}"]
         for s in (e * vk, vj * e):
             # each product is anti-Hermitian (phase +/-i); -t/(2i) * (+/-i P)
             terms.append((-t_coupling / 2j * s.phase, PauliString(s.letters)))
     return PauliSum.from_terms(terms)
 
 
-def fourier_transform(j: int, k: int, mapping: OperatorMap | None = None) -> np.ndarray:
+def fourier_transform(j: int, k: int) -> np.ndarray:
     """Dense two-mode fermionic Fourier transform between plaquette modes.
 
     Built as exp(i pi/4 V_j) exp(pi/8 V_j E_kj) exp(pi/8 E_kj V_k); the edge
     enters with orientation k->j, the convention under which this reproduces
     the explicit rotation sequences of the diagonalizing circuit.
     """
-    mapping = mapping or plaquette_operator_map()
-    edges = _directed_edges(mapping)
-    edges[(1, 3)] = mapping["E31"]
-    edges[(3, 1)] = -mapping["E31"]
-    edges[(4, 2)] = mapping["E24"]
-    edges[(2, 4)] = -mapping["E24"]
-    vj, vk = mapping[f"V{j}"], mapping[f"V{k}"]
-    ekj = edges[(k, j)]
+    vj, vk, ekj = _MAP[f"V{j}"], _MAP[f"V{k}"], _EDGES[(k, j)]
     out = exp_pauli_rotation(-math.pi / 4, vj)
     for product in (vj * ekj, ekj * vk):
         # V.E products are anti-Hermitian with phase +/-i: pi/8 * (s*i) * P
@@ -200,6 +196,9 @@ _Z2, _Z3 = _z_diagonal(2), _z_diagonal(3)
 #: The hopping axes C maps Z2 and Z3 onto.
 _X2X3XAUX = _string(q2="X", q3="X", q5="X").dense()
 _Y2Y3XAUX = _string(q2="Y", q3="Y", q5="X").dense()
+#: The operator map and its directed edges: ten fixed strings, built at import.
+_MAP = _bulk_map()
+_EDGES = _directed_edges(_MAP)
 
 
 def build_diagonalization_circuit(theta: float = 0.0,
@@ -208,10 +207,10 @@ def build_diagonalization_circuit(theta: float = 0.0,
     return (circuit or _circuit()).evolution(theta)
 
 
-def _circuit(mapping: OperatorMap | None = None, cd: np.ndarray | None = None) -> DiagonalizationCircuit:
+def _circuit(cd: np.ndarray | None = None) -> DiagonalizationCircuit:
     cd = diagonalizing_clifford_dagger() if cd is None else cd
-    f31 = fourier_transform(3, 1, mapping)
-    f24 = fourier_transform(2, 4, mapping)
+    f31 = fourier_transform(3, 1)
+    f24 = fourier_transform(2, 4)
     inverse = cd @ f24.conj().T @ f31.conj().T
     forward = f31 @ f24 @ cd.conj().T
     return DiagonalizationCircuit(forward, inverse)
@@ -242,23 +241,23 @@ def _angle_list(theta) -> tuple[list[float], bool]:
     return [float(a) for a in theta], False
 
 
-def verify_plaquette_evolution(t_coupling: float, theta, mapping: OperatorMap | None = None,
+def verify_plaquette_evolution(t_coupling: float, theta,
                                circuit: DiagonalizationCircuit | None = None):
     """Deviation between exp(-i theta/t H_plaquette) and the circuit.
 
     ``t_coupling`` is finite and nonzero; ``theta`` is the inner rotation
     angle t*T_sim/(2r), one angle giving one float or a sequence giving their
-    deviations in order.  Global phases are quotiented out.  H (from
-    ``mapping``) and its spectrum are built once per call, the halves are
-    ``circuit``, built here if not given; each angle then costs its
-    eigenphases, the diagonal inner rotation and two 32x32 products.
+    deviations in order.  Global phases are quotiented out.  H and its
+    spectrum are built once per call, the halves are ``circuit``, built here
+    if not given; each angle then costs its eigenphases, the diagonal inner
+    rotation and two 32x32 products.
     """
     if not (math.isfinite(t_coupling) and t_coupling != 0):
         raise InvalidParameterError(f"t_coupling={t_coupling!r} must be finite and nonzero")
     angles, single = _angle_list(theta)
-    w, v = np.linalg.eigh(build_plaquette_hamiltonian(t_coupling, mapping).dense())
+    w, v = np.linalg.eigh(build_plaquette_hamiltonian(t_coupling).dense())
     v_dagger = v.conj().T
-    circuit = circuit or _circuit(mapping)
+    circuit = circuit or _circuit()
     devs = [
         phase_quotient_distance((v * np.exp(-1j * (a / t_coupling) * w)) @ v_dagger,
                                 circuit.evolution(a))
@@ -267,18 +266,18 @@ def verify_plaquette_evolution(t_coupling: float, theta, mapping: OperatorMap | 
     return devs[0] if single else devs
 
 
-def verify_fourier_identity(theta, f23: np.ndarray | None = None):
+def verify_fourier_identity(theta):
     """Deviation of F23-conjugated number rotations from the hopping rotation.
 
     Checks F23 e^{i theta n2} e^{-i theta n3} F23† against
     e^{i theta (X2X3Xaux + Y2Y3Xaux)/2}.  ``theta`` is one angle, giving one
-    float, or a sequence of angles, giving their deviations in order.  F23 is
-    ``f23``, built here if not given, and the hopping axis is built once per
-    call; the number rotations are diagonal and applied as a vector, and the
-    right-hand side is a generic matrix exponential of the axis at each angle.
+    float, or a sequence of angles, giving their deviations in order.  F23
+    and the hopping axis are built once per call; the number rotations are
+    diagonal and applied as a vector, and the right-hand side is a generic
+    matrix exponential of the axis at each angle.
     """
     angles, single = _angle_list(theta)
-    f23 = fourier_transform(2, 3) if f23 is None else f23
+    f23 = fourier_transform(2, 3)
     f23_dagger = f23.conj().T
     n2_minus_n3 = (_Z3 - _Z2) / 2
     axis = (_X2X3XAUX + _Y2Y3XAUX) / 2
@@ -295,10 +294,10 @@ def run_verification(n_angles: int = 20, seed: int = 0, tolerance: float = 1e-10
 
     ``n_angles`` must be an integer >= 1, ``seed`` a non-negative integer
     and ``tolerance`` finite and > 0.
-    The operator map, C†, F31, F24, F23 and the circuit halves are built once
-    per run and shared by the checks, which loop over the angles one at a
-    time, so memory does not grow with ``n_angles``.  Returns a report dict;
-    ``report["passed"]`` aggregates everything.
+    The operator map is a module constant; C†, F31, F24, F23 and the circuit
+    halves are built once per run and shared by the checks, which loop over
+    the angles one at a time, so memory does not grow with ``n_angles``.
+    Returns a report dict; ``report["passed"]`` aggregates everything.
     """
     if isinstance(n_angles, bool) or not isinstance(n_angles, numbers.Integral) or n_angles < 1:
         raise InvalidParameterError(f"n_angles={n_angles!r} must be an integer >= 1")
@@ -306,17 +305,15 @@ def run_verification(n_angles: int = 20, seed: int = 0, tolerance: float = 1e-10
         raise InvalidParameterError(f"seed={seed!r} must be a non-negative integer")
     if not (isinstance(tolerance, numbers.Real) and math.isfinite(tolerance) and tolerance > 0):
         raise InvalidParameterError(f"tolerance={tolerance!r} must be finite and > 0")
-    mapping = plaquette_operator_map()
     cd = diagonalizing_clifford_dagger()
-    circuit = _circuit(mapping, cd)
-    relations = check_majorana_relations(mapping)
+    circuit = _circuit(cd)
+    relations = check_majorana_relations()
     clifford = check_clifford_relations(cd, circuit)
     rng = np.random.default_rng(seed)
     angles = [float(a) for a in rng.uniform(0.0, math.pi, n_angles)]
     fourier_angles = angles[: max(3, n_angles // 4)]
-    evolution = dict(zip(angles, verify_plaquette_evolution(1.0, angles, mapping, circuit)))
-    fourier = dict(zip(fourier_angles,
-                       verify_fourier_identity(fourier_angles, fourier_transform(2, 3, mapping))))
+    evolution = dict(zip(angles, verify_plaquette_evolution(1.0, angles, circuit)))
+    fourier = dict(zip(fourier_angles, verify_fourier_identity(fourier_angles)))
     passed = (
         all(relations.values())
         and all(v <= 1e-12 for v in clifford.values())

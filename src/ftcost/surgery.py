@@ -88,7 +88,7 @@ class FitParams:
     b: float
 
 
-def fit_error_curve(points: Sequence[ErrorDataPoint], weighted: bool = True) -> FitParams:
+def fit_error_curve(points: Sequence[ErrorDataPoint]) -> FitParams:
     """Least-squares fit of ln(e/n) against sqrt(n).
 
     Weights are inverse variances of the log, i.e. (e/sigma)^2, matching a
@@ -99,17 +99,17 @@ def fit_error_curve(points: Sequence[ErrorDataPoint], weighted: bool = True) -> 
     The fit is memoized on the values of the points, never on where they were
     read from, so equal data are fitted once and changed data are refitted.
     """
-    return _fit(tuple(points), weighted)
+    return _fit(tuple(points))
 
 
 @functools.lru_cache(maxsize=8)
-def _fit(points: tuple[ErrorDataPoint, ...], weighted: bool) -> FitParams:
+def _fit(points: tuple[ErrorDataPoint, ...]) -> FitParams:
     sizes = [p.geometry.qubits for p in points]
     if len(set(sizes)) < 2:
         raise FitError("need data points at two or more sizes to fit two parameters")
     xs = [math.sqrt(n) for n in sizes]
     ys = [math.log(p.e_hv / n) for p, n in zip(points, sizes)]
-    ws = [(p.e_hv / p.sigma) ** 2 if weighted else 1.0 for p in points]
+    ws = [(p.e_hv / p.sigma) ** 2 for p in points]
     sw = sum(ws)
     x_mean = sum(w * x for w, x in zip(ws, xs)) / sw
     y_mean = sum(w * y for w, y in zip(ws, ys)) / sw
@@ -226,15 +226,12 @@ def read_text(path: str) -> str:
             f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
-def _read_rows(path: Optional[str], bundled: str) -> list[dict]:
-    text = read_text(path) if path else _bundled(bundled).read_text(encoding="utf-8")
-    return list(csv.DictReader(text.splitlines()))
-
-
 def _parse_rows(path: Optional[str], bundled: str, make) -> list:
-    """``make(row)`` for every CSV row; a bad row is an error naming it."""
+    """``make(row)`` for every CSV row of ``path``, or of the bundled file when
+    ``path`` is unset; a bad row is an error naming it."""
+    text = read_text(path) if path else _bundled(bundled).read_text(encoding="utf-8")
     items = []
-    for i, row in enumerate(_read_rows(path, bundled), start=1):
+    for i, row in enumerate(csv.DictReader(text.splitlines()), start=1):
         try:
             items.append(make(row))
         except (KeyError, TypeError, ValueError) as exc:
@@ -260,13 +257,8 @@ BUNDLED_NOISE_P = 0.01
 
 
 @functools.cache
-def _bundled_error_data() -> tuple[ErrorDataPoint, ...]:
-    return tuple(_parse_rows(None, "lattice_surgery_p001.csv", _error_point))
-
-
-@functools.cache
-def _bundled_msf_table() -> tuple[MsfProtocol, ...]:
-    return tuple(_parse_rows(None, "msf_protocols.csv", _protocol))
+def _parse_bundled(name: str, make) -> tuple:
+    return tuple(_parse_rows(None, name, make))
 
 
 def load_error_data(path: Optional[str] = None) -> list[ErrorDataPoint]:
@@ -277,7 +269,7 @@ def load_error_data(path: Optional[str] = None) -> list[ErrorDataPoint]:
     """
     if path:
         return _parse_rows(path, "lattice_surgery_p001.csv", _error_point)
-    return list(_bundled_error_data())
+    return list(_parse_bundled("lattice_surgery_p001.csv", _error_point))
 
 
 def load_msf_table(path: Optional[str] = None) -> list[MsfProtocol]:
@@ -288,4 +280,4 @@ def load_msf_table(path: Optional[str] = None) -> list[MsfProtocol]:
     """
     if path:
         return _parse_rows(path, "msf_protocols.csv", _protocol)
-    return list(_bundled_msf_table())
+    return list(_parse_bundled("msf_protocols.csv", _protocol))

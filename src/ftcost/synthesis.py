@@ -79,8 +79,8 @@ def fallback_plan(
     """Build the synchronization-aware plan for a fallback synthesis layer."""
     if not 0.0 < p_succ <= 1.0:
         raise InvalidParameterError(f"p_succ={p_succ} must lie in (0, 1]")
-    if lattice_l < 1:
-        raise InvalidParameterError("lattice_l must be >= 1")
+    if type(lattice_l) is not int or lattice_l < 1:  # bools and floats fail too
+        raise InvalidParameterError(f"lattice_l={lattice_l!r} must be an integer >= 1")
     _check_rounding(rounding)
     n_t = t_count(strategy, epsilon_synth, mode)
     if strategy not in FALLBACK_BRANCH:

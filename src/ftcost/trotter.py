@@ -16,9 +16,6 @@ from dataclasses import dataclass
 from .errors import InvalidParameterError
 from .synthesis import RotationCost
 
-#: A sub-evolution's or a step's ledger is the rotation's record type.
-CostLedger = RotationCost
-
 #: Per-plaquette diagonalization cost (forward plus inverse direction).
 PLAQ_DIAG_T_STATES = 8
 PLAQ_DIAG_TIMESTEPS_ONE_WAY = 9
@@ -83,14 +80,14 @@ def trotter_steps(spec: ProblemSpec, eps_alg: float) -> int:
     return max(1, math.ceil(bound))
 
 
-def interaction_cost(lattice_l: int, rotation: RotationCost) -> CostLedger:
+def interaction_cost(lattice_l: int, rotation: RotationCost) -> RotationCost:
     """One interaction sub-evolution: inter-plane CNOT conjugation plus rotations.
 
     The transversal CNOTs consume no cubes or timesteps; the L^2 rotations
     run in parallel so their timesteps count once.
     """
     l2 = lattice_l**2
-    return CostLedger(
+    return RotationCost(
         t_states=l2 * rotation.t_states,
         logical_timesteps=rotation.logical_timesteps,
         active_cubes=l2 * rotation.active_cubes,
@@ -98,7 +95,7 @@ def interaction_cost(lattice_l: int, rotation: RotationCost) -> CostLedger:
     )
 
 
-def pink_cost(lattice_l: int, rotation: RotationCost) -> CostLedger:
+def pink_cost(lattice_l: int, rotation: RotationCost) -> RotationCost:
     """One half-step over the bulk plaquette layer (applied twice per step).
 
     L^2/2 plaquettes diagonalize in parallel; cube and T entries scale with
@@ -106,7 +103,7 @@ def pink_cost(lattice_l: int, rotation: RotationCost) -> CostLedger:
     """
     l2 = lattice_l**2
     plaquettes = l2 / 2
-    return CostLedger(
+    return RotationCost(
         t_states=plaquettes * PLAQ_DIAG_T_STATES + l2 * rotation.t_states,
         logical_timesteps=PLAQ_DIAG_TIMESTEPS + rotation.logical_timesteps,
         active_cubes=plaquettes * PLAQ_DIAG_CUBES + l2 * rotation.active_cubes,
@@ -139,10 +136,10 @@ def golden_diag_cubes(lattice_l: int, w_msf: int) -> float:
     return 4.0 * per_plane_one_way
 
 
-def golden_cost(lattice_l: int, w_msf: int, rotation: RotationCost) -> CostLedger:
+def golden_cost(lattice_l: int, w_msf: int, rotation: RotationCost) -> RotationCost:
     """One full step over the golden plaquette layer."""
     l2 = lattice_l**2
-    return CostLedger(
+    return RotationCost(
         t_states=(l2 / 2) * PLAQ_DIAG_T_STATES + l2 * rotation.t_states,
         logical_timesteps=GOLDEN_DIAG_TIMESTEPS + rotation.logical_timesteps,
         active_cubes=golden_diag_cubes(lattice_l, w_msf) + l2 * rotation.active_cubes,
@@ -150,7 +147,7 @@ def golden_cost(lattice_l: int, w_msf: int, rotation: RotationCost) -> CostLedge
     )
 
 
-def trotter_step_cost(spec: ProblemSpec, rotation: RotationCost) -> CostLedger:
+def trotter_step_cost(spec: ProblemSpec, rotation: RotationCost) -> RotationCost:
     """Ledger of one full Trotter step (interaction + pink + golden + pink).
 
     Each field is the one the four sub-evolution ledgers above sum to, added
@@ -164,7 +161,7 @@ def trotter_step_cost(spec: ProblemSpec, rotation: RotationCost) -> CostLedger:
     pink_ts = PLAQ_DIAG_TIMESTEPS + rot_ts
     pink_cubes = (l2 / 2) * PLAQ_DIAG_CUBES + rot_cubes
     golden_cubes = golden_diag_cubes(spec.lattice_l, spec.w_msf) + rot_cubes
-    return CostLedger(
+    return RotationCost(
         t_states=rot_t + diag_t + diag_t + diag_t,
         logical_timesteps=rot_ts + pink_ts + (GOLDEN_DIAG_TIMESTEPS + rot_ts) + pink_ts,
         active_cubes=rot_cubes + pink_cubes + golden_cubes + pink_cubes,

@@ -25,6 +25,8 @@ from ftcost.noise import (
     HeraldedOutcomeDistribution,
     PauliChannel,
     binomial_sigma,
+    distinguishability_cz_channel,
+    distinguishability_mzz_channel,
 )
 
 NAN = float("nan")
@@ -86,6 +88,12 @@ class TestHeraldedCz:
         assert d.probability("abort") == pytest.approx(2**-10, abs=1e-15)
         assert d.probability("failure") == 0.0
         assert all(d.probability(f"success_with_{k}_losses") == 0.0 for k in range(1, 10))
+
+    @pytest.mark.parametrize("n_rus", [1, 10, 70])
+    def test_no_double_loss_without_loss(self, n_rus):
+        # at epsilon = 0 the failure quotient is 0 / (ps + p2) = 0 / 0.5
+        d = heralded_cz_distribution(derive_noise_params(0.0), AttemptCaps(n_rus))
+        assert d.probability("failure") == 0.0
 
     def test_reference_point(self):
         d = heralded_cz_distribution(REFERENCE_PARAMS, CAPS)
@@ -205,6 +213,8 @@ class TestChannels:
     def test_loss_channel_infinite(self):
         c = loss_channel(math.inf)
         assert all(c.weight(l) == pytest.approx(0.25) for l in ("II", "ZI", "IZ", "ZZ"))
+        # 2^-inf is exactly 0, so the general weights are exactly uniform
+        assert c.terms == (("II", 0.25), ("ZI", 0.25), ("IZ", 0.25), ("ZZ", 0.25))
 
     def test_loss_channel_k2_matches_composition(self):
         assert loss_channel(2).is_close(loss_channel(1).compose(loss_channel(1)))
@@ -246,6 +256,12 @@ class TestChannels:
         assert success == pytest.approx(1 - 1 / 32)
         assert channel.classical_flip_weight == 0.5
 
+    def test_no_record_composes_to_no_flip(self):
+        c = loss_channel(1).compose(distinguishability_cz_channel(0.2))
+        assert c.classical_flip_weight == 0.0
+        flip = distinguishability_mzz_channel(0.2).compose(loss_channel(1))
+        assert flip.classical_flip_weight == 0.4
+
     def test_channel_validation(self):
         with pytest.raises(InvalidParameterError):
             PauliChannel(1, (("I", 0.5),))
@@ -286,7 +302,7 @@ class TestValidatorsRejectNanAndBool:
         with pytest.raises(InvalidParameterError):
             idle_channel(t, t2)
 
-    @pytest.mark.parametrize("k", [True, False, 0, NAN, 1.5])
+    @pytest.mark.parametrize("k", [True, False, 0, NAN, 1.5, -math.inf])
     def test_loss_channel(self, k):
         with pytest.raises(InvalidParameterError, match="^k="):
             loss_channel(k)

@@ -48,6 +48,7 @@ FIT = fit_error_curve(load_error_data())
     (lambda: TimingModel(305.0, math.nan), "reaction_us=nan"),
     (lambda: TimingModel(305.0, math.inf), "reaction_us=inf"),
     (lambda: allocate_budget(math.nan), "total=nan"),
+    (lambda: allocate_budget(math.inf), "total=inf"),
     (lambda: synthesis_cost(direct_plan(1e-10), "direct", math.nan), "tau_ratio=nan"),
     (lambda: RotationCost(math.nan), "t_states=nan"),
     (lambda: RotationCost(1.0, math.nan), "logical_timesteps=nan"),

@@ -87,22 +87,6 @@ class TestFit:
             got = extrapolate_error(reference_fit, w)
             assert expected / 3 <= got <= expected * 3, w
 
-    def test_unweighted_matches_normal_equations(self):
-        # ordinary least squares oracle from the closed-form slope/intercept
-        points = load_error_data()
-        xs = [math.sqrt(p.geometry.qubits) for p in points]
-        ys = [math.log(p.e_hv / p.geometry.qubits) for p in points]
-        n = len(points)
-        xbar, ybar = sum(xs) / n, sum(ys) / n
-        slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / \
-            sum((x - xbar) ** 2 for x in xs)
-        intercept = ybar - slope * xbar
-        fit = fit_error_curve(points, weighted=False)
-        assert fit.a == pytest.approx(slope, rel=1e-12)
-        assert fit.b == pytest.approx(-intercept, rel=1e-12)
-        # the unweighted extrapolation lands near 4.9e-15 at the top rung
-        assert extrapolate_error(fit, 30) == pytest.approx(4.86e-15, rel=2e-2)
-
     def test_degenerate(self):
         points = _synthetic_points(-1.0, 2.0, [6])
         with pytest.raises(FitError):
@@ -111,9 +95,8 @@ class TestFit:
             fit_error_curve(points * 3)  # same size three times
         geo = patch_geometry(10)
         spread = [ErrorDataPoint(geo, e, e / 10) for e in (1e-5, 3e-5, 2e-4)]
-        for weighted in (True, False):
-            with pytest.raises(FitError):
-                fit_error_curve(spread, weighted=weighted)
+        with pytest.raises(FitError):
+            fit_error_curve(spread)
 
     def test_degenerate_raises_on_every_call(self):
         # a failed fit is never memoized, so the same points fail again
@@ -122,12 +105,11 @@ class TestFit:
             with pytest.raises(FitError):
                 fit_error_curve(points)
 
-    @pytest.mark.parametrize("weighted", [True, False])
-    def test_memoized_fit_equals_a_fresh_one(self, weighted):
+    def test_memoized_fit_equals_a_fresh_one(self):
         points = load_error_data()
-        first = fit_error_curve(points, weighted=weighted)
-        assert fit_error_curve(load_error_data(), weighted=weighted) == first
-        assert surgery._fit.__wrapped__(tuple(points), weighted) == first
+        first = fit_error_curve(points)
+        assert fit_error_curve(load_error_data()) == first
+        assert surgery._fit.__wrapped__(tuple(points)) == first
 
     def test_rewritten_file_is_refitted(self, tmp_path):
         # the memo is keyed on the rows, so a same-size rewrite at the same
@@ -141,13 +123,13 @@ class TestFit:
         assert new != old
         rows = ((6, 3e-3, 1e-4), (10, 1e-5, 1e-6))
         points = tuple(ErrorDataPoint(patch_geometry(w), e, sigma) for w, e, sigma in rows)
-        assert new == surgery._fit.__wrapped__(points, True)
+        assert new == surgery._fit.__wrapped__(points)
 
-    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("weighted", [True])  # the fit is weighted only
     def test_bundled_data_matches_lstsq(self, weighted):
         points = load_error_data()
         a, b = _lstsq_fit(points, weighted)
-        fit = fit_error_curve(points, weighted=weighted)
+        fit = fit_error_curve(points)
         assert fit.a == pytest.approx(a, rel=1e-13)
         assert fit.b == pytest.approx(b, rel=1e-13)
 
@@ -157,9 +139,8 @@ class TestFit:
         rows=st.lists(
             st.tuples(st.integers(3, 100), st.floats(-0.1, 0.1), st.floats(0.01, 1.0)),
             min_size=2, max_size=20),
-        weighted=st.booleans(),
     )
-    def test_matches_lstsq(self, a, b, rows, weighted):
+    def test_matches_lstsq(self, a, b, rows):
         # scattered points off the model, at ladder widths 6..200
         assume(len({half for half, _, _ in rows}) >= 2)
         points = []
@@ -167,8 +148,8 @@ class TestFit:
             geo = patch_geometry(2 * half)
             e = geo.qubits * math.exp(a * math.sqrt(geo.qubits) - b + noise)
             points.append(ErrorDataPoint(geo, e, sigma_rel * e))
-        want_a, want_b = _lstsq_fit(points, weighted)
-        fit = fit_error_curve(points, weighted=weighted)
+        want_a, want_b = _lstsq_fit(points, weighted=True)
+        fit = fit_error_curve(points)
         assert fit.a == pytest.approx(want_a, rel=1e-10)
         # b is a difference of terms of size |a| sqrt(n), so it is compared on that scale
         scale = abs(want_a) * max(math.sqrt(p.geometry.qubits) for p in points)

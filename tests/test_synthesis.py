@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -86,6 +87,11 @@ class TestFallbackPlan:
         plan = fallback_plan(EPS_REFERENCE, 0.99, 1)
         assert plan.p_all == pytest.approx(0.99)
         assert plan.ptilde_fail == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("lattice_l", [math.nan, 2.5, True, 0])
+    def test_lattice_size_must_be_a_positive_integer(self, lattice_l):
+        with pytest.raises(InvalidParameterError, match="^lattice_l="):
+            fallback_plan(1e-10, 0.99, lattice_l)
 
     @given(
         exp=st.floats(5.0, 45.0),

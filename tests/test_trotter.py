@@ -5,7 +5,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ftcost import (
-    CostLedger,
     InvalidParameterError,
     ProblemSpec,
     RotationCost,
@@ -194,7 +193,7 @@ class TestCostLedger:
     )
     @settings(max_examples=50)
     def test_merge_associative_commutative(self, entries):
-        a, b, c = (CostLedger(*e) for e in entries)
+        a, b, c = (RotationCost(*e) for e in entries)
         left = (a + b) + c
         right = a + (b + c)
         for attr in ("t_states", "logical_timesteps", "active_cubes", "transversal_cnots"):
@@ -203,7 +202,7 @@ class TestCostLedger:
 
     def test_nonnegative(self):
         with pytest.raises(InvalidParameterError):
-            CostLedger(t_states=-1)
+            RotationCost(t_states=-1)
 
     @given(l=st.sampled_from([2, 4, 6, 8, 10]), w=st.integers(1, 4))
     @settings(max_examples=30)
