@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -361,11 +362,19 @@ def heralded_mzz_distribution(params: PhysicalNoiseParams, caps: AttemptCaps) ->
 
 # -- Monte-Carlo oracle --------------------------------------------------------
 
-#: Rows of one stream drawn and classified at a time.  PCG64 fills consecutive
-#: draws from one sequence, so drawing a stream block by block gives the same
-#: uniforms as one draw of all its rows: the block size bounds memory and
-#: cannot change a count.
+#: Rows drawn and classified at a time, summed over all worker threads: each
+#: of ``w`` workers draws ``_BLOCK_ROWS // w`` rows of a stream at a time.
+#: PCG64 fills consecutive draws from one sequence, so drawing a stream block
+#: by block gives the same uniforms as one draw of all its rows: the block size
+#: bounds memory and cannot change a count.
 _BLOCK_ROWS = 1 << 15
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def mc_rus_oracle(
@@ -384,15 +393,20 @@ def mc_rus_oracle(
     ``(chunk, caps.n_rus)`` float64 uniforms, trial j of the stream using its
     j-th row and cycle c its c-th column.  A uniform u is a success when
     u < p_success, a repeat when u < p_success + p_repeat, a single loss when
-    u < p_success + p_repeat + p_one_loss, and a double loss otherwise.  The
-    per-stream counts are summed, so a parallel execution of the same
-    partition would reproduce the serial result bit-for-bit.
+    u < p_success + p_repeat + p_one_loss, and a double loss otherwise.
 
-    Each stream is drawn and classified in blocks of ``_BLOCK_ROWS`` rows.
-    Consecutive blocks continue the stream's PCG64 sequence, so the counts
-    are those of one draw of the whole stream, whatever the block size, and
-    peak memory is bounded by ``_BLOCK_ROWS * n_rus * 8`` bytes rather than
-    growing with ``trials``.
+    The streams run on ``min(streams, available CPUs)`` threads; worker w
+    takes streams w, w + workers, ... whole and sums their integer counts,
+    and the workers' sums are added.  Integer sums do not depend on their
+    order, so the counts are those of a serial walk over the streams,
+    bit-for-bit, whatever the number of CPUs.
+
+    Each worker draws and classifies its streams in blocks of
+    ``_BLOCK_ROWS // workers`` rows, into one float64 buffer allocated per
+    call.  Consecutive blocks continue the stream's PCG64 sequence, so the
+    counts are those of one draw of the whole stream, whatever the block
+    size, and the uniforms held by all workers together never exceed
+    ``_BLOCK_ROWS * n_rus * 8`` bytes, however large ``trials`` is.
 
     ``kind`` does not enter the draw, so one walk over the uniforms
     classifies every trial for both kinds at once, and the counts of the last
@@ -426,6 +440,8 @@ def _mc_counts(
 
     One entry is enough: every caller asks for both kinds at one key in a row.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     import numpy as np
 
     # upper edges of the success, repeat and single-loss bins; the residual
@@ -436,18 +452,35 @@ def _mc_counts(
         cycle_dist.p_repeat,
         cycle_dist.p_one_loss,
     ])
-    cz = np.zeros(n_rus + 2, dtype=np.int64)
-    mzz = np.zeros(3, dtype=np.int64)
     children = np.random.SeedSequence(seed).spawn(streams)
     base, extra = divmod(trials, streams)
-    for i, child in enumerate(children):
-        chunk = base + (1 if i < extra else 0)
-        rng = np.random.Generator(np.random.PCG64(child))
-        for start in range(0, chunk, _BLOCK_ROWS):
-            rows = min(_BLOCK_ROWS, chunk - start)
-            block_cz, block_mzz = _classify(rng.random((rows, n_rus)), edges)
-            cz += block_cz
-            mzz += block_mzz
+    workers = min(streams, _available_cpus())
+    # allocated here, not in the workers, so that the threads' own malloc
+    # arenas never hold a block of uniforms
+    block_rows = min(_BLOCK_ROWS // workers, base + (extra > 0))
+    buffers = [np.empty((block_rows, n_rus)) for _ in range(workers)]
+
+    def walk(worker: int) -> tuple[np.ndarray, np.ndarray]:
+        buffer = buffers[worker]
+        cz = np.zeros(n_rus + 2, dtype=np.int64)
+        mzz = np.zeros(3, dtype=np.int64)
+        for i in range(worker, streams, workers):
+            chunk = base + (1 if i < extra else 0)
+            rng = np.random.Generator(np.random.PCG64(children[i]))
+            for start in range(0, chunk, block_rows):
+                draws = buffer[:min(block_rows, chunk - start)]
+                rng.random(out=draws)
+                block_cz, block_mzz = _classify(draws, edges)
+                cz += block_cz
+                mzz += block_mzz
+        return cz, mzz
+
+    # numpy's PCG64 fill and the array ops of _classify release the GIL, so
+    # the workers overlap
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(walk, w) for w in range(workers)]
+        sums = [future.result() for future in futures]
+    cz, mzz = (sum(parts) for parts in zip(*sums))
     return tuple(cz.tolist()), tuple(mzz.tolist())
 
 

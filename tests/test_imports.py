@@ -29,6 +29,17 @@ def test_importing_the_cli_does_not_import_numpy():
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
 
 
+def test_importing_the_cli_does_not_import_the_thread_pool():
+    # the MC oracle's pool imports concurrent.futures, and with it logging
+    proc = _python("-c", (
+        "import sys\n"
+        "import ftcost.cli\n"
+        "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_estimate_fit_and_closed_forms_leave_numpy_unloaded():
     proc = _python("-c", (
         "import sys\n"

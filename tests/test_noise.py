@@ -1,4 +1,7 @@
+import contextlib
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -324,13 +327,15 @@ class TestMcOracle:
         assert a == b
 
     def test_stream_partition_is_the_contract(self):
-        # per-stream counts are summed, so execution order cannot matter;
-        # the odd trial count exercises the uneven-chunk branch
+        # per-stream counts are summed, so which thread walks a stream cannot
+        # matter; the odd trial count exercises the uneven-chunk branch
         cyc = cycle_outcome_distribution(0.05, 0.0)
-        whole = mc_rus_oracle(cyc, CAPS, 30_001, seed=3, streams=4)
-        again = mc_rus_oracle(cyc, CAPS, 30_001, seed=3, streams=4)
-        assert whole == again
-        assert whole.total() == pytest.approx(1.0, abs=1e-12)
+        with _cpus(1):
+            serial = mc_rus_oracle(cyc, CAPS, 30_001, seed=3, streams=4)
+        with _cpus(2):
+            pooled = mc_rus_oracle(cyc, CAPS, 30_001, seed=3, streams=4)
+        assert serial == pooled
+        assert serial.total() == pytest.approx(1.0, abs=1e-12)
 
     def test_noiseless(self):
         cyc = cycle_outcome_distribution(0.0, 0.0)
@@ -379,6 +384,18 @@ class TestMcOracle:
         cyc = cycle_outcome_distribution(0.0, 0.0)
         with pytest.raises(InvalidParameterError, match="^streams="):
             mc_rus_oracle(cyc, CAPS, 10, seed=1, streams=streams)
+
+
+@contextlib.contextmanager
+def _cpus(n):
+    """Show the oracle ``n`` available CPUs, with no counts kept from another count."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(noise, "_available_cpus", lambda: n)
+        noise._mc_counts.cache_clear()
+        try:
+            yield
+        finally:
+            noise._mc_counts.cache_clear()
 
 
 def _reference_counts(cyc, n_rus, trials, seed, kind, streams):
@@ -458,12 +475,14 @@ class TestMcOracleOneDraw:
     """One draw serves both kinds, and the kept counts answer only their own key."""
 
     @given(p=st.floats(0.0, 0.6), n_rus=st.integers(1, 40), trials=st.integers(1, 3_000),
-           seed=st.integers(0, 2**32), streams=st.integers(1, 9))
+           seed=st.integers(0, 2**32), streams=st.integers(1, 9), cpus=st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
-    def test_both_kinds_at_one_key_match_the_reference(self, p, n_rus, trials, seed, streams):
-        for kind in ("cz", "mzz"):
-            args = (_cycle(p), n_rus, trials, seed, kind, streams)
-            assert _oracle_counts(*args) == _reference_counts(*args)
+    def test_both_kinds_at_one_key_match_the_reference(self, p, n_rus, trials, seed, streams,
+                                                       cpus):
+        with _cpus(cpus):
+            for kind in ("cz", "mzz"):
+                args = (_cycle(p), n_rus, trials, seed, kind, streams)
+                assert _oracle_counts(*args) == _reference_counts(*args)
 
     def test_order_and_calls_between_do_not_matter(self):
         cyc, other = _cycle(0.05), _cycle(0.2)
@@ -502,3 +521,79 @@ class TestMcOracleOneDraw:
         assert type(wide.trials) is int
         info = noise._mc_counts.cache_info()
         assert (info.hits, info.misses, info.maxsize) == (1, 1, 1)
+
+
+class TestMcOracleWorkers:
+    """The streams run on up to one thread per CPU, with the serial counts and memory bound."""
+
+    @pytest.mark.parametrize("kind", ["cz", "mzz"])
+    @pytest.mark.parametrize("streams", [1, 2, 3, 8, 9])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_worker_count_cannot_change_a_count(self, cpus, streams, kind):
+        # 1003 = 17 * 59: no stream count above 1 divides it
+        args = (_cycle(0.05), 7, 1003, 21, kind, streams)
+        with _cpus(cpus):
+            assert _oracle_counts(*args) == _reference_counts(*args)
+
+    @pytest.mark.parametrize("kind", ["cz", "mzz"])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_fewer_trials_than_streams(self, cpus, kind):
+        args = (_cycle(0.3), 10, 5, 4, kind, 8)
+        with _cpus(cpus):
+            assert _oracle_counts(*args) == _reference_counts(*args)
+
+    @pytest.mark.parametrize("kind", ["cz", "mzz"])
+    def test_stream_spans_several_worker_blocks(self, kind):
+        # each stream holds _BLOCK_ROWS + 2 or + 3 rows: three blocks of a worker's half
+        args = (_cycle(0.3), 3, 2 * noise._BLOCK_ROWS + 5, 5, kind, 2)
+        with _cpus(2):
+            assert _oracle_counts(*args) == _reference_counts(*args)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_draw_buffers_hold_at_most_one_block(self, cpus, monkeypatch):
+        caller = threading.get_ident()
+        allocated = []
+        empty = np.empty
+
+        def spy(*args, **kwargs):
+            buffer = empty(*args, **kwargs)
+            allocated.append((threading.get_ident(), buffer.dtype, buffer.size))
+            return buffer
+
+        monkeypatch.setattr(np, "empty", spy)
+        n_rus = 7
+        # three streams of more than _BLOCK_ROWS rows each: every worker's
+        # buffer is as large as the bound lets it be
+        with _cpus(cpus):
+            mc_rus_oracle(_cycle(0.05), AttemptCaps(n_rus=n_rus), 3 * noise._BLOCK_ROWS + 11,
+                          4, streams=3)
+        assert len(allocated) == cpus
+        assert {(thread, dtype) for thread, dtype, _ in allocated} == {(caller, np.dtype(np.float64))}
+        assert sum(size for _, _, size in allocated) <= noise._BLOCK_ROWS * n_rus
+
+    def test_many_streams_run_on_at_most_one_thread_per_cpu(self, monkeypatch):
+        before = threading.active_count()
+        threads, alive = set(), []
+        classify = noise._classify
+
+        def spy(draws, edges):
+            threads.add(threading.get_ident())
+            alive.append(threading.active_count() - before)
+            return classify(draws, edges)
+
+        monkeypatch.setattr(noise, "_classify", spy)
+        with _cpus(2):
+            for kind in ("cz", "mzz"):
+                args = (_cycle(0.05), 6, 1_000, 9, kind, 64)
+                assert _oracle_counts(*args) == _reference_counts(*args)
+        assert 1 <= len(threads) <= 2
+        assert max(alive) <= 2
+
+    def test_cpu_count_read_without_affinity(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert noise._available_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert noise._available_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert noise._available_cpus() == 1
