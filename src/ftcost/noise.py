@@ -12,6 +12,7 @@ import functools
 import math
 import numbers
 import os
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -362,12 +363,23 @@ def heralded_mzz_distribution(params: PhysicalNoiseParams, caps: AttemptCaps) ->
 
 # -- Monte-Carlo oracle --------------------------------------------------------
 
-#: Rows drawn and classified at a time, summed over all worker threads: each
-#: of ``w`` workers draws ``_BLOCK_ROWS // w`` rows of a stream at a time.
-#: PCG64 fills consecutive draws from one sequence, so drawing a stream block
-#: by block gives the same uniforms as one draw of all its rows: the block size
-#: bounds memory and cannot change a count.
+#: Rows drawn and classified at a time, summed over all worker threads, for
+#: ``n_rus`` up to 32: each of ``w`` workers draws ``_BLOCK_ROWS // w`` rows of
+#: a stream at a time.  PCG64 fills consecutive draws from one sequence, so
+#: drawing a stream block by block gives the same uniforms as one draw of all
+#: its rows: the block size bounds memory and cannot change a count.
 _BLOCK_ROWS = 1 << 15
+
+#: Uniforms in flight at once, summed over all worker threads, whatever
+#: ``n_rus`` is: 32 cycles of ``_BLOCK_ROWS`` rows, 8 MiB of float64.  Wider
+#: trials are drawn in blocks of fewer rows.
+_BLOCK_UNIFORMS = _BLOCK_ROWS * 32
+
+#: The oracle's thread pool as ``(workers, pid, pool)``, made on first use and
+#: kept while the worker count stays the same.  The pid makes a forked child,
+#: which has none of the parent's threads, start its own.
+_pool = None
+_pool_lock = threading.Lock()
 
 
 def _available_cpus() -> int:
@@ -395,18 +407,21 @@ def mc_rus_oracle(
     u < p_success, a repeat when u < p_success + p_repeat, a single loss when
     u < p_success + p_repeat + p_one_loss, and a double loss otherwise.
 
-    The streams run on ``min(streams, available CPUs)`` threads; worker w
-    takes streams w, w + workers, ... whole and sums their integer counts,
-    and the workers' sums are added.  Integer sums do not depend on their
-    order, so the counts are those of a serial walk over the streams,
-    bit-for-bit, whatever the number of CPUs.
+    The streams run on ``min(streams, available CPUs)`` threads of one pool
+    kept between calls; worker w takes streams w, w + workers, ... whole and
+    sums their integer counts, and the workers' sums are added.  Integer sums
+    do not depend on their order, so the counts are those of a serial walk
+    over the streams, bit-for-bit, whatever the number of CPUs.
 
-    Each worker draws and classifies its streams in blocks of
-    ``_BLOCK_ROWS // workers`` rows, into one float64 buffer allocated per
-    call.  Consecutive blocks continue the stream's PCG64 sequence, so the
-    counts are those of one draw of the whole stream, whatever the block
-    size, and the uniforms held by all workers together never exceed
-    ``_BLOCK_ROWS * n_rus * 8`` bytes, however large ``trials`` is.
+    Each worker draws and classifies its streams in blocks of rows, into one
+    float64 buffer allocated per call.  The buffers of all workers together
+    hold at most ``_BLOCK_UNIFORMS`` uniforms (8 MiB), however large
+    ``trials`` or ``n_rus`` is: ``_BLOCK_ROWS // workers`` rows each up to
+    ``n_rus = 32``, fewer rows for wider trials, and fewer workers when one
+    row each would not fit.  An ``n_rus`` above ``_BLOCK_UNIFORMS``, where one
+    row alone would not fit, is rejected.  Consecutive blocks continue the
+    stream's PCG64 sequence, so the counts are those of one draw of the whole
+    stream, whatever the block size.
 
     ``kind`` does not enter the draw, so one walk over the uniforms
     classifies every trial for both kinds at once, and the counts of the last
@@ -422,6 +437,10 @@ def mc_rus_oracle(
         raise InvalidParameterError(f"streams={streams!r} must be an integer >= 1")
     if kind not in ("cz", "mzz"):
         raise InvalidParameterError(f"kind must be 'cz' or 'mzz', got {kind!r}")
+    if caps.n_rus > _BLOCK_UNIFORMS:
+        raise InvalidParameterError(
+            f"n_rus={caps.n_rus} must be <= {_BLOCK_UNIFORMS}, the uniforms the "
+            "Monte-Carlo oracle holds at once")
 
     trials = int(trials)
     cz, mzz = _mc_counts(cycle_dist, caps.n_rus, trials, int(seed), int(streams))
@@ -440,7 +459,7 @@ def _mc_counts(
 
     One entry is enough: every caller asks for both kinds at one key in a row.
     """
-    from concurrent.futures import ThreadPoolExecutor
+    global _pool
 
     import numpy as np
 
@@ -454,10 +473,12 @@ def _mc_counts(
     ])
     children = np.random.SeedSequence(seed).spawn(streams)
     base, extra = divmod(trials, streams)
-    workers = min(streams, _available_cpus())
+    # rows in flight, all workers together; at least one row each
+    rows = min(_BLOCK_ROWS, _BLOCK_UNIFORMS // n_rus)
+    workers = min(streams, _available_cpus(), rows)
     # allocated here, not in the workers, so that the threads' own malloc
     # arenas never hold a block of uniforms
-    block_rows = min(_BLOCK_ROWS // workers, base + (extra > 0))
+    block_rows = min(rows // workers, base + (extra > 0))
     buffers = [np.empty((block_rows, n_rus)) for _ in range(workers)]
 
     def walk(worker: int) -> tuple[np.ndarray, np.ndarray]:
@@ -475,11 +496,19 @@ def _mc_counts(
                 mzz += block_mzz
         return cz, mzz
 
-    # numpy's PCG64 fill and the array ops of _classify release the GIL, so
-    # the workers overlap
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(walk, w) for w in range(workers)]
-        sums = [future.result() for future in futures]
+    # numpy's PCG64 fill releases the GIL, so one worker draws while another
+    # classifies (two threads classify no faster than one); the lock keeps a
+    # caller with another worker count from shutting the pool down between
+    # this one's submits
+    with _pool_lock:
+        if _pool is None or _pool[:2] != (workers, os.getpid()):
+            from concurrent.futures import ThreadPoolExecutor
+
+            if _pool is not None:
+                _pool[2].shutdown()
+            _pool = (workers, os.getpid(), ThreadPoolExecutor(max_workers=workers))
+        futures = [_pool[2].submit(walk, w) for w in range(workers)]
+    sums = [future.result() for future in futures]
     cz, mzz = (sum(parts) for parts in zip(*sums))
     return tuple(cz.tolist()), tuple(mzz.tolist())
 
@@ -494,51 +523,61 @@ def _category_labels(kind: str, n: int) -> list[str]:
 def _classify(draws: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The cz and mzz counts of one block of trials, in ``_category_labels`` order.
 
-    Walks the cycles column by column over the trials with no success yet,
-    so a trial costs the cycles it runs, not ``n_rus``.  Only a success stops
-    the parity measurement, so a trial runs on after a double loss: cz counts
-    it as a failure when the double loss comes and bins none of it later.
+    Walks the cycles column by column over the trials still running, so a
+    trial costs the cycles it runs, not ``n``.  Each running trial carries one
+    integer state: its count of draws at or above the repeat edge (single and
+    double losses), plus ``n + 1`` for each double loss.  A trial stops at its
+    first success: only a success stops the parity measurement, so it runs on
+    after a double loss.  At a success its loss count is at most ``n - 1``,
+    so a state below ``n`` is a success after that many single losses and
+    nothing else, and a state above ``n`` a success after a double loss.
+
+    Each trial is binned once, on the cycle it stops: a stop on cycle 0 is
+    counted in bin 0, a later stop appends its state, and one ``bincount`` of
+    the appended states, clipped at ``n``, bins the rest.  Bin k < n is a cz success with k losses (k = 0 pure) and an
+    mzz pure success (k = 0) or loss success; bin n is a cz failure and an mzz
+    loss success.  A trial with no success in ``n`` cycles is an mzz abort,
+    and a cz failure when its state is above ``n``, an abort otherwise.  The
+    running set shrinks by ``np.flatnonzero`` and integer take.
     """
     import numpy as np
 
     rows, n = draws.shape
     success_edge, repeat_edge, one_loss_edge = edges
-    cz = np.zeros(n + 2, dtype=np.int64)
-    mzz = np.zeros(3, dtype=np.int64)
-    # cycle 0: every trial runs and none has lost a photon, so a success is
-    # pure for both kinds
-    draw = draws[:, 0]
-    success = draw < success_edge
-    cz[0] = mzz[0] = np.count_nonzero(success)
-    running = np.flatnonzero(~success)
-    draw = draw[running]
-    # losses so far, single or double: a trial with a double loss is never
-    # binned by cz again, so for the ones cz bins these are single losses
-    losses = (draw >= repeat_edge).astype(np.intp)
-    doubled = draw >= one_loss_edge
-    cz[n] = np.count_nonzero(doubled)
+    double = n + 1
+    flat = draws.reshape(-1)
+    # flat offset of each running trial's row
+    index = np.flatnonzero(draws[:, 0] >= success_edge)
+    # the trials that stop on cycle 0 all hold state 0, so they are counted,
+    # not stored; the states of the later stops, in stopping order
+    pure = rows - index.size
+    stopped = np.zeros(index.size, dtype=np.int64)
+    done = 0
+    index *= n
+    draw = flat.take(index)
+    state = (draw >= repeat_edge).astype(np.int64)
+    np.add(state, double, out=state, where=draw >= one_loss_edge)
     for cycle in range(1, n):
-        if running.size == 0:
+        if index.size == 0:
             break
-        draw = draws[running, cycle]
-        success = draw < success_edge
-        # mzz bins a success by whether any loss came before it
-        lossy = np.count_nonzero(losses[success])
-        mzz[0] += np.count_nonzero(success) - lossy
-        mzz[1] += lossy
-        # cz bins it by the single losses before it
-        cz[:n] += np.bincount(losses[success & ~doubled], minlength=n)
-        double = draw >= one_loss_edge
-        cz[n] += np.count_nonzero(double & ~doubled)
-        losses += draw >= repeat_edge
-        doubled |= double
-        keep = np.flatnonzero(~success)
-        running = running[keep]
-        losses = losses[keep]
-        doubled = doubled[keep]
-    # abort: no success within n_rus cycles, and for cz no double loss either
-    mzz[2] = running.size
-    cz[n + 1] = running.size - np.count_nonzero(doubled)
+        draw = flat[cycle:].take(index)
+        # a success is below the repeat edge, so it adds nothing here
+        state += draw >= repeat_edge
+        np.add(state, double, out=state, where=draw >= one_loss_edge)
+        stop = np.flatnonzero(draw < success_edge)
+        stopped[done:done + stop.size] = state.take(stop)
+        done += stop.size
+        go = np.flatnonzero(draw >= success_edge)
+        index = index.take(go)
+        state = state.take(go)
+    bins = np.bincount(np.minimum(stopped[:done], n), minlength=n + 1)
+    bins[0] += pure
+    failed = np.count_nonzero(state > n)
+    cz = np.zeros(n + 2, dtype=np.int64)
+    cz[:n] = bins[:n]
+    cz[n] = bins[n] + failed
+    cz[n + 1] = index.size - failed
+    mzz = np.array([bins[0], pure + done - bins[0], index.size], dtype=np.int64)
     return cz, mzz
 
 

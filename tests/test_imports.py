@@ -68,3 +68,13 @@ def test_monte_carlo_oracle_still_loads_numpy():
     assert proc.returncode == 0, proc.stderr
     assert "RUS-CZ" in proc.stdout and "RUS-MZZ" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "numpy loaded: True"
+
+
+def test_the_package_runs_as_a_module():
+    argv = ["verify-noise", "--trials", "1000"]
+    proc = _python("-m", "ftcost", *argv)
+    # the same stdout and exit status as the installed console script's main()
+    inline = _python("-c", f"import sys; from ftcost.cli import main; sys.exit(main({argv!r}))")
+    assert proc.stderr == inline.stderr == ""
+    assert "RUS-CZ" in proc.stdout and "RUS-MZZ" in proc.stdout
+    assert (proc.returncode, proc.stdout) == (inline.returncode, inline.stdout)

@@ -1,7 +1,11 @@
 import contextlib
 import math
 import os
+import signal
+import sys
 import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -398,6 +402,22 @@ def _cpus(n):
             noise._mc_counts.cache_clear()
 
 
+@contextlib.contextmanager
+def _allocations():
+    """Record ``(thread, dtype, size)`` of every ``np.empty`` array made meanwhile."""
+    allocated = []
+    empty = np.empty
+
+    def spy(*args, **kwargs):
+        buffer = empty(*args, **kwargs)
+        allocated.append((threading.get_ident(), buffer.dtype, buffer.size))
+        return buffer
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "empty", spy)
+        yield allocated
+
+
 def _reference_counts(cyc, n_rus, trials, seed, kind, streams):
     """Counts from the documented draw contract and a plain per-trial loop.
 
@@ -469,6 +489,58 @@ class TestMcOracleCounts:
 def _cycle(p):
     params = derive_noise_params(p)
     return cycle_outcome_distribution(params.epsilon, params.distinguishability)
+
+
+def _classify_row_by_row(draws, edges):
+    """cz and mzz category indices counted by a plain loop over each row."""
+    success, repeat, one_loss = edges
+    n = draws.shape[1]
+    cz, mzz = [0] * (n + 2), [0] * 3
+    for row in draws.tolist():
+        losses, doubled = 0, False
+        for u in row:
+            if u < success:
+                if not doubled:
+                    cz[losses] += 1
+                mzz[0 if losses == 0 else 1] += 1
+                break
+            if u >= one_loss and not doubled:
+                cz[n] += 1
+                doubled = True
+            if u >= repeat:
+                losses += 1
+        else:
+            if not doubled:
+                cz[n + 1] += 1
+            mzz[2] += 1
+    return cz, mzz
+
+
+class TestClassify:
+    """One block's walk equals a per-row loop, whatever the edges and the draws."""
+
+    @given(rows=st.integers(1, 40), n=st.integers(1, 70),
+           edges=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                          min_size=3, max_size=3).map(sorted),
+           seed=st.integers(0, 2**32), on_edge=st.floats(0.0, 0.5))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_per_row_loop(self, rows, n, edges, seed, on_edge):
+        rng = np.random.default_rng(seed)
+        draws = rng.random((rows, n))
+        # a share of the entries sits exactly on an edge, which is not below it
+        hit = rng.random((rows, n)) < on_edge
+        draws[hit] = rng.choice(edges, size=int(hit.sum()))
+        cz, mzz = noise._classify(draws, np.array(edges))
+        assert (cz.tolist(), mzz.tolist()) == _classify_row_by_row(draws, edges)
+
+    def test_many_double_losses_before_a_late_success(self):
+        # each double loss adds n + 1, so a success after many of them still
+        # bins as a cz failure and an mzz loss success
+        n = 5
+        draws = np.array([[0.9, 0.9, 0.9, 0.9, 0.1], [0.9, 0.5, 0.5, 0.5, 0.5]])
+        cz, mzz = noise._classify(draws, np.array([0.2, 0.6, 0.8]))
+        assert cz.tolist() == [0] * n + [2, 0]
+        assert mzz.tolist() == [0, 1, 1]
 
 
 class TestMcOracleOneDraw:
@@ -588,6 +660,117 @@ class TestMcOracleWorkers:
                 assert _oracle_counts(*args) == _reference_counts(*args)
         assert 1 <= len(threads) <= 2
         assert max(alive) <= 2
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_wide_trials_hold_at_most_the_fixed_uniforms(self, cpus):
+        n_rus = 2_000
+        # three streams of more rows than any worker's buffer holds
+        args = (_cycle(0.05), n_rus, 1_800, 4, "cz", 3)
+        with _cpus(cpus), _allocations() as allocated:
+            counts = _oracle_counts(*args)
+        assert counts == _reference_counts(*args)
+        assert len(allocated) == cpus
+        assert {thread for thread, _, _ in allocated} == {threading.get_ident()}
+        # whole rows, each buffer as large as the fixed total lets it be
+        assert {size % n_rus for _, _, size in allocated} == {0}
+        assert {size for _, _, size in allocated} == {
+            noise._BLOCK_UNIFORMS // (n_rus * cpus) * n_rus}
+        assert sum(size for _, _, size in allocated) <= noise._BLOCK_UNIFORMS
+
+    def test_a_row_wider_than_the_fixed_uniforms_is_rejected(self):
+        caps = AttemptCaps(n_rus=noise._BLOCK_UNIFORMS + 1)
+        with _allocations() as allocated, pytest.raises(InvalidParameterError, match="^n_rus="):
+            mc_rus_oracle(_cycle(0.05), caps, 1, 0)
+        assert allocated == []
+
+    def test_one_pool_serves_calls_at_one_worker_count(self, monkeypatch):
+        threads = []
+        classify = noise._classify
+
+        def spy(draws, edges):
+            threads.append(threading.get_ident())
+            return classify(draws, edges)
+
+        monkeypatch.setattr(noise, "_classify", spy)
+        with _cpus(1):
+            mc_rus_oracle(_cycle(0.05), CAPS, 4_000, 1, streams=2)
+            old = noise._pool[2]
+        with _cpus(2):
+            mc_rus_oracle(_cycle(0.05), CAPS, 4_000, 2, streams=2)
+            # a new worker count replaces the pool and shuts the old one down
+            with pytest.raises(RuntimeError):
+                old.submit(int)
+            pool = noise._pool[2]
+            assert noise._pool[:2] == (2, os.getpid())
+            alive = {thread.ident for thread in threading.enumerate()}
+            threads.clear()
+            mc_rus_oracle(_cycle(0.05), CAPS, 4_000, 3, streams=4)
+        assert noise._pool[2] is pool
+        # the first call's threads still run; the pool may start its second
+        # thread lazily, on a later call
+        after = {thread.ident for thread in threading.enumerate()}
+        assert alive <= after
+        assert set(threads) <= after - {threading.get_ident()}
+        assert 1 <= len(set(threads)) <= 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_pool(self):
+        # the child inherits the parent's pool but none of its threads, so
+        # work handed to that pool would never run
+        args = (_cycle(0.05), 5, 1_001, 6, "cz", 2)
+        expected = _reference_counts(*args)
+        with _cpus(2):
+            _oracle_counts(*args[:3], 5, *args[4:])
+            with warnings.catch_warnings():
+                # Python 3.12 warns that forking a threaded process may deadlock
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                try:
+                    os._exit(0 if _oracle_counts(*args) == expected else 1)
+                finally:
+                    os._exit(2)
+        for _ in range(600):
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.1)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's oracle call did not finish in 60 s")
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_concurrent_callers_at_two_worker_counts(self):
+        # one and two streams on two CPUs want pools of one and two workers, so
+        # the callers keep replacing the shared pool under each other
+        args = [(_cycle(0.05), 5, 301 + caller, caller, "cz", 1 + caller % 2)
+                for caller in range(4)]
+        results, errors = {}, []
+
+        def call(caller):
+            try:
+                for _ in range(5):
+                    results.setdefault(caller, set()).add(
+                        tuple(sorted(_oracle_counts(*args[caller]).items())))
+            except Exception as exc:  # reported below, from the test's thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _cpus(2):
+                callers = [threading.Thread(target=call, args=(c,)) for c in range(4)]
+                for thread in callers:
+                    thread.start()
+                for thread in callers:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert errors == [] and sorted(results) == [0, 1, 2, 3]
+        for caller, counts in results.items():
+            assert counts == {tuple(sorted(_reference_counts(*args[caller]).items()))}
 
     def test_cpu_count_read_without_affinity(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
