@@ -17,11 +17,8 @@ from .noise import (
     derive_noise_params,
     heralded_cz_distribution,
     heralded_mzz_distribution,
-    idle_channel,
-    init_measure_outcomes,
     loss_channel,
     mc_rus_oracle,
-    single_qubit_gate_channel,
 )
 from .pipeline import (
     ErrorBudget,

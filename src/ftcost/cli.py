@@ -34,6 +34,14 @@ def _add_config_args(p: argparse.ArgumentParser):
                    metavar="KEY=VALUE", help="override a config key (repeatable)")
 
 
+def _open_out(path: str, **kwargs):
+    """``path`` opened for writing; one that cannot be is an error naming it."""
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.6g}"
@@ -94,7 +102,7 @@ def cmd_estimate(args) -> int:
               f"physical qubits {real.physical_qubits:,}")
 
     if args.out:
-        with open(args.out, "w") as f:
+        with _open_out(args.out) as f:
             for key, value in report.key_values().items():
                 f.write(f"{key} = {_fmt(value)}\n")
         print(f"wrote {args.out}")
@@ -106,8 +114,7 @@ def cmd_sweep(args) -> int:
     at a later value keeps the rows before it."""
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
-        print("sweep: --values must list at least one value", file=sys.stderr)
-        return 2
+        raise InvalidParameterError("--values must list at least one value")
     with contextlib.ExitStack() as stack:
         sink = writer = None
         for value in values:
@@ -119,7 +126,7 @@ def cmd_sweep(args) -> int:
             )
             kv = report.key_values()
             if writer is None:
-                sink = (stack.enter_context(open(args.out, "w", newline=""))
+                sink = (stack.enter_context(_open_out(args.out, newline=""))
                         if args.out else sys.stdout)
                 writer = csv.writer(sink)
                 writer.writerow([args.key] + list(kv))

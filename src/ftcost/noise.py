@@ -18,14 +18,9 @@ from typing import Optional
 
 from .errors import InvalidParameterError
 
-#: Fixed relative weights of the four error mechanisms versus the overall
-#: noise intensity p.
-DEFAULT_BIASES = {
-    "epsilon": 0.9,
-    "distinguishability": 0.085,
-    "idle_ratio": 0.01,
-    "gate_infidelity": 0.005,
-}
+#: Fixed relative weights of the two error mechanisms, photon loss and
+#: photon distinguishability, versus the overall noise intensity p.
+DEFAULT_BIASES = {"epsilon": 0.9, "distinguishability": 0.085}
 
 #: Tolerance of the probability checks.  They are written as
 #: ``not x <= PROB_ATOL`` rather than ``x > PROB_ATOL`` so that a NaN fails them.
@@ -38,6 +33,11 @@ _LETTER_PRODUCTS = {
 }
 
 
+def _is_count(value, least: int = 1) -> bool:
+    """Any integer >= ``least``, numpy's included, but not a bool."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= least
+
+
 @dataclass(frozen=True)
 class AttemptCaps:
     """Maximum attempt count of the capped RUS protocols."""
@@ -45,28 +45,21 @@ class AttemptCaps:
     n_rus: int = 10
 
     def __post_init__(self):
-        if isinstance(self.n_rus, bool) or not (isinstance(self.n_rus, int) and self.n_rus >= 1):
+        if not _is_count(self.n_rus):
             raise InvalidParameterError(f"n_rus={self.n_rus} must be an integer >= 1")
+        object.__setattr__(self, "n_rus", int(self.n_rus))
 
 
 @dataclass(frozen=True)
 class PhysicalNoiseParams:
-    """The four derived physical error parameters.
-
-    ``gate_infidelity`` is the single-qubit depolarizing probability; the
-    source material reuses the symbol of the RUS success probability for it,
-    so it is renamed here to avoid the collision.
-    """
+    """The noise intensity p and the two error parameters derived from it."""
 
     p: float
     epsilon: float
     distinguishability: float
-    idle_ratio: float
-    gate_infidelity: float
 
     def __post_init__(self):
-        for name in ("p", "epsilon", "distinguishability", "idle_ratio", "gate_infidelity"):
-            v = getattr(self, name)
+        for name, v in vars(self).items():
             if not 0.0 <= v < 1.0:
                 raise InvalidParameterError(f"{name}={v} must lie in [0, 1)")
 
@@ -186,13 +179,11 @@ class HeraldedOutcomeDistribution:
 
 
 def derive_noise_params(p: float) -> PhysicalNoiseParams:
-    """Scale the four physical error parameters off the overall intensity p.
+    """Scale the two physical error parameters off the overall intensity p.
 
-    epsilon = 0.9 p, distinguishability = 0.085 p, idle_ratio = 0.01 p,
-    gate_infidelity = 0.005 p; every bias is below 1, so each lies in [0, 1).
+    epsilon = 0.9 p and distinguishability = 0.085 p.  ``PhysicalNoiseParams``
+    checks p first; both biases are below 1, so each lies in [0, 1) when p does.
     """
-    if not 0.0 <= p < 1.0:
-        raise InvalidParameterError(f"p={p} must lie in [0, 1)")
     return PhysicalNoiseParams(p=p, **{k: b * p for k, b in DEFAULT_BIASES.items()})
 
 
@@ -221,8 +212,10 @@ def loss_channel(k) -> PauliChannel:
     ZZ; ``k=math.inf`` gives the uniform two-qubit dephasing mixture, as
     2^-inf is 0.
     """
-    if isinstance(k, bool) or (k != math.inf and not (isinstance(k, int) and k >= 1)):
-        raise InvalidParameterError(f"k={k} must be a positive integer or math.inf")
+    if k != math.inf:
+        if not _is_count(k):
+            raise InvalidParameterError(f"k={k} must be a positive integer or math.inf")
+        k = int(k)
     half_pow = 0.5 ** (k + 1)
     return PauliChannel(2, (
         ("II", 0.25 + half_pow),
@@ -242,42 +235,6 @@ def distinguishability_mzz_channel(distinguishability: float) -> PauliChannel:
     """Classical record flip of a successful RUS-MZZ; quantum part is identity."""
     d = distinguishability
     return PauliChannel(2, (("II", 1.0),), classical_flip_weight=(1.0 - d) / 2.0)
-
-
-def idle_channel(t: float, t2: float) -> PauliChannel:
-    """Dephasing after idling for time t with decoherence time t2."""
-    if not (t >= 0 and t2 > 0):
-        raise InvalidParameterError("idle_channel needs t >= 0 and t2 > 0")
-    p_d = (1.0 - math.exp(-t / t2)) / 2.0
-    return PauliChannel(1, (("I", 1.0 - p_d), ("Z", p_d)))
-
-
-def single_qubit_gate_channel(gate_infidelity: float) -> PauliChannel:
-    """Depolarizing channel with total error probability ``gate_infidelity``."""
-    p = gate_infidelity
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameterError(f"gate_infidelity={p} must lie in [0, 1]")
-    return PauliChannel(1, (("I", 1.0 - p), ("X", p / 3.0), ("Y", p / 3.0), ("Z", p / 3.0)))
-
-
-def init_measure_outcomes(epsilon: float, attempts: int, kind: str = "init"):
-    """Success probability and failure channel of capped init / measure.
-
-    Both succeed unless every attempt loses its photon.  A failed init leaves
-    the spin fully depolarized; a failed measurement erases the record.
-    """
-    if not 0.0 <= epsilon < 1.0:
-        raise InvalidParameterError(f"epsilon={epsilon} must lie in [0, 1)")
-    if isinstance(attempts, bool) or not (isinstance(attempts, int) and attempts >= 1):
-        raise InvalidParameterError(f"attempts={attempts} must be an integer >= 1")
-    success = 1.0 - epsilon**attempts
-    if kind == "init":
-        failure = PauliChannel(1, (("I", 0.25), ("X", 0.25), ("Y", 0.25), ("Z", 0.25)))
-    elif kind == "measure":
-        failure = PauliChannel(1, (("I", 1.0),), classical_flip_weight=0.5)
-    else:
-        raise InvalidParameterError(f"kind must be 'init' or 'measure', got {kind!r}")
-    return success, failure
 
 
 # -- heralded protocol distributions ------------------------------------------
@@ -317,7 +274,6 @@ def heralded_cz_distribution(params: PhysicalNoiseParams, caps: AttemptCaps) -> 
     cyc = cycle_outcome_distribution(params.epsilon, params.distinguishability)
     n = caps.n_rus
     ps, pr, p1, p2 = cyc.p_success, cyc.p_repeat, cyc.p_one_loss, cyc.p_two_loss
-    d = params.distinguishability
 
     p0 = ps * (1.0 - pr**n) / (1.0 - pr)
     pa = (pr + p1) ** n
@@ -325,7 +281,7 @@ def heralded_cz_distribution(params: PhysicalNoiseParams, caps: AttemptCaps) -> 
     # quotient is defined everywhere and gives 0 at p2 = 0
     pf = p2 * (1.0 - (pr + p1) ** n) / (1.0 - pr - p1)
 
-    dist_cz = distinguishability_cz_channel(d)
+    dist_cz = distinguishability_cz_channel(params.distinguishability)
     full_dephase = loss_channel(math.inf)
     outcomes = [HeraldedOutcome(CZ_PURE_SUCCESS, p0, dist_cz)]
     for k in range(1, n):
@@ -345,14 +301,13 @@ def heralded_mzz_distribution(params: PhysicalNoiseParams, caps: AttemptCaps) ->
     cyc = cycle_outcome_distribution(params.epsilon, params.distinguishability)
     n = caps.n_rus
     ps, pr = cyc.p_success, cyc.p_repeat
-    d = params.distinguishability
 
     q0 = ps * (1.0 - pr**n) / (1.0 - pr)
     qa = (1.0 - ps) ** n
     qe = 1.0 - qa - q0
 
     erasure = PauliChannel(2, (("II", 0.5), ("ZI", 0.5)))  # ([I] + [Z_1]) / 2
-    dist_mzz = distinguishability_mzz_channel(d)
+    dist_mzz = distinguishability_mzz_channel(params.distinguishability)
     abort_channel = PauliChannel(2, erasure.terms, classical_flip_weight=0.5)
     return HeraldedOutcomeDistribution((
         HeraldedOutcome(MZZ_PURE_SUCCESS, q0, dist_mzz),
@@ -429,11 +384,11 @@ def mc_rus_oracle(
     and then ``mzz`` at one key draws once.  A caller that wants one kind
     still pays for classifying both.
     """
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+    if not _is_count(trials):
         raise InvalidParameterError(f"trials={trials!r} must be an integer >= 1")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+    if not _is_count(seed, least=0):
         raise InvalidParameterError(f"seed={seed!r} must be a non-negative integer")
-    if isinstance(streams, bool) or not isinstance(streams, numbers.Integral) or streams < 1:
+    if not _is_count(streams):
         raise InvalidParameterError(f"streams={streams!r} must be an integer >= 1")
     if kind not in ("cz", "mzz"):
         raise InvalidParameterError(f"kind must be 'cz' or 'mzz', got {kind!r}")
@@ -534,11 +489,12 @@ def _classify(draws: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     Each trial is binned once, on the cycle it stops: a stop on cycle 0 is
     counted in bin 0, a later stop appends its state, and one ``bincount`` of
-    the appended states, clipped at ``n``, bins the rest.  Bin k < n is a cz success with k losses (k = 0 pure) and an
-    mzz pure success (k = 0) or loss success; bin n is a cz failure and an mzz
-    loss success.  A trial with no success in ``n`` cycles is an mzz abort,
-    and a cz failure when its state is above ``n``, an abort otherwise.  The
-    running set shrinks by ``np.flatnonzero`` and integer take.
+    the appended states, clipped at ``n``, bins the rest.  Bin k < n is a cz
+    success with k losses (k = 0 pure) and an mzz pure success (k = 0) or
+    loss success; bin n is a cz failure and an mzz loss success.  A trial
+    with no success in ``n`` cycles is an mzz abort, and a cz failure when
+    its state is above ``n``, an abort otherwise.  The running set shrinks by
+    ``np.flatnonzero`` and integer take.
     """
     import numpy as np
 

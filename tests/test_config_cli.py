@@ -192,7 +192,9 @@ class TestCli:
          "budget.total=None must be finite"),
         (["fit", "--set", "data.lattice_surgery_csv={bad_row}"],
          "{bad_row} data row 2: sigma=inf must be positive"),
-    ], ids=["budget-text", "budget-none", "fit-bad-row"])
+        (["sweep", "--key", "problem.L", "--values", " , "],
+         "--values must list at least one value"),
+    ], ids=["budget-text", "budget-none", "fit-bad-row", "sweep-no-values"])
     def test_bad_value_or_data_is_one_line(self, tmp_path, capsys, argv, message):
         bad_row = tmp_path / "cubes.csv"
         bad_row.write_text("width,height,rounds,qubits,ehv,ehv_stddev\n"
@@ -236,6 +238,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.endswith("\n") and captured.err.count("\n") == 1
         assert captured.err.startswith(f"ftcost {command}: error: cannot read {path}: ")
+
+    @pytest.mark.parametrize("command", ["estimate", "sweep --key problem.L --values 8"])
+    def test_unwritable_out_is_one_line(self, tmp_path, capsys, command):
+        path = tmp_path / "absent" / "out.txt"
+        argv = [*command.split(), "--out", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"ftcost {argv[0]}: error: cannot write {path}: ")
+        # the estimate is printed before the report is written; a sweep's rows go to the file
+        assert ("physical qubits" in captured.out) == (argv[0] == "estimate")
+        assert "wrote" not in captured.out and not path.exists()
 
     @pytest.mark.parametrize("key,value", REMOVED_KEYS)
     def test_removed_key_is_unknown(self, tmp_path, capsys, key, value):
