@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import os
 import sys
 
 from . import config as cfgmod
@@ -238,10 +239,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (InvalidParameterError, NoDistanceFoundError, NoProtocolError, FitError) as exc:
-        print(f"ftcost {args.command}: error: {exc}", file=sys.stderr)
-        return 2
+        try:
+            status = args.func(args)
+        except (InvalidParameterError, NoDistanceFoundError, NoProtocolError, FitError) as exc:
+            print(f"ftcost {args.command}: error: {exc}", file=sys.stderr)
+            status = 2
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader of stdout has gone; the interpreter flushes stdout again
+        # at exit, so point it at devnull to end without a second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

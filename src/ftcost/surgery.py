@@ -45,6 +45,14 @@ class PatchGeometry:
     height: int
     rounds: int
 
+    def __post_init__(self):
+        # not ``vars(self)``: building the instance dict slows every later
+        # attribute read, and the ladder's geometries are read on every solve
+        for name, value in (("width", self.width), ("height", self.height),
+                            ("rounds", self.rounds)):
+            if not (type(value) is int and value >= 1):
+                raise InvalidParameterError(f"{name}={value!r} must be an integer >= 1")
+
     @property
     def qubits(self) -> int:
         return self.width * self.height
@@ -206,6 +214,11 @@ class MsfProtocol:
     hh_rounds: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not 0.0 < self.p_out < 1.0:
+            raise InvalidParameterError(f"p_out={self.p_out} must lie in (0, 1)")
+        for name, value in (("sc_qubits", self.sc_qubits), ("sc_cycles", self.sc_cycles)):
+            if not 0.0 < value < math.inf:
+                raise InvalidParameterError(f"{name}={value} must be positive and finite")
         hh_qubits, hh_rounds = msf_convert(self.sc_qubits, self.sc_cycles)
         object.__setattr__(self, "hh_qubits", hh_qubits)
         object.__setattr__(self, "hh_rounds", hh_rounds)

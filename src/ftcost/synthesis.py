@@ -155,6 +155,11 @@ class RotationCost:
         )
 
 
+def _direct(n_t: float, tau: float) -> tuple[float, float]:
+    """Timesteps and active cubes of a direct synthesis of ``n_t`` T gates."""
+    return n_t * (1.0 + tau) + 3.0, n_t * (_DIRECT_CUBE_SLOPE + 3.0 * tau) + 23.0
+
+
 def synthesis_cost(plan: SynthesisPlan, strategy_kind: str, tau_ratio: float) -> RotationCost:
     """Per-rotation ledger from the fault-tolerant synthesis cost table.
 
@@ -164,27 +169,21 @@ def synthesis_cost(plan: SynthesisPlan, strategy_kind: str, tau_ratio: float) ->
         raise InvalidParameterError(f"tau_ratio={tau_ratio} must be nonnegative")
     tau = tau_ratio
     if strategy_kind == "direct":
-        timesteps = plan.n_t * (1.0 + tau) + 3.0
-        cubes = plan.n_t * (_DIRECT_CUBE_SLOPE + 3.0 * tau) + 23.0
+        timesteps, cubes = _direct(plan.n_t, tau)
     elif strategy_kind == "fallback":
         miss = 1.0 - plan.p_all
-        timesteps = (plan.n_t_success * (1.0 + tau) + 7.0
-                     + miss * (plan.n_t_fallback * (1.0 + tau) + 3.0))
+        reject_timesteps, reject_cubes = _direct(plan.n_t_fallback, tau)
+        timesteps = plan.n_t_success * (1.0 + tau) + 7.0 + miss * reject_timesteps
         cubes = (plan.n_t_success * (_FALLBACK_CUBE_SLOPE + 4.0 * tau) + 48.0
-                 + miss * plan.ptilde_fail
-                 * (plan.n_t_fallback * (_DIRECT_CUBE_SLOPE + 3.0 * tau) + 23.0)
+                 + miss * plan.ptilde_fail * reject_cubes
                  + miss * plan.ptilde_succ
                  * (plan.n_t_fallback * (3.0 + 3.0 * tau) + 9.0))
     else:
         raise InvalidParameterError(
             f"strategy_kind must be 'direct' or 'fallback', got {strategy_kind!r}"
         )
-    return RotationCost(
-        t_states=plan.n_t,
-        logical_timesteps=timesteps,
-        active_cubes=cubes,
-        transversal_cnots=0.0,
-    )
+    # positional: a keyword call to the dataclass costs more on this hot path
+    return RotationCost(plan.n_t, timesteps, cubes, 0.0)
 
 
 def max_t_injection_rate(tau_ratio: float) -> float:

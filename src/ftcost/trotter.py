@@ -80,19 +80,35 @@ def trotter_steps(spec: ProblemSpec, eps_alg: float) -> int:
     return max(1, math.ceil(bound))
 
 
+# (T states, timesteps, cubes, CNOTs) of each sub-evolution, for its ledger and the step
+def _interaction(l2: int, rotation: RotationCost) -> tuple:
+    return (l2 * rotation.t_states, rotation.logical_timesteps,
+            l2 * rotation.active_cubes, 2 * l2)
+
+
+def _pink(l2: int, rotation: RotationCost) -> tuple:
+    return ((l2 / 2) * PLAQ_DIAG_T_STATES + l2 * rotation.t_states,
+            PLAQ_DIAG_TIMESTEPS + rotation.logical_timesteps,
+            (l2 / 2) * PLAQ_DIAG_CUBES + l2 * rotation.active_cubes,
+            0.0)
+
+
+def _golden(lattice_l: int, w_msf: int, rotation: RotationCost) -> tuple:
+    l2 = lattice_l**2
+    # the golden layer diagonalizes as many plaquettes as the pink one
+    return ((l2 / 2) * PLAQ_DIAG_T_STATES + l2 * rotation.t_states,
+            GOLDEN_DIAG_TIMESTEPS + rotation.logical_timesteps,
+            golden_diag_cubes(lattice_l, w_msf) + l2 * rotation.active_cubes,
+            0.0)
+
+
 def interaction_cost(lattice_l: int, rotation: RotationCost) -> RotationCost:
     """One interaction sub-evolution: inter-plane CNOT conjugation plus rotations.
 
     The transversal CNOTs consume no cubes or timesteps; the L^2 rotations
     run in parallel so their timesteps count once.
     """
-    l2 = lattice_l**2
-    return RotationCost(
-        t_states=l2 * rotation.t_states,
-        logical_timesteps=rotation.logical_timesteps,
-        active_cubes=l2 * rotation.active_cubes,
-        transversal_cnots=2 * l2,
-    )
+    return RotationCost(*_interaction(lattice_l**2, rotation))
 
 
 def pink_cost(lattice_l: int, rotation: RotationCost) -> RotationCost:
@@ -101,14 +117,7 @@ def pink_cost(lattice_l: int, rotation: RotationCost) -> RotationCost:
     L^2/2 plaquettes diagonalize in parallel; cube and T entries scale with
     the plaquette count while timesteps add once.
     """
-    l2 = lattice_l**2
-    plaquettes = l2 / 2
-    return RotationCost(
-        t_states=plaquettes * PLAQ_DIAG_T_STATES + l2 * rotation.t_states,
-        logical_timesteps=PLAQ_DIAG_TIMESTEPS + rotation.logical_timesteps,
-        active_cubes=plaquettes * PLAQ_DIAG_CUBES + l2 * rotation.active_cubes,
-        transversal_cnots=0.0,
-    )
+    return RotationCost(*_pink(lattice_l**2, rotation))
 
 
 @functools.lru_cache(maxsize=64, typed=True)
@@ -138,35 +147,24 @@ def golden_diag_cubes(lattice_l: int, w_msf: int) -> float:
 
 def golden_cost(lattice_l: int, w_msf: int, rotation: RotationCost) -> RotationCost:
     """One full step over the golden plaquette layer."""
-    l2 = lattice_l**2
-    return RotationCost(
-        t_states=(l2 / 2) * PLAQ_DIAG_T_STATES + l2 * rotation.t_states,
-        logical_timesteps=GOLDEN_DIAG_TIMESTEPS + rotation.logical_timesteps,
-        active_cubes=golden_diag_cubes(lattice_l, w_msf) + l2 * rotation.active_cubes,
-        transversal_cnots=0.0,
-    )
+    return RotationCost(*_golden(lattice_l, w_msf, rotation))
 
 
 def trotter_step_cost(spec: ProblemSpec, rotation: RotationCost) -> RotationCost:
     """Ledger of one full Trotter step (interaction + pink + golden + pink).
 
-    Each field is the one the four sub-evolution ledgers above sum to, added
-    in the same order, so it equals their sum bit for bit.
+    Each field is the sum of the four sub-evolution ledgers' fields, added in
+    that order, so the step equals the sum of ``interaction_cost``,
+    ``pink_cost``, ``golden_cost`` and ``pink_cost`` bit for bit.
     """
     l2 = spec.lattice_l**2
-    rot_t, rot_ts, rot_cubes = (l2 * rotation.t_states, rotation.logical_timesteps,
-                                l2 * rotation.active_cubes)
-    # the golden layer diagonalizes as many plaquettes as the pink one
-    diag_t = (l2 / 2) * PLAQ_DIAG_T_STATES + rot_t
-    pink_ts = PLAQ_DIAG_TIMESTEPS + rot_ts
-    pink_cubes = (l2 / 2) * PLAQ_DIAG_CUBES + rot_cubes
-    golden_cubes = golden_diag_cubes(spec.lattice_l, spec.w_msf) + rot_cubes
-    return RotationCost(
-        t_states=rot_t + diag_t + diag_t + diag_t,
-        logical_timesteps=rot_ts + pink_ts + (GOLDEN_DIAG_TIMESTEPS + rot_ts) + pink_ts,
-        active_cubes=rot_cubes + pink_cubes + golden_cubes + pink_cubes,
-        transversal_cnots=float(2 * l2),
-    )
+    i_t, i_ts, i_cubes, i_cnots = _interaction(l2, rotation)
+    p_t, p_ts, p_cubes, p_cnots = _pink(l2, rotation)
+    g_t, g_ts, g_cubes, g_cnots = _golden(spec.lattice_l, spec.w_msf, rotation)
+    # positional: a keyword call to the dataclass costs more on this hot path
+    return RotationCost(i_t + p_t + g_t + p_t, i_ts + p_ts + g_ts + p_ts,
+                        i_cubes + p_cubes + g_cubes + p_cubes,
+                        i_cnots + p_cnots + g_cnots + p_cnots)
 
 
 def single_plane_step_timesteps(t_synth: float) -> float:

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ftcost
 from ftcost.cli import main
 from ftcost.config import (
     SCHEMA,
@@ -29,6 +33,12 @@ def schema_line(key) -> str:
     default = "none" if key.default is None else key.default
     return f"{key.name} = {default}".ljust(34) + f" # {key.doc}; must be {key.rule}"
 
+
+#: Header of each data file, by the config key that names it.
+DATA_HEADERS = {
+    "data.msf_table_csv": "label,p_out,sc_qubits,sc_cycles",
+    "data.lattice_surgery_csv": "width,height,rounds,qubits,ehv,ehv_stddev",
+}
 
 REPORT_KEYS = [
     "trotter_steps", "eps_synth", "n_t_per_rotation", "n_t_fallback",
@@ -205,6 +215,44 @@ class TestCli:
         assert captured.err.endswith("\n") and captured.err.count("\n") == 1
         assert captured.err.startswith(
             f"ftcost {argv[0]}: error: {message.format(bad_row=bad_row)}")
+
+    @pytest.mark.parametrize("key,row,message", [
+        ("data.msf_table_csv", "x,4.5e-8,-4620,42.6", "sc_qubits=-4620.0 must be positive"),
+        ("data.msf_table_csv", "x,4.5e-8,nan,42.6", "sc_qubits=nan must be positive"),
+        ("data.msf_table_csv", "x,4.5e-8,4620,0", "sc_cycles=0.0 must be positive"),
+        ("data.msf_table_csv", "x,4.5e-8,4620,inf", "sc_cycles=inf must be positive"),
+        ("data.msf_table_csv", "x,1.5,4620,42.6", "p_out=1.5 must lie in (0, 1)"),
+        ("data.msf_table_csv", "x,0,4620,42.6", "p_out=0.0 must lie in (0, 1)"),
+        ("data.lattice_surgery_csv", "0,9,18,0,2e-3,1e-4", "width=0 must be an integer >= 1"),
+        ("data.lattice_surgery_csv", "-6,-9,18,54,2e-3,1e-4", "width=-6 must be an integer"),
+        ("data.lattice_surgery_csv", "6,0,18,0,2e-3,1e-4", "height=0 must be an integer"),
+        ("data.lattice_surgery_csv", "6,9,-18,54,2e-3,1e-4", "rounds=-18 must be an integer"),
+    ])
+    def test_bad_data_row_is_one_line(self, tmp_path, capsys, key, row, message):
+        path = tmp_path / "data.csv"
+        path.write_text(f"{DATA_HEADERS[key]}\n{row}\n")
+        assert main(["estimate", "--set", f"{key}={path}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"ftcost estimate: error: {path} data row 1: {message}")
+
+    @pytest.mark.parametrize("command", [
+        "sweep --key problem.L --values 2,4,6,8,10",  # the sweep flushes every row
+        "estimate",  # buffered until main flushes stdout
+    ])
+    def test_closed_stdout_exits_1_without_a_traceback(self, command):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        env = dict(os.environ, PYTHONPATH=str(Path(ftcost.__file__).resolve().parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "ftcost", *command.split()],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                  timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
     @pytest.mark.parametrize("key,value", [
         ("problem.u_over_t", "abc"), ("problem.u_over_t", "nan"),

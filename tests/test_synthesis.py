@@ -13,7 +13,7 @@ from ftcost import (
     synthesis_cost,
     t_count,
 )
-from ftcost.synthesis import STRATEGIES, max_t_injection_rate
+from ftcost.synthesis import FALLBACK_BRANCH, STRATEGIES, max_t_injection_rate
 
 EPS_REFERENCE = 2e-13
 TAU_REFERENCE = 33 / 102
@@ -133,6 +133,20 @@ class TestSynthesisCost:
         cost = synthesis_cost(plan, "fallback", TAU_REFERENCE)
         assert cost.active_cubes == pytest.approx(
             plan.n_t_success * (19 / 3 + 4 * TAU_REFERENCE) + 48)
+
+    @pytest.mark.parametrize("strategy", sorted(FALLBACK_BRANCH))
+    @pytest.mark.parametrize("tau", [0.0, TAU_REFERENCE, 1.0, 7.5])
+    def test_reject_branch_is_a_direct_synthesis(self, strategy, tau):
+        # every rotation rejected: the layer costs its fixed 7 timesteps and
+        # 48 cubes on top of a direct synthesis of the reject branch
+        plan = replace(fallback_plan(EPS_REFERENCE, 0.99, 8, strategy),
+                       n_t_success=0.0, p_all=0.0, ptilde_fail=1.0, ptilde_succ=0.0)
+        direct = direct_plan(EPS_REFERENCE, FALLBACK_BRANCH[strategy])
+        assert direct.n_t == plan.n_t_fallback
+        rejected = synthesis_cost(plan, "fallback", tau)
+        reference = synthesis_cost(direct, "direct", tau)
+        assert rejected.logical_timesteps == reference.logical_timesteps + 7
+        assert rejected.active_cubes == reference.active_cubes + 48
 
     @given(p_all_hi=st.floats(0.1, 1.0), p_all_lo=st.floats(0.0, 0.1))
     @settings(max_examples=50)
