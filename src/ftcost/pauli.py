@@ -9,19 +9,30 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
-# single-qubit products: (a, b) -> (phase, letter)
+# single-qubit products: (a, b) -> (k, letter) for the product i^k letter
 _PRODUCTS = {}
 for _a in "IXYZ":
-    _PRODUCTS[("I", _a)] = (1, _a)
-    _PRODUCTS[(_a, "I")] = (1, _a)
-    _PRODUCTS[(_a, _a)] = (1, "I")
+    _PRODUCTS[("I", _a)] = (0, _a)
+    _PRODUCTS[(_a, "I")] = (0, _a)
+    _PRODUCTS[(_a, _a)] = (0, "I")
 for _a, _b, _c in (("X", "Y", "Z"), ("Y", "Z", "X"), ("Z", "X", "Y")):
-    _PRODUCTS[(_a, _b)] = (1j, _c)
-    _PRODUCTS[(_b, _a)] = (-1j, _c)
+    _PRODUCTS[(_a, _b)] = (1, _c)
+    _PRODUCTS[(_b, _a)] = (3, _c)
+_ANTICOMMUTING = frozenset((a, b) for a in "XYZ" for b in "XYZ" if a != b)
 
-_PHASES = (1, -1, 1j, -1j)
+#: The phases i^k for k = 0..3, and k for each of them.
+_PHASES = (1, 1j, -1, -1j)
+_POWERS = {p: k for k, p in enumerate(_PHASES)}
 _LETTERS = frozenset("IXYZ")
 _XY_BITS, _YZ_BITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
+#: (-1)^{popcount(b)} for every byte b.
+_BYTE_SIGNS = np.array([1 - 2 * (b.bit_count() & 1) for b in range(256)], dtype=np.int8)
+#: (-1)^{popcount(m & i)} and m ^ i for all bytes m and i, indexed [m, i]: the
+#: signs and columns of a Pauli string of up to 8 letters, read off directly.
+_BYTES = np.arange(256)
+_PARITY_SIGNS = _BYTE_SIGNS[_BYTES[:, None] & _BYTES]
+_XOR = (_BYTES[:, None] ^ _BYTES).astype(np.uint8)
+_PARITY_SIGNS.flags.writeable = _XOR.flags.writeable = False
 #: Coefficients at or below this magnitude are dropped, or read as real.
 COEFF_ATOL = 1e-12
 
@@ -45,63 +56,42 @@ class PauliString:
 
     @property
     def weight(self) -> int:
-        return sum(c != "I" for c in self.letters)
+        return len(self.letters) - self.letters.count("I")
 
     def is_hermitian(self) -> bool:
         return self.phase in (1, -1)
 
     def __mul__(self, other: "PauliString") -> "PauliString":
-        if self.n_qubits != other.n_qubits:
+        if len(self.letters) != len(other.letters):
             raise InvalidParameterError("cannot multiply strings of different sizes")
-        phase = self.phase * other.phase
+        power = _POWERS[self.phase] + _POWERS[other.phase]
         letters = []
-        for a, b in zip(self.letters, other.letters):
-            ph, c = _PRODUCTS[(a, b)]
-            phase *= ph
+        for pair in zip(self.letters, other.letters):
+            k, c = _PRODUCTS[pair]
+            power += k
             letters.append(c)
-        return PauliString("".join(letters), _canon_phase(phase))
+        return PauliString("".join(letters), _PHASES[power % 4])
 
     def __neg__(self) -> "PauliString":
-        return PauliString(self.letters, _canon_phase(-self.phase))
+        return PauliString(self.letters, _PHASES[(_POWERS[self.phase] + 2) % 4])
 
     def dagger(self) -> "PauliString":
-        return PauliString(self.letters, _canon_phase(np.conj(self.phase)))
+        return PauliString(self.letters, _PHASES[-_POWERS[self.phase] % 4])
 
     def commutes_with(self, other: "PauliString") -> bool:
-        if self.n_qubits != other.n_qubits:
+        if len(self.letters) != len(other.letters):
             raise InvalidParameterError("cannot compare strings of different sizes")
-        anti = sum(
-            1 for a, b in zip(self.letters, other.letters)
-            if a != "I" and b != "I" and a != b
-        )
-        return anti % 2 == 0
+        return sum(map(_ANTICOMMUTING.__contains__, zip(self.letters, other.letters))) % 2 == 0
 
     def dense(self) -> np.ndarray:
-        """The 2^n x 2^n matrix, built directly as a signed permutation.
-
-        The first letter acts on the most significant bit of a basis index.
-        Row i has its one nonzero in column i ^ flip, where flip marks the X
-        and Y letters, and that entry is phase * (-i)^{#Y} * (-1)^{popcount(i & zy)},
-        where zy marks the Y and Z letters.
-        """
-        flip = int("0" + self.letters.translate(_XY_BITS), 2)
-        zy = int("0" + self.letters.translate(_YZ_BITS), 2)
-        signs = np.array([1 - 2 * ((i & zy).bit_count() & 1) for i in range(2**self.n_qubits)])
-        rows = np.arange(len(signs))
-        out = np.zeros((len(signs), len(signs)), dtype=complex)
-        out[rows, rows ^ flip] = self.phase * (-1j) ** self.letters.count("Y") * signs
+        """The 2^n x 2^n matrix, built directly as a signed permutation."""
+        out = np.zeros((2**self.n_qubits, 2**self.n_qubits), dtype=complex)
+        _add_dense(out, self.phase, self.letters)
         return out
 
     def __str__(self):
         sign = {1: "+", -1: "-", 1j: "+i", -1j: "-i"}[self.phase]
         return sign + self.letters
-
-
-def _canon_phase(p: complex) -> complex:
-    for q in _PHASES:
-        if abs(p - q) < 1e-9:
-            return q
-    raise InvalidParameterError(f"phase {p} is not a fourth root of unity")
 
 
 @dataclass(frozen=True)
@@ -139,7 +129,7 @@ class PauliSum:
         dim = 2 ** self.terms[0][1].n_qubits
         out = np.zeros((dim, dim), dtype=complex)
         for c, s in self.terms:
-            out += c * s.dense()
+            _add_dense(out, c * s.phase, s.letters)
         return out
 
     def __len__(self):
@@ -151,7 +141,34 @@ def exp_pauli_rotation(theta: float, pauli: PauliString) -> np.ndarray:
     if not pauli.is_hermitian():
         raise InvalidParameterError("rotation axis must be Hermitian (real phase)")
     dim = 2**pauli.n_qubits
-    return np.cos(theta) * np.eye(dim) - 1j * np.sin(theta) * pauli.dense()
+    out = np.zeros((dim, dim), dtype=complex)
+    out.reshape(-1)[:: dim + 1] = np.cos(theta)
+    _add_dense(out, -1j * np.sin(theta) * pauli.phase, pauli.letters)
+    return out
+
+
+def _add_dense(out: np.ndarray, scale: complex, letters: str) -> None:
+    """Add ``scale`` times the matrix of the Pauli string ``letters`` to the C-contiguous ``out``.
+
+    The matrix is a signed permutation.  The first letter acts on the most
+    significant bit of a basis index.  Row i has its one nonzero in column
+    i ^ flip, where flip marks the X and Y letters, and that entry is
+    (-i)^{#Y} * (-1)^{popcount(i & zy)}, where zy marks the Y and Z letters.
+    """
+    n = len(letters)
+    zy = int("0" + letters.translate(_YZ_BITS), 2)
+    flip = int("0" + letters.translate(_XY_BITS), 2)
+    if n <= 8:
+        signs, cols = _PARITY_SIGNS[zy, : 2**n], _XOR[flip, : 2**n]
+    else:
+        rows = np.arange(2**n)
+        masked = rows & zy
+        signs = _BYTE_SIGNS[masked & 255]
+        for shift in range(8, n, 8):
+            signs = signs * _BYTE_SIGNS[(masked >> shift) & 255]
+        cols = rows ^ flip
+    # row i's entry sits at flat index i * 2^n + col
+    out.reshape(-1)[np.arange(0, 4**n, 2**n) + cols] += scale * (-1j) ** letters.count("Y") * signs
 
 
 def expm_hermitian(h: np.ndarray) -> np.ndarray:

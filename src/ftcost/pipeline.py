@@ -318,11 +318,8 @@ def solve_estimate(
     def evaluate(rounds: int):
         rotation = synthesis_cost(plan, kind, timing.reaction_ratio(rounds))
         if headline:
-            rotation = RotationCost(
-                t_states=rotation.t_states,
-                logical_timesteps=round(rotation.logical_timesteps),
-                active_cubes=round(rotation.active_cubes),
-            )
+            rotation = RotationCost(rotation.t_states, round(rotation.logical_timesteps),
+                                    round(rotation.active_cubes))
         step = trotter_step_cost(spec, rotation)
         n_l = step.active_cubes * r
         p_l = budget.eps_log / n_l

@@ -139,13 +139,9 @@ def build_plaquette_hamiltonian(t_coupling: float) -> PauliSum:
     """
     if not math.isfinite(t_coupling):
         raise InvalidParameterError(f"t_coupling={t_coupling!r} must be finite")
-    terms = []
-    for (j, k) in _BOUNDARY_EDGES:
-        e, vj, vk = _EDGES[(j, k)], _MAP[f"V{j}"], _MAP[f"V{k}"]
-        for s in (e * vk, vj * e):
-            # each product is anti-Hermitian (phase +/-i); -t/(2i) * (+/-i P)
-            terms.append((-t_coupling / 2j * s.phase, PauliString(s.letters)))
-    return PauliSum.from_terms(terms)
+    # each product is anti-Hermitian (phase +/-i); -t/(2i) * (+/-i P)
+    return PauliSum.from_terms((-t_coupling / 2j * s.phase, PauliString(s.letters))
+                               for s in _HOPPING)
 
 
 def fourier_transform(j: int, k: int) -> np.ndarray:
@@ -155,13 +151,22 @@ def fourier_transform(j: int, k: int) -> np.ndarray:
     enters with orientation k->j, the convention under which this reproduces
     the explicit rotation sequences of the diagonalizing circuit.
     """
+    (theta, axis), *rest = _FOURIER_ROTATIONS[(j, k)]
+    out = exp_pauli_rotation(theta, axis)
+    for theta, axis in rest:
+        out = out @ exp_pauli_rotation(theta, axis)
+    return out
+
+
+def _fourier_rotations(j: int, k: int) -> tuple[tuple[float, PauliString], ...]:
+    """The (angle, axis) of the three rotations of ``fourier_transform(j, k)``, in order."""
     vj, vk, ekj = _MAP[f"V{j}"], _MAP[f"V{k}"], _EDGES[(k, j)]
-    out = exp_pauli_rotation(-math.pi / 4, vj)
+    rotations = [(-math.pi / 4, vj)]
     for product in (vj * ekj, ekj * vk):
         # V.E products are anti-Hermitian with phase +/-i: pi/8 * (s*i) * P
         sign = (product.phase / 1j).real
-        out = out @ exp_pauli_rotation(-sign * math.pi / 8, PauliString(product.letters))
-    return out
+        rotations.append((-sign * math.pi / 8, PauliString(product.letters)))
+    return tuple(rotations)
 
 
 def diagonalizing_clifford_dagger() -> np.ndarray:
@@ -177,14 +182,15 @@ class DiagonalizationCircuit:
     forward: np.ndarray  # F31 F24 C
     inverse: np.ndarray  # C† F24† F31†
 
-    def evolution(self, theta: float) -> np.ndarray:
-        """The circuit at one inner angle ``theta``.
+    def evolution(self, theta) -> np.ndarray:
+        """The circuit at one inner angle ``theta``, or a stack at an array of them.
 
         The halves are built once and reused for every angle of a run; an
         angle costs only the diagonal e^{i theta Z2} e^{i theta Z3}, applied
         as a vector, and one 32x32 product.
         """
-        return (self.forward * np.exp(1j * theta * (_Z2 + _Z3))) @ self.inverse
+        phases = np.exp(1j * np.asarray(theta)[..., None] * _Z2_PLUS_Z3)
+        return (self.forward * phases[..., None, :]) @ self.inverse
 
 
 def _z_diagonal(qubit: int) -> np.ndarray:
@@ -193,12 +199,23 @@ def _z_diagonal(qubit: int) -> np.ndarray:
 
 
 _Z2, _Z3 = _z_diagonal(2), _z_diagonal(3)
-#: The hopping axes C maps Z2 and Z3 onto.
+#: The diagonal generators of the circuit's inner rotations and of the number rotations.
+_Z2_PLUS_Z3, _N2_MINUS_N3 = _Z2 + _Z3, (_Z3 - _Z2) / 2
+#: The hopping axes C maps Z2 and Z3 onto, and the hopping generator they make.
 _X2X3XAUX = _string(q2="X", q3="X", q5="X").dense()
 _Y2Y3XAUX = _string(q2="Y", q3="Y", q5="X").dense()
+_HOPPING_AXIS = (_X2X3XAUX + _Y2Y3XAUX) / 2
 #: The operator map and its directed edges: ten fixed strings, built at import.
 _MAP = _bulk_map()
 _EDGES = _directed_edges(_MAP)
+#: E_jk V_k and V_j E_jk for each boundary edge (j, k): the hopping terms, up to -t/2i.
+_HOPPING = tuple(
+    s
+    for (j, k) in _BOUNDARY_EDGES
+    for s in (_EDGES[(j, k)] * _MAP[f"V{k}"], _MAP[f"V{j}"] * _EDGES[(j, k)])
+)
+#: The rotations of every Fourier transform the directed edges allow.
+_FOURIER_ROTATIONS = {(j, k): _fourier_rotations(j, k) for (k, j) in _EDGES}
 
 
 def build_diagonalization_circuit(theta: float = 0.0,
@@ -225,11 +242,10 @@ def check_clifford_relations(cd: np.ndarray | None = None,
     """
     cd = diagonalizing_clifford_dagger() if cd is None else cd
     c = cd.conj().T
-    z2 = _string(q2="Z").dense()
-    z3 = _string(q3="Z").dense()
+    # Z2 and Z3 are diagonal: multiplying C's columns by them is the product C Z
     return {
-        "C Z2 C† = X2X3Xaux": float(np.linalg.norm(c @ z2 @ cd - _X2X3XAUX)),
-        "C Z3 C† = Y2Y3Xaux": float(np.linalg.norm(c @ z3 @ cd - _Y2Y3XAUX)),
+        "C Z2 C† = X2X3Xaux": float(np.linalg.norm((c * _Z2) @ cd - _X2X3XAUX)),
+        "C Z3 C† = Y2Y3Xaux": float(np.linalg.norm((c * _Z3) @ cd - _Y2Y3XAUX)),
         "circuit unitarity": unitarity_defect(build_diagonalization_circuit(0.37, circuit)),
     }
 
@@ -241,6 +257,17 @@ def _angle_list(theta) -> tuple[list[float], bool]:
     return [float(a) for a in theta], False
 
 
+#: Angles checked together.  A batch's 32x32 stacks take _BATCH * 16 kB each;
+#: four ran fastest, and stacks of six or eight were ~7% slower per angle.
+_BATCH = 4
+
+
+def _batches(angles: list[float]):
+    """``angles`` as consecutive arrays of at most ``_BATCH`` angles."""
+    for start in range(0, len(angles), _BATCH):
+        yield np.array(angles[start:start + _BATCH])
+
+
 def verify_plaquette_evolution(t_coupling: float, theta,
                                circuit: DiagonalizationCircuit | None = None):
     """Deviation between exp(-i theta/t H_plaquette) and the circuit.
@@ -250,7 +277,10 @@ def verify_plaquette_evolution(t_coupling: float, theta,
     deviations in order.  Global phases are quotiented out.  H and its
     spectrum are built once per call, the halves are ``circuit``, built here
     if not given; each angle then costs its eigenphases, the diagonal inner
-    rotation and two 32x32 products.
+    rotation and two 32x32 products.  The products of ``_BATCH`` angles are
+    taken as one stack, each with the arithmetic of a lone angle, so the
+    deviations do not depend on the batching, and memory does not grow
+    with the number of angles.
     """
     if not (math.isfinite(t_coupling) and t_coupling != 0):
         raise InvalidParameterError(f"t_coupling={t_coupling!r} must be finite and nonzero")
@@ -258,11 +288,10 @@ def verify_plaquette_evolution(t_coupling: float, theta,
     w, v = np.linalg.eigh(build_plaquette_hamiltonian(t_coupling).dense())
     v_dagger = v.conj().T
     circuit = circuit or _circuit()
-    devs = [
-        phase_quotient_distance((v * np.exp(-1j * (a / t_coupling) * w)) @ v_dagger,
-                                circuit.evolution(a))
-        for a in angles
-    ]
+    devs = []
+    for batch in _batches(angles):
+        exact = (v * np.exp(-1j * (batch / t_coupling)[:, None] * w)[:, None, :]) @ v_dagger
+        devs.extend(map(phase_quotient_distance, exact, circuit.evolution(batch)))
     return devs[0] if single else devs
 
 
@@ -272,20 +301,20 @@ def verify_fourier_identity(theta):
     Checks F23 e^{i theta n2} e^{-i theta n3} F23† against
     e^{i theta (X2X3Xaux + Y2Y3Xaux)/2}.  ``theta`` is one angle, giving one
     float, or a sequence of angles, giving their deviations in order.  F23
-    and the hopping axis are built once per call; the number rotations are
-    diagonal and applied as a vector, and the right-hand side is a generic
-    matrix exponential of the axis at each angle.
+    is built once per call; the number rotations are diagonal and applied
+    as a vector, and the right-hand side is a generic matrix exponential of
+    the axis at each angle.  Like the evolution check, it takes the left
+    sides of ``_BATCH`` angles as one stack, with the arithmetic of a lone
+    angle.
     """
     angles, single = _angle_list(theta)
     f23 = fourier_transform(2, 3)
     f23_dagger = f23.conj().T
-    n2_minus_n3 = (_Z3 - _Z2) / 2
-    axis = (_X2X3XAUX + _Y2Y3XAUX) / 2
-    devs = [
-        float(np.linalg.norm((f23 * np.exp(1j * a * n2_minus_n3)) @ f23_dagger
-                             - expm_hermitian(-a * axis)))
-        for a in angles
-    ]
+    devs = []
+    for batch in _batches(angles):
+        left = (f23 * np.exp(1j * batch[:, None] * _N2_MINUS_N3)[:, None, :]) @ f23_dagger
+        devs.extend(float(np.linalg.norm(lhs - expm_hermitian(-a * _HOPPING_AXIS)))
+                    for a, lhs in zip(batch, left))
     return devs[0] if single else devs
 
 
@@ -295,8 +324,8 @@ def run_verification(n_angles: int = 20, seed: int = 0, tolerance: float = 1e-10
     ``n_angles`` must be an integer >= 1, ``seed`` a non-negative integer
     and ``tolerance`` finite and > 0.
     The operator map is a module constant; C†, F31, F24, F23 and the circuit
-    halves are built once per run and shared by the checks, which loop over
-    the angles one at a time, so memory does not grow with ``n_angles``.
+    halves are built once per run and shared by the checks, which take the
+    angles ``_BATCH`` at a time, so memory does not grow with ``n_angles``.
     Returns a report dict; ``report["passed"]`` aggregates everything.
     """
     if isinstance(n_angles, bool) or not isinstance(n_angles, numbers.Integral) or n_angles < 1:

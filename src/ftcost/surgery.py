@@ -253,16 +253,28 @@ def _parse_rows(path: Optional[str], bundled: str, make) -> list:
     return items
 
 
+def _column(row: dict, name: str, parse):
+    """``parse`` (``int`` or ``float``) of column ``name``; a value that does
+    not parse is an error naming the column."""
+    try:
+        return parse(row[name])
+    except (TypeError, ValueError):
+        kind = "an integer" if parse is int else "a number"
+        raise InvalidParameterError(f"could not convert {name}={row[name]!r} to {kind}") from None
+
+
 def _error_point(row: dict) -> ErrorDataPoint:
-    geo = PatchGeometry(int(row["width"]), int(row["height"]), int(row["rounds"]))
-    if geo.qubits != int(row["qubits"]):
-        raise InvalidParameterError(f"qubits column {row['qubits']} != width*height")
-    return ErrorDataPoint(geo, float(row["ehv"]), float(row["ehv_stddev"]))
+    width, height, rounds, qubits = (_column(row, name, int)
+                                     for name in ("width", "height", "rounds", "qubits"))
+    geo = PatchGeometry(width, height, rounds)
+    if geo.qubits != qubits:
+        raise InvalidParameterError(f"qubits column {qubits} != width*height")
+    return ErrorDataPoint(geo, _column(row, "ehv", float), _column(row, "ehv_stddev", float))
 
 
 def _protocol(row: dict) -> MsfProtocol:
-    return MsfProtocol(row["label"], float(row["p_out"]),
-                       float(row["sc_qubits"]), float(row["sc_cycles"]))
+    return MsfProtocol(row["label"], *(_column(row, name, float)
+                                       for name in ("p_out", "sc_qubits", "sc_cycles")))
 
 
 #: Overall noise intensity p at which the bundled cube error data were simulated.

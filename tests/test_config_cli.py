@@ -227,6 +227,14 @@ class TestCli:
         ("data.lattice_surgery_csv", "-6,-9,18,54,2e-3,1e-4", "width=-6 must be an integer"),
         ("data.lattice_surgery_csv", "6,0,18,0,2e-3,1e-4", "height=0 must be an integer"),
         ("data.lattice_surgery_csv", "6,9,-18,54,2e-3,1e-4", "rounds=-18 must be an integer"),
+        ("data.lattice_surgery_csv", "abc,9,18,54,2e-3,1e-4",
+         "could not convert width='abc' to an integer"),
+        ("data.lattice_surgery_csv", "6,9,18,5.4e1,2e-3,1e-4",
+         "could not convert qubits='5.4e1' to an integer"),
+        ("data.lattice_surgery_csv", "6,9,18,54,abc,1e-4", "could not convert ehv='abc' to a number"),
+        ("data.lattice_surgery_csv", "6,9,18", "could not convert qubits=None to an integer"),
+        ("data.msf_table_csv", "x,abc,4620,42.6", "could not convert p_out='abc' to a number"),
+        ("data.msf_table_csv", "x,4.5e-8,4620,", "could not convert sc_cycles='' to a number"),
     ])
     def test_bad_data_row_is_one_line(self, tmp_path, capsys, key, row, message):
         path = tmp_path / "data.csv"

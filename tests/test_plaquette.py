@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -22,6 +24,8 @@ from ftcost.plaquette import (
     build_plaquette_hamiltonian,
     check_clifford_relations,
     check_majorana_relations,
+    diagonalizing_clifford_dagger,
+    fourier_transform,
     mutated_map,
     plaquette_operator_map,
     run_verification,
@@ -76,6 +80,31 @@ class TestPauliStrings:
         for c in letters:
             expected = np.kron(expected, single[c])
         assert np.array_equal(PauliString(letters, phase).dense(), phase * expected)
+
+    def test_dense_past_one_byte_of_qubits(self):
+        letters = "XYZIZYXZY"  # nine qubits: the sign of a row reads two bytes of its index
+        expected = np.array([[1.0 + 0j]])
+        for c in letters:
+            expected = np.kron(expected, PauliString(c).dense())
+        assert np.array_equal(PauliString(letters, -1j).dense(), -1j * expected)
+
+    @given(terms=st.lists(st.tuples(st.floats(-2.0, 2.0), strings5, phases), min_size=1, max_size=8))
+    @settings(max_examples=100)
+    def test_sum_dense_adds_its_terms_in_order(self, terms):
+        s = PauliSum.from_terms((c, PauliString(letters, phase)) for c, letters, phase in terms)
+        if not len(s):
+            return
+        expected = np.zeros((32, 32), dtype=complex)
+        for c, string in s.terms:
+            expected += c * string.dense()
+        assert np.array_equal(s.dense(), expected)
+
+    @given(letters=strings1to6, theta=st.floats(-4.0, 4.0), sign=st.sampled_from([1, -1]))
+    @settings(max_examples=100)
+    def test_rotation_is_cos_minus_i_sin_p(self, letters, theta, sign):
+        p = PauliString(letters, sign)
+        expected = np.cos(theta) * np.eye(2 ** len(letters)) - 1j * np.sin(theta) * p.dense()
+        assert np.array_equal(exp_pauli_rotation(theta, p), expected)
 
     def test_dense_matches_phase(self):
         s = PauliString("XZ", -1j)
@@ -312,6 +341,82 @@ class TestEvolutionIdentity:
     def test_run_verification_rejects_bad_input(self, kwargs, name):
         with pytest.raises(InvalidParameterError, match=f"^{name}="):
             run_verification(**kwargs)
+
+
+#: The circuit halves, shared by the tests that compare checks at many angles.
+_CIRCUIT = plaquette._circuit()
+
+
+#: Diagonals of Z2 + Z3 and n2 - n3 = (Z3 - Z2)/2, and the hopping axis, built here from Pauli strings.
+_Z2_PLUS_Z3 = np.diag(PauliString("IZIII").dense() + PauliString("IIZII").dense()).real
+_N2_MINUS_N3 = np.diag(PauliString("IIZII").dense() - PauliString("IZIII").dense()).real / 2
+_AXIS = (PauliString("IXXIX").dense() + PauliString("IYYIX").dense()) / 2
+#: Up to three batches of angles, so that a list also ends in a part batch.
+angle_lists = st.lists(st.floats(0.0, math.pi), min_size=1, max_size=3 * plaquette._BATCH + 1)
+
+
+class TestBatchedChecks:
+    """A check over many angles gives, bit for bit, the direct dense comparison at each angle."""
+
+    @given(angles=angle_lists, t=st.floats(0.1, 10.0), negative=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_evolution_equals_the_direct_check(self, angles, t, negative):
+        t = -t if negative else t
+        w, v = np.linalg.eigh(build_plaquette_hamiltonian(t).dense())
+        direct = [
+            phase_quotient_distance(
+                (v * np.exp(-1j * (a / t) * w)) @ v.conj().T,
+                (_CIRCUIT.forward * np.exp(1j * a * _Z2_PLUS_Z3)) @ _CIRCUIT.inverse)
+            for a in angles
+        ]
+        assert verify_plaquette_evolution(t, angles, _CIRCUIT) == direct
+        assert verify_plaquette_evolution(t, angles[-1], _CIRCUIT) == direct[-1]
+
+    @given(angles=angle_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_fourier_equals_the_direct_check(self, angles):
+        f23 = fourier_transform(2, 3)
+        direct = [
+            float(np.linalg.norm((f23 * np.exp(1j * a * _N2_MINUS_N3)) @ f23.conj().T
+                                 - expm_hermitian(-a * _AXIS)))
+            for a in angles
+        ]
+        assert verify_fourier_identity(angles) == direct
+        assert verify_fourier_identity(angles[-1]) == direct[-1]
+
+    @given(angles=angle_lists)
+    @settings(max_examples=30, deadline=None)
+    def test_circuit_at_many_angles_is_each_circuit(self, angles):
+        stack = _CIRCUIT.evolution(np.array(angles))
+        assert stack.shape == (len(angles), 32, 32)
+        for a, u in zip(angles, stack):
+            assert np.array_equal(u, (_CIRCUIT.forward * np.exp(1j * a * _Z2_PLUS_Z3)) @ _CIRCUIT.inverse)
+
+    @given(theta=st.floats(0.01, math.pi - 0.01), t=st.sampled_from([-2.5, 0.1, 1.0, 10.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_circuit_without_f24_fails(self, theta, t):
+        # both sides repeat with period pi in theta, so at 0 and pi this circuit passes too
+        cd = diagonalizing_clifford_dagger()
+        f31 = fourier_transform(3, 1)
+        circuit = DiagonalizationCircuit(f31 @ cd.conj().T, cd @ f31.conj().T)
+        assert verify_plaquette_evolution(t, theta, circuit) > 1e-6
+
+    @pytest.mark.parametrize("check", [
+        lambda angles: verify_plaquette_evolution(1.0, angles, _CIRCUIT),
+        verify_fourier_identity,
+    ], ids=["evolution", "fourier"])
+    def test_memory_does_not_grow_with_the_angle_count(self, check):
+        angles = np.linspace(0.0, math.pi, 20_000).tolist()
+        check(angles[:10])  # first-call allocations
+        tracemalloc.start()
+        try:
+            devs = check(angles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sys.getsizeof(devs) + sum(sys.getsizeof(d) for d in devs)
+        assert len(devs) == len(angles)
+        assert peak - returned <= 2**20
 
 
 class TestDenseHelpers:
