@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, integer
 
 #: Fixed relative weights of the two error mechanisms, photon loss and
 #: photon distinguishability, versus the overall noise intensity p.
@@ -33,11 +32,6 @@ _LETTER_PRODUCTS = {
 }
 
 
-def _is_count(value, least: int = 1) -> bool:
-    """Any integer >= ``least``, numpy's included, but not a bool."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= least
-
-
 @dataclass(frozen=True)
 class AttemptCaps:
     """Maximum attempt count of the capped RUS protocols."""
@@ -45,9 +39,7 @@ class AttemptCaps:
     n_rus: int = 10
 
     def __post_init__(self):
-        if not _is_count(self.n_rus):
-            raise InvalidParameterError(f"n_rus={self.n_rus} must be an integer >= 1")
-        object.__setattr__(self, "n_rus", int(self.n_rus))
+        object.__setattr__(self, "n_rus", integer(self.n_rus, "n_rus"))
 
 
 @dataclass(frozen=True)
@@ -59,7 +51,9 @@ class PhysicalNoiseParams:
     distinguishability: float
 
     def __post_init__(self):
-        for name, v in vars(self).items():
+        # not ``vars(self)``: building the instance dict slows later attribute reads
+        for name, v in (("p", self.p), ("epsilon", self.epsilon),
+                        ("distinguishability", self.distinguishability)):
             if not 0.0 <= v < 1.0:
                 raise InvalidParameterError(f"{name}={v} must lie in [0, 1)")
 
@@ -213,9 +207,7 @@ def loss_channel(k) -> PauliChannel:
     2^-inf is 0.
     """
     if k != math.inf:
-        if not _is_count(k):
-            raise InvalidParameterError(f"k={k} must be a positive integer or math.inf")
-        k = int(k)
+        k = integer(k, "k", rule="a positive integer or math.inf")
     half_pow = 0.5 ** (k + 1)
     return PauliChannel(2, (
         ("II", 0.25 + half_pow),
@@ -384,12 +376,9 @@ def mc_rus_oracle(
     and then ``mzz`` at one key draws once.  A caller that wants one kind
     still pays for classifying both.
     """
-    if not _is_count(trials):
-        raise InvalidParameterError(f"trials={trials!r} must be an integer >= 1")
-    if not _is_count(seed, least=0):
-        raise InvalidParameterError(f"seed={seed!r} must be a non-negative integer")
-    if not _is_count(streams):
-        raise InvalidParameterError(f"streams={streams!r} must be an integer >= 1")
+    trials = integer(trials, "trials")
+    seed = integer(seed, "seed", 0, rule="a non-negative integer")
+    streams = integer(streams, "streams")
     if kind not in ("cz", "mzz"):
         raise InvalidParameterError(f"kind must be 'cz' or 'mzz', got {kind!r}")
     if caps.n_rus > _BLOCK_UNIFORMS:
@@ -397,8 +386,7 @@ def mc_rus_oracle(
             f"n_rus={caps.n_rus} must be <= {_BLOCK_UNIFORMS}, the uniforms the "
             "Monte-Carlo oracle holds at once")
 
-    trials = int(trials)
-    cz, mzz = _mc_counts(cycle_dist, caps.n_rus, trials, int(seed), int(streams))
+    cz, mzz = _mc_counts(cycle_dist, caps.n_rus, trials, seed, streams)
     outcomes = tuple(
         HeraldedOutcome(label, count / trials, None)
         for label, count in zip(_category_labels(kind, caps.n_rus), cz if kind == "cz" else mzz)

@@ -27,12 +27,6 @@ _LETTERS = frozenset("IXYZ")
 _XY_BITS, _YZ_BITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
 #: (-1)^{popcount(b)} for every byte b.
 _BYTE_SIGNS = np.array([1 - 2 * (b.bit_count() & 1) for b in range(256)], dtype=np.int8)
-#: (-1)^{popcount(m & i)} and m ^ i for all bytes m and i, indexed [m, i]: the
-#: signs and columns of a Pauli string of up to 8 letters, read off directly.
-_BYTES = np.arange(256)
-_PARITY_SIGNS = _BYTE_SIGNS[_BYTES[:, None] & _BYTES]
-_XOR = (_BYTES[:, None] ^ _BYTES).astype(np.uint8)
-_PARITY_SIGNS.flags.writeable = _XOR.flags.writeable = False
 #: Coefficients at or below this magnitude are dropped, or read as real.
 COEFF_ATOL = 1e-12
 
@@ -158,15 +152,12 @@ def _add_dense(out: np.ndarray, scale: complex, letters: str) -> None:
     n = len(letters)
     zy = int("0" + letters.translate(_YZ_BITS), 2)
     flip = int("0" + letters.translate(_XY_BITS), 2)
-    if n <= 8:
-        signs, cols = _PARITY_SIGNS[zy, : 2**n], _XOR[flip, : 2**n]
-    else:
-        rows = np.arange(2**n)
-        masked = rows & zy
-        signs = _BYTE_SIGNS[masked & 255]
-        for shift in range(8, n, 8):
-            signs = signs * _BYTE_SIGNS[(masked >> shift) & 255]
-        cols = rows ^ flip
+    rows = np.arange(2**n)
+    masked = rows & zy
+    signs = _BYTE_SIGNS[masked & 255]
+    for shift in range(8, n, 8):
+        signs = signs * _BYTE_SIGNS[(masked >> shift) & 255]
+    cols = rows ^ flip
     # row i's entry sits at flat index i * 2^n + col
     out.reshape(-1)[np.arange(0, 4**n, 2**n) + cols] += scale * (-1j) ** letters.count("Y") * signs
 

@@ -18,7 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InvalidParameterError, NoProtocolError
+from .errors import InvalidParameterError, NoProtocolError, integer
 from .noise import PhysicalNoiseParams
 from .surgery import (
     BUNDLED_NOISE_P,
@@ -89,8 +89,12 @@ class FloorplanCounts:
     msf_patches: int
 
     def __post_init__(self):
-        if not 0 <= self.msf_patches <= self.total_patches:
+        total = integer(self.total_patches, "total_patches", 0)
+        msf = integer(self.msf_patches, "msf_patches", 0)
+        if msf > total:
             raise InvalidParameterError("msf_patches must not exceed total_patches")
+        object.__setattr__(self, "total_patches", total)
+        object.__setattr__(self, "msf_patches", msf)
 
 
 def render_floorplan(lattice_l: int, w_msf: int) -> list[str]:
@@ -107,7 +111,7 @@ def render_floorplan(lattice_l: int, w_msf: int) -> list[str]:
     aisle serves the periodic-boundary plaquettes), with one trailing
     workspace row.
     """
-    check_plane(lattice_l, w_msf)
+    lattice_l, w_msf = check_plane(lattice_l, w_msf)
     pairs = lattice_l // 2
     col_blocks = []
     for p in range(pairs):
@@ -136,7 +140,7 @@ def floorplan(lattice_l: int, w_msf: int,
     """
     if override is not None:
         return FloorplanCounts(*override)
-    check_plane(lattice_l, w_msf)
+    lattice_l, w_msf = check_plane(lattice_l, w_msf)
     pairs = lattice_l // 2
     cols = 3 * pairs + (pairs - 1) * (1 + w_msf)
     rows = pairs * (3 + w_msf) + 1
@@ -331,8 +335,8 @@ def solve_estimate(
     start = options.initial_rounds
     if start is None:
         start = 102 if spec.lattice_l == 8 else 60
-    elif not (type(start) is int and start >= 1):  # not a bool or a float
-        raise InvalidParameterError(f"initial_rounds={start!r} must be None or an integer >= 1")
+    else:
+        start = integer(start, "initial_rounds", rule="None or an integer >= 1")
     probe = min(bisect_left(_LADDER_ROUNDS, start), size - 1)
     # LADDER[lo] is known infeasible (g(r) > r), LADDER[hi] known feasible
     lo, hi = -1, size

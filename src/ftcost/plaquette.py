@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, integer
 from .pauli import (
     PauliString,
     PauliSum,
@@ -328,10 +328,8 @@ def run_verification(n_angles: int = 20, seed: int = 0, tolerance: float = 1e-10
     angles ``_BATCH`` at a time, so memory does not grow with ``n_angles``.
     Returns a report dict; ``report["passed"]`` aggregates everything.
     """
-    if isinstance(n_angles, bool) or not isinstance(n_angles, numbers.Integral) or n_angles < 1:
-        raise InvalidParameterError(f"n_angles={n_angles!r} must be an integer >= 1")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise InvalidParameterError(f"seed={seed!r} must be a non-negative integer")
+    n_angles = integer(n_angles, "n_angles")
+    seed = integer(seed, "seed", 0, rule="a non-negative integer")
     if not (isinstance(tolerance, numbers.Real) and math.isfinite(tolerance) and tolerance > 0):
         raise InvalidParameterError(f"tolerance={tolerance!r} must be finite and > 0")
     cd = diagonalizing_clifford_dagger()

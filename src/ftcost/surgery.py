@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import FitError, InvalidParameterError, NoDistanceFoundError
+from .errors import FitError, InvalidParameterError, NoDistanceFoundError, integer
 
 #: Heights for the tabulated widths 6..30.  Stored verbatim: the published
 #: rounding of 5w/3 to a multiple of 3 is not monotone in direction, so the
@@ -50,8 +50,7 @@ class PatchGeometry:
         # attribute read, and the ladder's geometries are read on every solve
         for name, value in (("width", self.width), ("height", self.height),
                             ("rounds", self.rounds)):
-            if not (type(value) is int and value >= 1):
-                raise InvalidParameterError(f"{name}={value!r} must be an integer >= 1")
+            object.__setattr__(self, name, integer(value, name))
 
     @property
     def qubits(self) -> int:
@@ -64,8 +63,7 @@ def patch_geometry(width: int) -> PatchGeometry:
     Tabulated widths (6..30) reproduce the published table; other widths use
     height = nearest multiple of 3 to 5w/3 and rounds = 2h.
     """
-    if not (isinstance(width, int) and width > 0 and width % 2 == 0):
-        raise InvalidParameterError(f"width={width} must be a positive even integer")
+    width = integer(width, "width", even=True, rule="a positive even integer")
     if width in _TABLE_HEIGHTS:
         h = _TABLE_HEIGHTS[width]
     else:
@@ -153,10 +151,8 @@ LADDER = tuple(_rung(w) for w in range(LADDER_WIDTHS[0], MAX_WIDTH + 1, 2))
 
 def ladder_rungs(max_width: int) -> tuple[LadderRung, ...]:
     """The ``LADDER`` entries up to ``max_width``, an integer in [6, ``MAX_WIDTH``]."""
-    if (isinstance(max_width, bool) or not isinstance(max_width, int)
-            or not LADDER_WIDTHS[0] <= max_width <= MAX_WIDTH):
-        raise InvalidParameterError(
-            f"max_width={max_width!r} must be an integer in [{LADDER_WIDTHS[0]}, {MAX_WIDTH}]")
+    max_width = integer(max_width, "max_width", LADDER_WIDTHS[0], MAX_WIDTH,
+                        rule=f"an integer in [{LADDER_WIDTHS[0]}, {MAX_WIDTH}]")
     return LADDER[:(max_width - LADDER_WIDTHS[0]) // 2 + 1]
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, integer
 
 #: Fractional cube coefficients (averages over X/Y/Z measurement axes) kept
 #: as exact thirds.
@@ -79,8 +79,7 @@ def fallback_plan(
     """Build the synchronization-aware plan for a fallback synthesis layer."""
     if not 0.0 < p_succ <= 1.0:
         raise InvalidParameterError(f"p_succ={p_succ} must lie in (0, 1]")
-    if type(lattice_l) is not int or lattice_l < 1:  # bools and floats fail too
-        raise InvalidParameterError(f"lattice_l={lattice_l!r} must be an integer >= 1")
+    lattice_l = integer(lattice_l, "lattice_l")
     _check_rounding(rounding)
     n_t = t_count(strategy, epsilon_synth, mode)
     if strategy not in FALLBACK_BRANCH:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, integer
 
 
 @dataclass(frozen=True)
@@ -32,15 +32,11 @@ class TimingModel:
 
     def logical_cycle_ns(self, rounds_per_cycle: int) -> float:
         """Duration of one lattice surgery cube, in nanoseconds."""
-        if rounds_per_cycle < 1:
-            raise InvalidParameterError("rounds_per_cycle must be >= 1")
-        return rounds_per_cycle * self.syndrome_round_ns
+        return integer(rounds_per_cycle, "rounds_per_cycle") * self.syndrome_round_ns
 
     def reaction_ratio(self, rounds_per_cycle: int) -> float:
         """Decode latency as a fraction of the logical cycle."""
-        if rounds_per_cycle < 1:
-            raise InvalidParameterError("rounds_per_cycle must be >= 1")
-        return self.reaction_rounds / rounds_per_cycle
+        return self.reaction_rounds / integer(rounds_per_cycle, "rounds_per_cycle")
 
 
 DEFAULT_TIMING = TimingModel()

@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, integer
 from .synthesis import RotationCost
 
 #: Per-plaquette diagonalization cost (forward plus inverse direction).
@@ -37,15 +37,12 @@ SINGLE_PLANE_SYNTH_LAYERS = 6
 SINGLE_PLANE_DIAG_TIMESTEPS = 354
 
 
-def check_plane(lattice_l: int, w_msf: int):
-    """The plane rule: L an even integer >= 2, the aisle width an integer >= 1."""
-    # ``type(v) is int`` turns away floats such as 2.0 and bools alike
-    if not (type(lattice_l) is int and lattice_l >= 2 and lattice_l % 2 == 0):
-        raise InvalidParameterError(
-            f"lattice_l={lattice_l!r} must be an even integer >= 2 "
-            "(plaquette layers need L^2/4 whole plaquettes)")
-    if not (type(w_msf) is int and w_msf >= 1):
-        raise InvalidParameterError(f"w_msf={w_msf!r} must be an integer >= 1")
+def check_plane(lattice_l: int, w_msf: int) -> tuple[int, int]:
+    """The plane rule, L an even integer >= 2 and the aisle width an integer >= 1,
+    returning both as Python ints."""
+    return (integer(lattice_l, "lattice_l", 2, even=True,
+                    rule="an even integer >= 2 (plaquette layers need L^2/4 whole plaquettes)"),
+            integer(w_msf, "w_msf"))
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,9 @@ class ProblemSpec:
     w_msf: int = 2
 
     def __post_init__(self):
-        check_plane(self.lattice_l, self.w_msf)
+        lattice_l, w_msf = check_plane(self.lattice_l, self.w_msf)
+        object.__setattr__(self, "lattice_l", lattice_l)
+        object.__setattr__(self, "w_msf", w_msf)
         if not 0 < self.u_over_t < math.inf:
             raise InvalidParameterError(f"u_over_t={self.u_over_t} must be positive and finite")
         if not 0 < self.sim_time_t < math.inf:
@@ -131,7 +130,7 @@ def golden_diag_cubes(lattice_l: int, w_msf: int) -> float:
     is computed once per ``(lattice_l, w_msf)``, typed so that ``2.0`` is not
     served the entry of ``2``; a bad pair raises every time.
     """
-    check_plane(lattice_l, w_msf)
+    lattice_l, w_msf = check_plane(lattice_l, w_msf)
     l2 = lattice_l**2
     half = lattice_l / 2 - 1
     base_per_plaquette = PLAQ_DIAG_CUBES / 2 + (GOLDEN_GROUPS - 1) * _IDLE_CUBES_PER_ROUND

@@ -177,6 +177,18 @@ class TestFloorplan:
         with pytest.raises(InvalidParameterError):
             FloorplanCounts(10, 20)
 
+    @pytest.mark.parametrize("override", [
+        (1000.5, 400), (math.inf, 400), (True, True), ("5000", "400"),
+    ])
+    @pytest.mark.parametrize("build", [
+        lambda override: floorplan(8, 2, override),
+        lambda override: solve_estimate(REFERENCE_SPEC, REFERENCE_NOISE, REFERENCE_BUDGET,
+                                        SolveOptions(floorplan_override=override)),
+    ], ids=["floorplan", "SolveOptions"])
+    def test_override_counts_are_integers(self, build, override):
+        with pytest.raises(InvalidParameterError, match="^total_patches="):
+            build(override)
+
 
 class TestMsfSizing:
     def test_reference_instance(self):
