@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,11 @@ REMOVED_KEYS = [
     ("timing.single_qubit_ns", "5"), ("timing.rus_cycle_ns", "30"),
     ("budget.policy", "default"),
 ]
+
+#: A deviation field of verify-plaquette's stdout.  The three Clifford lines
+#: are held to run_verification's 1e-12; the evolution and Fourier identity
+#: lines to 1e-13, 1000x inside the default tolerance.
+_DEVIATION = re.compile(r"deviation (\S+)")
 
 
 def schema_line(key) -> str:
@@ -327,10 +333,16 @@ class TestCli:
     def test_default_output_matches_golden(self, capsys, command, golden):
         # the files hold the stdout of the command line; a change that is meant
         # to print the same leaves them as they are.  They are read as bytes,
-        # since the sweep's csv rows end in \r\n
+        # since the sweep's csv rows end in \r\n.  A printed deviation is a
+        # rounding residue whose last digits move with any exactly equivalent
+        # formula, so it is masked here and held to its bound instead
         assert main(command.split()) == 0
         expected = (Path(__file__).resolve().parent / "data" / golden).read_bytes().decode()
-        assert capsys.readouterr().out == expected
+        out = capsys.readouterr().out
+        assert _DEVIATION.sub("deviation <x>", out) == _DEVIATION.sub("deviation <x>", expected)
+        for line in out.splitlines():
+            if match := _DEVIATION.search(line):
+                assert float(match[1]) <= (1e-13 if "identity" in line else 1e-12), line
 
     @pytest.mark.parametrize("argv, golden", [
         (["--trials", "200000"], "verify_noise_200k.txt"),
