@@ -199,12 +199,21 @@ def _z_diagonal(qubit: int) -> np.ndarray:
 
 
 _Z2, _Z3 = _z_diagonal(2), _z_diagonal(3)
-#: The diagonal generators of the circuit's inner rotations and of the number rotations.
+#: The diagonal generators of the circuit's inner rotations and of the number
+#: rotations, and the values each takes: the checks sum over these spectra.
 _Z2_PLUS_Z3, _N2_MINUS_N3 = _Z2 + _Z3, (_Z3 - _Z2) / 2
+_Z2_PLUS_Z3_VALUES, _N2_MINUS_N3_VALUES = np.array([-2, 0, 2]), np.array([-1, 0, 1])
 #: The hopping axes C maps Z2 and Z3 onto, and the hopping generator they make.
 _X2X3XAUX = _string(q2="X", q3="X", q5="X").dense()
 _Y2Y3XAUX = _string(q2="Y", q3="Y", q5="X").dense()
 _HOPPING_AXIS = (_X2X3XAUX + _Y2Y3XAUX) / 2
+#: The axis's spectral projectors for the eigenvalues -1, 0, 1: A^3 = A, so
+#: they are (A^2 - A)/2, I - A^2 and (A^2 + A)/2, and e^{i theta A} is
+#: their sum weighted by e^{-i theta}, 1, e^{i theta}.
+_AXIS_SQUARED = _HOPPING_AXIS @ _HOPPING_AXIS
+_HOPPING_PROJECTORS = np.stack([(_AXIS_SQUARED - _HOPPING_AXIS) / 2,
+                                np.eye(2**N_QUBITS) - _AXIS_SQUARED,
+                                (_AXIS_SQUARED + _HOPPING_AXIS) / 2])
 #: The operator map and its directed edges: ten fixed strings, built at import.
 _MAP = _bulk_map()
 _EDGES = _directed_edges(_MAP)
@@ -257,15 +266,37 @@ def _angle_list(theta) -> tuple[list[float], bool]:
     return [float(a) for a in theta], False
 
 
-#: Angles checked together.  A batch's 32x32 stacks take _BATCH * 16 kB each;
-#: four ran fastest, and stacks of six or eight were ~7% slower per angle.
-_BATCH = 4
+#: Angles whose spectral sums are taken as one (angles x 1024) stack, 16 kB
+#: per angle; at 32 angles a check over 20,000 of them peaks above 1 MiB.
+_CHUNK = 16
 
 
-def _batches(angles: list[float]):
-    """``angles`` as consecutive arrays of at most ``_BATCH`` angles."""
-    for start in range(0, len(angles), _BATCH):
-        yield np.array(angles[start:start + _BATCH])
+def _spectral_parts(left: np.ndarray, right: np.ndarray, labels: np.ndarray,
+                    values: np.ndarray) -> np.ndarray:
+    """Row j is left[:, labels == values[j]] @ right[labels == values[j], :], flattened.
+
+    With ``labels`` the diagonal of a generator G, left e^{i theta G} right
+    is the sum of the rows weighted by e^{i theta values[j]}.
+    """
+    return ((left * (labels == values[:, None])[:, None, :]) @ right).reshape(len(values), -1)
+
+
+def _spectral_sums(angles: list[float], values: np.ndarray, parts: np.ndarray):
+    """Per chunk of ``_CHUNK`` angles: the angles, and row i = sum_j e^{i angle_i values[j]} parts[j].
+
+    Every chunk's rows are written into one buffer, which the next chunk
+    overwrites: a fresh 256 kB array per chunk costs more than its sums.
+    """
+    buffer = np.empty((_CHUNK, parts.shape[1]), dtype=complex)
+    for start in range(0, len(angles), _CHUNK):
+        chunk = np.array(angles[start:start + _CHUNK])
+        yield chunk, np.matmul(np.exp(1j * chunk[:, None] * values), parts, out=buffer[:len(chunk)])
+
+
+def _row_norms(rows: np.ndarray) -> list[float]:
+    """The Frobenius norm of each row of a C-contiguous complex array."""
+    parts = rows.view(float)
+    return np.sqrt(np.einsum("ij,ij->i", parts, parts)).tolist()
 
 
 def verify_plaquette_evolution(t_coupling: float, theta,
@@ -274,13 +305,18 @@ def verify_plaquette_evolution(t_coupling: float, theta,
 
     ``t_coupling`` is finite and nonzero; ``theta`` is the inner rotation
     angle t*T_sim/(2r), one angle giving one float or a sequence giving their
-    deviations in order.  Global phases are quotiented out.  H and its
-    spectrum are built once per call, the halves are ``circuit``, built here
-    if not given; each angle then costs its eigenphases, the diagonal inner
-    rotation and two 32x32 products.  The products of ``_BATCH`` angles are
-    taken as one stack, each with the arithmetic of a lone angle, so the
-    deviations do not depend on the batching, and memory does not grow
-    with the number of angles.
+    deviations in order.  Global phases are quotiented out.  The halves
+    F = F31 F24 C and G = C† F24† F31† are ``circuit``, built here if not
+    given.  H = V diag(w) V† is diagonalized once per call, and the circuit
+    is split by the spectrum {-2, 0, 2} of Z2 + Z3: in H's eigenbasis it is
+    K(theta) = sum_s e^{i theta s} R_s, with R_s = (V† F)[:, s] (G V)[s, :]
+    built once.  The exact evolution is there the diagonal
+    a = e^{-i theta w/t}, so an angle costs one three-term sum and the
+    distance ||K - conj(lam) diag(a)||, lam the phase of tr(K† diag(a)) as
+    in ``phase_quotient_distance``.  The sums are taken ``_CHUNK`` angles at
+    a time, so memory does not grow with the number of angles.  The first
+    angle is also compared directly, as two dense 32x32 matrices, and its
+    deviation is the larger of the two results.
     """
     if not (math.isfinite(t_coupling) and t_coupling != 0):
         raise InvalidParameterError(f"t_coupling={t_coupling!r} must be finite and nonzero")
@@ -288,10 +324,20 @@ def verify_plaquette_evolution(t_coupling: float, theta,
     w, v = np.linalg.eigh(build_plaquette_hamiltonian(t_coupling).dense())
     v_dagger = v.conj().T
     circuit = circuit or _circuit()
+    parts = _spectral_parts(v_dagger @ circuit.forward, circuit.inverse @ v,
+                            _Z2_PLUS_Z3, _Z2_PLUS_Z3_VALUES)
     devs = []
-    for batch in _batches(angles):
-        exact = (v * np.exp(-1j * (batch / t_coupling)[:, None] * w)[:, None, :]) @ v_dagger
-        devs.extend(map(phase_quotient_distance, exact, circuit.evolution(batch)))
+    for chunk, k in _spectral_sums(angles, _Z2_PLUS_Z3_VALUES, parts):
+        exact = np.exp(-1j * (chunk / t_coupling)[:, None] * w)
+        diagonal = k[:, ::2**N_QUBITS + 1]  # a view: the subtraction below writes into k
+        trace = np.einsum("ij,ij->i", diagonal.conj(), exact)
+        size = abs(trace)
+        # conj(lam); a vanishing trace falls back to lam = 1, as in phase_quotient_distance
+        diagonal -= np.divide(trace.conj(), size, out=np.ones_like(trace), where=size > 1e-12)[:, None] * exact
+        devs.extend(_row_norms(k))
+    if angles:
+        exact = (v * np.exp(-1j * (angles[0] / t_coupling) * w)) @ v_dagger
+        devs[0] = max(devs[0], phase_quotient_distance(exact, circuit.evolution(angles[0])))
     return devs[0] if single else devs
 
 
@@ -299,22 +345,27 @@ def verify_fourier_identity(theta):
     """Deviation of F23-conjugated number rotations from the hopping rotation.
 
     Checks F23 e^{i theta n2} e^{-i theta n3} F23† against
-    e^{i theta (X2X3Xaux + Y2Y3Xaux)/2}.  ``theta`` is one angle, giving one
-    float, or a sequence of angles, giving their deviations in order.  F23
-    is built once per call; the number rotations are diagonal and applied
-    as a vector, and the right-hand side is a generic matrix exponential of
-    the axis at each angle.  Like the evolution check, it takes the left
-    sides of ``_BATCH`` angles as one stack, with the arithmetic of a lone
-    angle.
+    e^{i theta A}, A = (X2X3Xaux + Y2Y3Xaux)/2.  ``theta`` is one angle,
+    giving one float, or a sequence of angles, giving their deviations in
+    order.  F23 is built once per call.  Both sides are sums over the
+    spectrum {-1, 0, 1}: the left of S_d = F23[:, d] F23†[d, :] split by the
+    values d of n2 - n3, the right of A's projectors P_d.  So
+    D_d = S_d - P_d is built once, and an angle costs the norm of
+    sum_d e^{i theta d} D_d, taken ``_CHUNK`` angles at a time.  The first
+    angle is also compared directly, against a generic matrix exponential
+    of A, and its deviation is the larger of the two results.
     """
     angles, single = _angle_list(theta)
     f23 = fourier_transform(2, 3)
     f23_dagger = f23.conj().T
+    parts = (_spectral_parts(f23, f23_dagger, _N2_MINUS_N3, _N2_MINUS_N3_VALUES)
+             - _HOPPING_PROJECTORS.reshape(3, -1))
     devs = []
-    for batch in _batches(angles):
-        left = (f23 * np.exp(1j * batch[:, None] * _N2_MINUS_N3)[:, None, :]) @ f23_dagger
-        devs.extend(float(np.linalg.norm(lhs - expm_hermitian(-a * _HOPPING_AXIS)))
-                    for a, lhs in zip(batch, left))
+    for _, difference in _spectral_sums(angles, _N2_MINUS_N3_VALUES, parts):
+        devs.extend(_row_norms(difference))
+    if angles:
+        left = (f23 * np.exp(1j * angles[0] * _N2_MINUS_N3)) @ f23_dagger
+        devs[0] = max(devs[0], float(np.linalg.norm(left - expm_hermitian(-angles[0] * _HOPPING_AXIS))))
     return devs[0] if single else devs
 
 
@@ -324,8 +375,10 @@ def run_verification(n_angles: int = 20, seed: int = 0, tolerance: float = 1e-10
     ``n_angles`` must be an integer >= 1, ``seed`` a non-negative integer
     and ``tolerance`` finite and > 0.
     The operator map is a module constant; C†, F31, F24, F23 and the circuit
-    halves are built once per run and shared by the checks, which take the
-    angles ``_BATCH`` at a time, so memory does not grow with ``n_angles``.
+    halves are built once per run and shared by the checks.  The evolution
+    and Fourier checks sum each angle over a spectrum of three values, in
+    chunks of ``_CHUNK`` angles, so memory does not grow with ``n_angles``,
+    and compare the first angle directly too.
     Returns a report dict; ``report["passed"]`` aggregates everything.
     """
     n_angles = integer(n_angles, "n_angles")

@@ -2,13 +2,14 @@ import math
 import sys
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftcost import plaquette
+from ftcost import plaquette, trotter
 from ftcost.errors import InvalidParameterError
 from ftcost.pauli import (
     PauliString,
@@ -343,46 +344,84 @@ class TestEvolutionIdentity:
             run_verification(**kwargs)
 
 
-#: The circuit halves, shared by the tests that compare checks at many angles.
+#: The circuit halves and F23, shared by the tests that compare checks at many angles.
 _CIRCUIT = plaquette._circuit()
+_F23 = fourier_transform(2, 3)
 
 
 #: Diagonals of Z2 + Z3 and n2 - n3 = (Z3 - Z2)/2, and the hopping axis, built here from Pauli strings.
 _Z2_PLUS_Z3 = np.diag(PauliString("IZIII").dense() + PauliString("IIZII").dense()).real
 _N2_MINUS_N3 = np.diag(PauliString("IIZII").dense() - PauliString("IZIII").dense()).real / 2
 _AXIS = (PauliString("IXXIX").dense() + PauliString("IYYIX").dense()) / 2
-#: Up to three batches of angles, so that a list also ends in a part batch.
-angle_lists = st.lists(st.floats(0.0, math.pi), min_size=1, max_size=3 * plaquette._BATCH + 1)
+#: Lists that cross several chunks of angles, with the angles where a sum's
+#: phases are all 1 or all +-1, and one next to 0.
+angle_lists = st.lists(st.one_of(st.floats(0.0, math.pi), st.sampled_from([0.0, math.pi, 1e-9])),
+                       min_size=1, max_size=3 * plaquette._CHUNK + 5)
+couplings = st.tuples(st.floats(0.1, 10.0), st.sampled_from([1, -1])).map(lambda p: p[0] * p[1])
+
+
+def _random_unitary(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32)))
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+def _halves(kind: str, phi: float, seed: int) -> DiagonalizationCircuit:
+    """The circuit halves: the real ones, times a global phase, without F24, or random unitaries."""
+    if kind == "real":
+        return _CIRCUIT
+    if kind == "phase":
+        return DiagonalizationCircuit(np.exp(1j * phi) * _CIRCUIT.forward, _CIRCUIT.inverse)
+    if kind == "without F24":
+        cd = diagonalizing_clifford_dagger()
+        f31 = fourier_transform(3, 1)
+        return DiagonalizationCircuit(f31 @ cd.conj().T, cd @ f31.conj().T)
+    return DiagonalizationCircuit(_random_unitary(seed), _random_unitary(seed + 1))
+
+
+def _direct_evolution(t: float, a: float, circuit: DiagonalizationCircuit) -> float:
+    """min over unit phases lam of ||exp(-i a/t H) - lam U(a)||_F, with both sides dense."""
+    exact = expm_hermitian((a / t) * build_plaquette_hamiltonian(t).dense())
+    u = (circuit.forward * np.exp(1j * a * _Z2_PLUS_Z3)) @ circuit.inverse
+    trace = np.vdot(u, exact)
+    lam = trace / abs(trace) if abs(trace) > 1e-12 else 1.0
+    return float(np.linalg.norm(exact - lam * u))
+
+
+def _direct_fourier(a: float, f23: np.ndarray) -> float:
+    """||F23 e^{i a (n2 - n3)} F23† - e^{i a A}||_F, with both sides dense."""
+    left = (f23 * np.exp(1j * a * _N2_MINUS_N3)) @ f23.conj().T
+    return float(np.linalg.norm(left - expm_hermitian(-a * _AXIS)))
+
+
+def _assert_close(fast: list[float], direct: list[float]) -> None:
+    # the spectral sums round differently from the dense products
+    assert len(fast) == len(direct)
+    for f, d in zip(fast, direct):
+        assert abs(f - d) <= 1e-13 + 1e-8 * d, (f, d)
 
 
 class TestBatchedChecks:
-    """A check over many angles gives, bit for bit, the direct dense comparison at each angle."""
+    """A check over many angles gives, to rounding, the direct dense comparison at each angle."""
 
-    @given(angles=angle_lists, t=st.floats(0.1, 10.0), negative=st.booleans())
-    @settings(max_examples=60, deadline=None)
-    def test_evolution_equals_the_direct_check(self, angles, t, negative):
-        t = -t if negative else t
-        w, v = np.linalg.eigh(build_plaquette_hamiltonian(t).dense())
-        direct = [
-            phase_quotient_distance(
-                (v * np.exp(-1j * (a / t) * w)) @ v.conj().T,
-                (_CIRCUIT.forward * np.exp(1j * a * _Z2_PLUS_Z3)) @ _CIRCUIT.inverse)
-            for a in angles
-        ]
-        assert verify_plaquette_evolution(t, angles, _CIRCUIT) == direct
-        assert verify_plaquette_evolution(t, angles[-1], _CIRCUIT) == direct[-1]
+    @given(angles=angle_lists, t=couplings, phi=st.floats(-math.pi, math.pi), seed=st.integers(0, 2**32 - 2),
+           kind=st.sampled_from(["real", "phase", "without F24", "random"]))
+    @settings(max_examples=80, deadline=None)
+    def test_evolution_equals_the_direct_check(self, angles, t, phi, seed, kind):
+        circuit = _halves(kind, phi, seed)
+        direct = [_direct_evolution(t, a, circuit) for a in angles]
+        _assert_close(verify_plaquette_evolution(t, angles, circuit), direct)
+        _assert_close([verify_plaquette_evolution(t, angles[-1], circuit)], direct[-1:])
 
-    @given(angles=angle_lists)
+    @given(angles=angle_lists, phi=st.floats(-math.pi, math.pi), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["real", "phase", "random"]))
     @settings(max_examples=60, deadline=None)
-    def test_fourier_equals_the_direct_check(self, angles):
-        f23 = fourier_transform(2, 3)
-        direct = [
-            float(np.linalg.norm((f23 * np.exp(1j * a * _N2_MINUS_N3)) @ f23.conj().T
-                                 - expm_hermitian(-a * _AXIS)))
-            for a in angles
-        ]
-        assert verify_fourier_identity(angles) == direct
-        assert verify_fourier_identity(angles[-1]) == direct[-1]
+    def test_fourier_equals_the_direct_check(self, angles, phi, seed, kind):
+        f23 = {"real": _F23, "phase": np.exp(1j * phi) * _F23, "random": _random_unitary(seed)}[kind]
+        direct = [_direct_fourier(a, f23) for a in angles]
+        with mock.patch.object(plaquette, "fourier_transform", lambda j, k: f23):
+            _assert_close(verify_fourier_identity(angles), direct)
+            _assert_close([verify_fourier_identity(angles[-1])], direct[-1:])
 
     @given(angles=angle_lists)
     @settings(max_examples=30, deadline=None)
@@ -417,6 +456,38 @@ class TestBatchedChecks:
         returned = sys.getsizeof(devs) + sum(sys.getsizeof(d) for d in devs)
         assert len(devs) == len(angles)
         assert peak - returned <= 2**20
+
+
+class TestSpectralFacts:
+    """The facts the checks' three-term spectral sums rest on."""
+
+    def test_hopping_axis_has_the_spectrum_minus_one_zero_one(self):
+        a = plaquette._HOPPING_AXIS
+        assert np.array_equal(a @ a @ a, a)
+
+    def test_hopping_projectors_resolve_the_axis(self):
+        # idempotent, summing to I, and each on the eigenvalue -1, 0, 1 it is weighted by
+        projectors = plaquette._HOPPING_PROJECTORS
+        for p in projectors:
+            assert np.array_equal(p @ p, p)
+        assert np.array_equal(projectors.sum(axis=0), np.eye(32))
+        assert np.array_equal(np.tensordot(plaquette._N2_MINUS_N3_VALUES, projectors, 1), _AXIS)
+
+    @pytest.mark.parametrize("diagonal, values", [
+        (plaquette._Z2_PLUS_Z3, plaquette._Z2_PLUS_Z3_VALUES),
+        (plaquette._N2_MINUS_N3, plaquette._N2_MINUS_N3_VALUES),
+    ], ids=["Z2+Z3", "n2-n3"])
+    def test_diagonal_takes_only_the_summed_values(self, diagonal, values):
+        # a value left out would drop its columns from the spectral sums
+        assert set(np.unique(diagonal)) <= set(values)
+
+    def test_t_states_count_the_non_clifford_rotations(self):
+        # F31 F24 and its inverse each hold the rotations of both transforms;
+        # a rotation by a multiple of pi/4 is Clifford, any other takes a T state
+        quarters = [4 * theta / math.pi for pair in ((3, 1), (2, 4))
+                    for theta, _ in plaquette._FOURIER_ROTATIONS[pair]]
+        non_clifford = sum(not math.isclose(q, round(q)) for q in quarters)
+        assert 2 * non_clifford == trotter.PLAQ_DIAG_T_STATES
 
 
 class TestDenseHelpers:
