@@ -36,6 +36,7 @@ from .surgery import (
 from .synthesis import (
     FALLBACK_BRANCH,
     RotationCost,
+    check_p_succ,
     direct_plan,
     fallback_plan,
     synthesis_cost,
@@ -203,6 +204,15 @@ class SolveOptions:
     initial_rounds: Optional[int] = None
     max_width: int = LADDER_WIDTHS[-1]  # up to surgery.MAX_WIDTH for off-table widths
 
+    def __post_init__(self):
+        # p_succ is read only by a fallback strategy, but is checked for every one
+        check_p_succ(self.p_succ)
+        if not isinstance(self.timing, TimingModel):
+            raise InvalidParameterError(f"timing={self.timing!r} must be a TimingModel")
+        if self.protocols is not None and not self.protocols:
+            raise InvalidParameterError(
+                f"protocols={self.protocols!r} must be None or a non-empty sequence")
+
 
 @dataclass(frozen=True)
 class EstimateReport:
@@ -298,8 +308,8 @@ def solve_estimate(
         raise InvalidParameterError(
             f"noise.p={noise.p} needs options.fit: "
             f"the bundled cube data are for p = {BUNDLED_NOISE_P}")
-    fit = options.fit or fit_error_curve(load_error_data())
-    protocols = options.protocols or load_msf_table()
+    fit = fit_error_curve(load_error_data()) if options.fit is None else options.fit
+    protocols = load_msf_table() if options.protocols is None else options.protocols
     timing = options.timing
 
     r = trotter_steps(spec, budget.eps_alg)
@@ -363,7 +373,7 @@ def solve_estimate(
     )
     plan_counts = floorplan(spec.lattice_l, spec.w_msf, options.floorplan_override)
     msf_qubits_available = plan_counts.msf_patches * geometry.qubits
-    if options.floorplan_override and msf_qubits_available < msf_qubits:
+    if options.floorplan_override is not None and msf_qubits_available < msf_qubits:
         raise InvalidParameterError(
             f"floorplan.override_msf={plan_counts.msf_patches} holds {msf_qubits_available} "
             f"factory qubits at width {geometry.width}; the factories need {msf_qubits:.6g}")

@@ -50,6 +50,12 @@ def _check_rounding(rounding: str):
         raise InvalidParameterError(f"rounding={rounding!r} must be 'none' or 'integer'")
 
 
+def check_p_succ(p_succ: float) -> None:
+    """Reject a success probability outside (0, 1]."""
+    if not 0.0 < p_succ <= 1.0:
+        raise InvalidParameterError(f"p_succ={p_succ} must lie in (0, 1]")
+
+
 @dataclass(frozen=True)
 class SynthesisPlan:
     """Resolved per-rotation counts for one layer of L^2 parallel syntheses.
@@ -77,8 +83,7 @@ def fallback_plan(
     rounding: str = "none",
 ) -> SynthesisPlan:
     """Build the synchronization-aware plan for a fallback synthesis layer."""
-    if not 0.0 < p_succ <= 1.0:
-        raise InvalidParameterError(f"p_succ={p_succ} must lie in (0, 1]")
+    check_p_succ(p_succ)
     lattice_l = integer(lattice_l, "lattice_l")
     _check_rounding(rounding)
     n_t = t_count(strategy, epsilon_synth, mode)

@@ -251,6 +251,15 @@ class TestCli:
         assert captured.err.endswith("\n") and captured.err.count("\n") == 1
         assert captured.err.startswith(f"ftcost estimate: error: {path} data row 1: {message}")
 
+    def test_empty_factory_table_is_one_line(self, tmp_path, capsys):
+        # a table with no rows is not read as absent: the bundled one is not used in its place
+        path = tmp_path / "msf.csv"
+        path.write_text(f"{DATA_HEADERS['data.msf_table_csv']}\n")
+        assert main(["estimate", "--set", f"data.msf_table_csv={path}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ftcost estimate: error: protocols=[] must be None or a non-empty sequence\n"
+
     @pytest.mark.parametrize("command", [
         "sweep --key problem.L --values 2,4,6,8,10",  # the sweep flushes every row
         "estimate",  # buffered until main flushes stdout

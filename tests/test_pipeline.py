@@ -295,6 +295,19 @@ class TestSolveEstimate:
             solve_estimate(REFERENCE_SPEC, REFERENCE_NOISE, REFERENCE_BUDGET,
                            SolveOptions(initial_rounds=start))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"strategy": "diagonal", "p_succ": 5}, r"p_succ=5 must lie in \(0, 1\]"),
+        ({"strategy": "mixed_diagonal", "p_succ": math.nan}, r"p_succ=nan must lie in \(0, 1\]"),
+        ({"timing": None}, "timing=None must be a TimingModel"),
+        ({"protocols": []}, r"protocols=\[\] must be None or a non-empty sequence"),
+    ])
+    def test_solve_options_reject_bad_fields(self, kwargs, message):
+        # p_succ is checked whatever the strategy; an empty factory table is
+        # not read as absent
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            solve_estimate(REFERENCE_SPEC, REFERENCE_NOISE, REFERENCE_BUDGET,
+                           SolveOptions(fit=FIT, **kwargs))
+
     def test_initial_rounds_one_starts_at_the_first_entry(self, reference_report):
         report = solve_estimate(REFERENCE_SPEC, REFERENCE_NOISE, REFERENCE_BUDGET,
                                 SolveOptions(initial_rounds=1))
