@@ -44,9 +44,7 @@ def _open_out(path: str, **kwargs):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
 def cmd_estimate(args) -> int:

@@ -23,7 +23,7 @@ from .surgery import (
     load_msf_table,
     read_text,
 )
-from .synthesis import STRATEGIES
+from .synthesis import MODES, STRATEGIES
 from .timing import TimingModel
 from .trotter import ProblemSpec
 
@@ -68,7 +68,7 @@ SCHEMA: dict[str, Key] = {key.name: key for key in (
         "rotation synthesis scheme"),
     Key("synthesis.p_succ", float, SolveOptions.p_succ, "a finite number in (0, 1]",
         lambda v: 0 < v <= 1, "synthesis success probability; only fallback and mixed_fallback read it"),
-    Key("synthesis.mode", str, SolveOptions.mode, *_one_of("worst", "mean"),
+    Key("synthesis.mode", str, SolveOptions.mode, *_one_of(*MODES),
         "T-count law coefficients"),
     Key("timing.syndrome_round_ns", float, TimingModel.syndrome_round_ns,
         "a finite number > 0", _positive, "syndrome extraction round"),

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one rule for integer arguments."""
+"""Exception types, and the one rule each for integer and real arguments."""
 
 import math
 import numbers
@@ -35,3 +35,32 @@ def integer(value, name: str, least: int = 1, most: float = math.inf, even: bool
     if number is None or not least <= number <= most or even and number % 2:
         raise InvalidParameterError(f"{name}={value!r} must be {rule or f'an integer >= {least}'}")
     return number
+
+
+def real(value, name: str, least: float = -math.inf, most: float = math.inf,
+         above: float = -math.inf, below: float = math.inf) -> float:
+    """``value`` as a Python float: any real number, numpy's included but not a
+    bool, with least <= value <= most and above < value < below, so finite.
+    Anything else, a string, None or NaN too, is an ``InvalidParameterError``
+    saying ``name=value!r must rule``, where the rule is the bounds in words,
+    such as "lie in [0, 1)", "be positive and finite" or "be finite"."""
+    if type(value) is float:  # the common case, tested first
+        number = value
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+        number = float(value)
+    else:
+        number = math.nan
+    if not (above < number < below and least <= number <= most):
+        raise InvalidParameterError(f"{name}={value!r} must {_bounds(least, most, above, below)}")
+    return number
+
+
+def _bounds(least: float, most: float, above: float, below: float) -> str:
+    low, high = max(least, above), min(most, below)
+    if high < math.inf:
+        return f"lie in {'(' if above >= least else '['}{low:g}, {high:g}{')' if below <= most else ']'}"
+    if low == -math.inf:
+        return "be finite"
+    if low == 0:
+        return f"be {'positive' if above == 0 else 'nonnegative'} and finite"
+    return f"be finite and {'>' if above >= least else '>='} {low:g}"

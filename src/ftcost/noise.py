@@ -15,7 +15,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidParameterError, integer
+from .errors import InvalidParameterError, integer, real
 
 #: Fixed relative weights of the two error mechanisms, photon loss and
 #: photon distinguishability, versus the overall noise intensity p.
@@ -51,11 +51,8 @@ class PhysicalNoiseParams:
     distinguishability: float
 
     def __post_init__(self):
-        # not ``vars(self)``: building the instance dict slows later attribute reads
-        for name, v in (("p", self.p), ("epsilon", self.epsilon),
-                        ("distinguishability", self.distinguishability)):
-            if not 0.0 <= v < 1.0:
-                raise InvalidParameterError(f"{name}={v} must lie in [0, 1)")
+        for name in ("p", "epsilon", "distinguishability"):
+            object.__setattr__(self, name, real(getattr(self, name), name, 0, below=1))
 
 
 @dataclass(frozen=True)
@@ -103,8 +100,8 @@ class PauliChannel:
                 raise InvalidParameterError(f"negative weight {w} on {label!r}")
         if not abs(self.total_weight() - 1.0) <= PROB_ATOL:
             raise InvalidParameterError("channel weights must sum to 1")
-        if not 0.0 <= self.classical_flip_weight <= 1.0:
-            raise InvalidParameterError("classical flip weight must lie in [0, 1]")
+        object.__setattr__(self, "classical_flip_weight",
+                           real(self.classical_flip_weight, "classical_flip_weight", 0, 1))
 
     def total_weight(self) -> float:
         return sum(w for _, w in self.terms)
@@ -175,18 +172,17 @@ class HeraldedOutcomeDistribution:
 def derive_noise_params(p: float) -> PhysicalNoiseParams:
     """Scale the two physical error parameters off the overall intensity p.
 
-    epsilon = 0.9 p and distinguishability = 0.085 p.  ``PhysicalNoiseParams``
-    checks p first; both biases are below 1, so each lies in [0, 1) when p does.
+    epsilon = 0.9 p and distinguishability = 0.085 p.  p is checked before it
+    is scaled; both biases are below 1, so each lies in [0, 1) when p does.
     """
+    p = real(p, "p", 0, below=1)
     return PhysicalNoiseParams(p=p, **{k: b * p for k, b in DEFAULT_BIASES.items()})
 
 
 def cycle_outcome_distribution(epsilon: float, distinguishability: float) -> CycleOutcomeDistribution:
     """Closed-form per-cycle RUS outcome probabilities."""
-    if not 0.0 <= epsilon < 1.0:
-        raise InvalidParameterError(f"epsilon={epsilon} must lie in [0, 1)")
-    if not 0.0 <= distinguishability < 1.0:
-        raise InvalidParameterError(f"distinguishability={distinguishability} must lie in [0, 1)")
+    epsilon = real(epsilon, "epsilon", 0, below=1)
+    distinguishability = real(distinguishability, "distinguishability", 0, below=1)
     eta2 = (1.0 - epsilon) ** 2
     return CycleOutcomeDistribution(
         p_success=eta2 / 2.0,

@@ -18,7 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InvalidParameterError, NoProtocolError, integer
+from .errors import InvalidParameterError, NoProtocolError, integer, real
 from .noise import PhysicalNoiseParams
 from .surgery import (
     BUNDLED_NOISE_P,
@@ -35,6 +35,8 @@ from .surgery import (
 )
 from .synthesis import (
     FALLBACK_BRANCH,
+    MODES,
+    STRATEGIES,
     RotationCost,
     check_p_succ,
     direct_plan,
@@ -62,6 +64,8 @@ class ErrorBudget:
     eps_msf: float
 
     def __post_init__(self):
+        for name in ("total_diamond", "eps_alg", "eps_rot", "eps_log", "eps_msf"):
+            object.__setattr__(self, name, real(getattr(self, name), name, 0))
         consumed = 2 * self.eps_alg + self.eps_rot + self.eps_log + self.eps_msf
         if not consumed <= self.total_diamond + 1e-15:
             raise InvalidParameterError(
@@ -72,16 +76,10 @@ class ErrorBudget:
 def allocate_budget(total: float) -> ErrorBudget:
     """Split the budget: half algorithmic (2 eps_alg + eps_rot, with
     eps_rot = 0.01 eps_alg), half hardware (eps_log = eps_msf = total/4)."""
-    if not 0 <= total < math.inf:
-        raise InvalidParameterError(f"total={total} must be nonnegative and finite")
+    total = real(total, "total", 0)
     eps_alg = (total / 2.0) / 2.01
-    return ErrorBudget(
-        total_diamond=total,
-        eps_alg=eps_alg,
-        eps_rot=0.01 * eps_alg,
-        eps_log=total / 4.0,
-        eps_msf=total / 4.0,
-    )
+    # positional: a keyword call to the dataclass costs more on this hot path
+    return ErrorBudget(total, eps_alg, 0.01 * eps_alg, total / 4.0, total / 4.0)
 
 
 @dataclass(frozen=True)
@@ -163,9 +161,7 @@ def msf_sizing(
     window, counted in syndrome rounds, against each factory's 1/rounds
     output rate.
     """
-    if n_t_total <= 0:
-        raise InvalidParameterError("n_t_total must be positive")
-    target = eps_msf / n_t_total
+    target = eps_msf / real(n_t_total, "n_t_total", above=0)
     feasible = [p for p in protocols if p.p_out < target]
     if not feasible:
         raise NoProtocolError(f"no protocol with p_out below target {target:g}")
@@ -193,6 +189,9 @@ _LADDER_ROUNDS = [rung.geometry.rounds for rung in LADDER]
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """Per-solve choices, checked and normalised when built; an optional one is
+    absent only when it is None."""
+
     strategy: str = "mixed_fallback"
     p_succ: float = 0.99
     mode: str = "worst"
@@ -205,13 +204,33 @@ class SolveOptions:
     max_width: int = LADDER_WIDTHS[-1]  # up to surgery.MAX_WIDTH for off-table widths
 
     def __post_init__(self):
+        for name, value, choices in (("strategy", self.strategy, STRATEGIES),
+                                     ("mode", self.mode, MODES),
+                                     ("precision", self.precision, ("headline", "real"))):
+            if not (isinstance(value, str) and value in choices):
+                raise InvalidParameterError(
+                    f"{name}={value!r} must be one of {' | '.join(choices)}")
         # p_succ is read only by a fallback strategy, but is checked for every one
-        check_p_succ(self.p_succ)
+        object.__setattr__(self, "p_succ", check_p_succ(self.p_succ))
         if not isinstance(self.timing, TimingModel):
             raise InvalidParameterError(f"timing={self.timing!r} must be a TimingModel")
-        if self.protocols is not None and not self.protocols:
+        if not (self.fit is None or isinstance(self.fit, FitParams)):
+            raise InvalidParameterError(f"fit={self.fit!r} must be None or a FitParams")
+        if not (self.protocols is None or isinstance(self.protocols, (list, tuple)) and self.protocols):
             raise InvalidParameterError(
                 f"protocols={self.protocols!r} must be None or a non-empty sequence")
+        override = self.floorplan_override
+        if override is not None:
+            if not (isinstance(override, (list, tuple)) and len(override) == 2):
+                raise InvalidParameterError(
+                    f"floorplan_override={override!r} must be None or a (total, msf) pair")
+            counts = FloorplanCounts(*override)
+            object.__setattr__(self, "floorplan_override", (counts.total_patches, counts.msf_patches))
+        if self.initial_rounds is not None:
+            object.__setattr__(self, "initial_rounds", integer(
+                self.initial_rounds, "initial_rounds", rule="None or an integer >= 1"))
+        ladder_rungs(self.max_width)  # the ladder's rule: an integer in [6, MAX_WIDTH]
+        object.__setattr__(self, "max_width", int(self.max_width))
 
 
 @dataclass(frozen=True)
@@ -301,8 +320,6 @@ def solve_estimate(
     are snapped to whole numbers at the plan boundary; "real" carries full
     precision throughout.
     """
-    if options.precision not in ("headline", "real"):
-        raise InvalidParameterError("precision must be 'headline' or 'real'")
     size = len(ladder_rungs(options.max_width))
     if options.fit is None and noise.p != BUNDLED_NOISE_P:
         raise InvalidParameterError(
@@ -345,8 +362,6 @@ def solve_estimate(
     start = options.initial_rounds
     if start is None:
         start = 102 if spec.lattice_l == 8 else 60
-    else:
-        start = integer(start, "initial_rounds", rule="None or an integer >= 1")
     probe = min(bisect_left(_LADDER_ROUNDS, start), size - 1)
     # LADDER[lo] is known infeasible (g(r) > r), LADDER[hi] known feasible
     lo, hi = -1, size

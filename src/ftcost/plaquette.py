@@ -17,12 +17,11 @@ solution; note they force the diagonal operators to carry orientations
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, integer
+from .errors import InvalidParameterError, integer, real
 from .pauli import (
     PauliString,
     PauliSum,
@@ -137,8 +136,7 @@ def build_plaquette_hamiltonian(t_coupling: float) -> PauliSum:
     Each boundary edge contributes -t/(2i) (E_jk V_k + V_j E_jk); ``t_coupling``
     must be finite, and 0 gives the empty sum.
     """
-    if not math.isfinite(t_coupling):
-        raise InvalidParameterError(f"t_coupling={t_coupling!r} must be finite")
+    t_coupling = real(t_coupling, "t_coupling")
     # each product is anti-Hermitian (phase +/-i); -t/(2i) * (+/-i P)
     return PauliSum.from_terms((-t_coupling / 2j * s.phase, PauliString(s.letters))
                                for s in _HOPPING)
@@ -320,8 +318,9 @@ def verify_plaquette_evolution(t_coupling: float, theta,
     angle is also compared directly, as two dense 32x32 matrices, and its
     deviation is the larger of the two results.
     """
-    if not (math.isfinite(t_coupling) and t_coupling != 0):
-        raise InvalidParameterError(f"t_coupling={t_coupling!r} must be finite and nonzero")
+    t_coupling = real(t_coupling, "t_coupling")
+    if t_coupling == 0:
+        raise InvalidParameterError(f"t_coupling={t_coupling!r} must be nonzero")
     angles, single = _angle_list(theta)
     w, v = np.linalg.eigh(build_plaquette_hamiltonian(t_coupling).dense())
     v_dagger = v.conj().T
@@ -377,7 +376,7 @@ def run_verification(n_angles: int = 20, seed: int = 0, tolerance: float = 1e-10
     """Full plaquette verification: relations, Clifford identities, evolution.
 
     ``n_angles`` must be an integer >= 1, ``seed`` a non-negative integer
-    and ``tolerance`` finite and > 0.
+    and ``tolerance`` positive and finite.
     The operator map is a module constant; C†, F31, F24, F23 and the circuit
     halves are built once per run and shared by the checks.  The evolution
     and Fourier checks sum each angle over a spectrum of three values, in
@@ -387,8 +386,7 @@ def run_verification(n_angles: int = 20, seed: int = 0, tolerance: float = 1e-10
     """
     n_angles = integer(n_angles, "n_angles")
     seed = integer(seed, "seed", 0, rule="a non-negative integer")
-    if not (isinstance(tolerance, numbers.Real) and math.isfinite(tolerance) and tolerance > 0):
-        raise InvalidParameterError(f"tolerance={tolerance!r} must be finite and > 0")
+    tolerance = real(tolerance, "tolerance", above=0)
     cd = diagonalizing_clifford_dagger()
     circuit = _circuit(cd)
     relations = check_majorana_relations()
@@ -404,13 +402,8 @@ def run_verification(n_angles: int = 20, seed: int = 0, tolerance: float = 1e-10
         and all(v <= tolerance for v in evolution.values())
         and all(v <= tolerance for v in fourier.values())
     )
-    return {
-        "relations": relations,
-        "clifford": clifford,
-        "evolution": evolution,
-        "fourier": fourier,
-        "passed": passed,
-    }
+    return {"relations": relations, "clifford": clifford, "evolution": evolution,
+            "fourier": fourier, "passed": passed}
 
 
 def mutated_map(target: str = "E21", qubit: int = 0) -> OperatorMap:

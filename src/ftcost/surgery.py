@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import FitError, InvalidParameterError, NoDistanceFoundError, integer
+from .errors import FitError, InvalidParameterError, NoDistanceFoundError, integer, real
 
 #: Heights for the tabulated widths 6..30.  Stored verbatim: the published
 #: rounding of 5w/3 to a multiple of 3 is not monotone in direction, so the
@@ -80,10 +80,8 @@ class ErrorDataPoint:
     sigma: float
 
     def __post_init__(self):
-        if not 0.0 < self.e_hv < 1.0:
-            raise InvalidParameterError(f"e_hv={self.e_hv} must lie in (0, 1)")
-        if not 0.0 < self.sigma < math.inf:
-            raise InvalidParameterError(f"sigma={self.sigma} must be positive and finite")
+        object.__setattr__(self, "e_hv", real(self.e_hv, "e_hv", above=0, below=1))
+        object.__setattr__(self, "sigma", real(self.sigma, "sigma", above=0))
 
 
 @dataclass(frozen=True)
@@ -168,8 +166,7 @@ def select_distance(
     ``extrapolate_error`` computes it.
     """
     rungs = ladder_rungs(max_width)
-    if not 0.0 < target_error < 1.0:
-        raise InvalidParameterError(f"target_error={target_error} must lie in (0, 1)")
+    target_error = real(target_error, "target_error", above=0, below=1)
     a, b = fit.a, fit.b
     for n, root, geometry in rungs:
         if n * math.exp(a * root - b) <= target_error:
@@ -210,11 +207,9 @@ class MsfProtocol:
     hh_rounds: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0.0 < self.p_out < 1.0:
-            raise InvalidParameterError(f"p_out={self.p_out} must lie in (0, 1)")
-        for name, value in (("sc_qubits", self.sc_qubits), ("sc_cycles", self.sc_cycles)):
-            if not 0.0 < value < math.inf:
-                raise InvalidParameterError(f"{name}={value} must be positive and finite")
+        for name, value, below in (("p_out", self.p_out, 1), ("sc_qubits", self.sc_qubits, math.inf),
+                                   ("sc_cycles", self.sc_cycles, math.inf)):
+            object.__setattr__(self, name, real(value, name, above=0, below=below))
         hh_qubits, hh_rounds = msf_convert(self.sc_qubits, self.sc_cycles)
         object.__setattr__(self, "hh_qubits", hh_qubits)
         object.__setattr__(self, "hh_rounds", hh_rounds)
@@ -237,7 +232,7 @@ def read_text(path: str) -> str:
 
 def _parse_rows(path: Optional[str], bundled: str, make) -> list:
     """``make(row)`` for every CSV row of ``path``, or of the bundled file when
-    ``path`` is unset; a bad row is an error naming it."""
+    ``path`` is unset; a bad row, or no row at all, is an error naming it."""
     text = read_text(path) if path else _bundled(bundled).read_text(encoding="utf-8")
     items = []
     for i, row in enumerate(csv.DictReader(text.splitlines()), start=1):
@@ -246,6 +241,8 @@ def _parse_rows(path: Optional[str], bundled: str, make) -> list:
         except (KeyError, TypeError, ValueError) as exc:
             detail = f"no column {exc}" if isinstance(exc, KeyError) else exc
             raise InvalidParameterError(f"{path or bundled} data row {i}: {detail}") from None
+    if not items:
+        raise InvalidParameterError(f"{path or bundled} has no data rows")
     return items
 
 
@@ -282,23 +279,17 @@ def _parse_bundled(name: str, make) -> tuple:
     return tuple(_parse_rows(None, name, make))
 
 
-def load_error_data(path: Optional[str] = None) -> list[ErrorDataPoint]:
-    """Read cube error data (columns width,height,rounds,qubits,ehv,ehv_stddev).
+def _load(path: Optional[str], bundled: str, make) -> list:
+    """A new list of the rows of the file at ``path``, parsed on every call, or
+    when ``path`` is unset of the bundled file, parsed once per process."""
+    return _parse_rows(path, bundled, make) if path else list(_parse_bundled(bundled, make))
 
-    The bundled file is parsed once per process, a file at ``path`` on every
-    call; either way the caller gets a new list.
-    """
-    if path:
-        return _parse_rows(path, "lattice_surgery_p001.csv", _error_point)
-    return list(_parse_bundled("lattice_surgery_p001.csv", _error_point))
+
+def load_error_data(path: Optional[str] = None) -> list[ErrorDataPoint]:
+    """Read cube error data (columns width,height,rounds,qubits,ehv,ehv_stddev)."""
+    return _load(path, "lattice_surgery_p001.csv", _error_point)
 
 
 def load_msf_table(path: Optional[str] = None) -> list[MsfProtocol]:
-    """Read factory protocols (columns label,p_out,sc_qubits,sc_cycles).
-
-    The bundled file is parsed once per process, a file at ``path`` on every
-    call; either way the caller gets a new list.
-    """
-    if path:
-        return _parse_rows(path, "msf_protocols.csv", _protocol)
-    return list(_parse_bundled("msf_protocols.csv", _protocol))
+    """Read factory protocols (columns label,p_out,sc_qubits,sc_cycles)."""
+    return _load(path, "msf_protocols.csv", _protocol)

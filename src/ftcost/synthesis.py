@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import InvalidParameterError, integer
+from .errors import InvalidParameterError, integer, real
 
 #: Fractional cube coefficients (averages over X/Y/Z measurement axes) kept
 #: as exact thirds.
@@ -28,18 +28,20 @@ STRATEGIES = {
     "mixed_fallback": {"mean": (0.53, 4.86), "worst": (0.57, 8.83)},
 }
 
+#: The T-count law modes of every strategy.
+MODES = ("worst", "mean")
+
 #: Which strategy synthesizes the reject branch of each fallback scheme.
 FALLBACK_BRANCH = {"fallback": "diagonal", "mixed_fallback": "mixed_diagonal"}
 
 
 def t_count(strategy: str, epsilon_synth: float, mode: str = "worst") -> float:
     """Expected T-count of one rotation at the given synthesis accuracy."""
-    if not 0.0 < epsilon_synth < 1.0:
-        raise InvalidParameterError(f"epsilon_synth={epsilon_synth} must lie in (0, 1)")
+    epsilon_synth = real(epsilon_synth, "epsilon_synth", above=0, below=1)
     if strategy not in STRATEGIES:
         raise InvalidParameterError(
             f"unknown strategy {strategy!r}; choose from {sorted(STRATEGIES)}")
-    if mode not in ("mean", "worst"):
+    if mode not in MODES:
         raise InvalidParameterError(f"mode must be 'mean' or 'worst', got {mode!r}")
     c1, c2 = STRATEGIES[strategy][mode]
     return c1 * math.log2(1.0 / epsilon_synth) + c2
@@ -50,10 +52,9 @@ def _check_rounding(rounding: str):
         raise InvalidParameterError(f"rounding={rounding!r} must be 'none' or 'integer'")
 
 
-def check_p_succ(p_succ: float) -> None:
-    """Reject a success probability outside (0, 1]."""
-    if not 0.0 < p_succ <= 1.0:
-        raise InvalidParameterError(f"p_succ={p_succ} must lie in (0, 1]")
+def check_p_succ(p_succ: float) -> float:
+    """``p_succ`` as a float, a success probability in (0, 1]."""
+    return real(p_succ, "p_succ", above=0, most=1)
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ def fallback_plan(
     rounding: str = "none",
 ) -> SynthesisPlan:
     """Build the synchronization-aware plan for a fallback synthesis layer."""
-    check_p_succ(p_succ)
+    p_succ = check_p_succ(p_succ)
     lattice_l = integer(lattice_l, "lattice_l")
     _check_rounding(rounding)
     n_t = t_count(strategy, epsilon_synth, mode)
@@ -99,18 +100,10 @@ def fallback_plan(
     if rounding == "integer":
         n_succ = float(round(n_succ))
     p_all = p_succ ** (lattice_l**2)
-    if p_all < 1.0:
-        ptilde_fail = p_fail / (1.0 - p_all)
-    else:
-        ptilde_fail = 0.0
-    return SynthesisPlan(
-        n_t=n_t,
-        n_t_fallback=n_fb,
-        n_t_success=n_succ,
-        p_all=p_all,
-        ptilde_fail=ptilde_fail,
-        ptilde_succ=1.0 - ptilde_fail,
-    )
+    ptilde_fail = p_fail / (1.0 - p_all) if p_all < 1.0 else 0.0
+    # positional, here and in ``direct_plan``: a keyword call to the dataclass
+    # costs more on this hot path
+    return SynthesisPlan(n_t, n_fb, n_succ, p_all, ptilde_fail, 1.0 - ptilde_fail)
 
 
 def direct_plan(
@@ -124,14 +117,7 @@ def direct_plan(
     n_t = t_count(strategy, epsilon_synth, mode)
     if rounding == "integer":
         n_t = float(round(n_t))
-    return SynthesisPlan(
-        n_t=n_t,
-        n_t_fallback=0.0,
-        n_t_success=n_t,
-        p_all=1.0,
-        ptilde_fail=0.0,
-        ptilde_succ=1.0,
-    )
+    return SynthesisPlan(n_t, 0.0, n_t, 1.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -169,9 +155,7 @@ def synthesis_cost(plan: SynthesisPlan, strategy_kind: str, tau_ratio: float) ->
 
     ``tau_ratio`` is the reaction time in units of the logical cycle.
     """
-    if not tau_ratio >= 0:
-        raise InvalidParameterError(f"tau_ratio={tau_ratio} must be nonnegative")
-    tau = tau_ratio
+    tau = real(tau_ratio, "tau_ratio", 0)
     if strategy_kind == "direct":
         timesteps, cubes = _direct(plan.n_t, tau)
     elif strategy_kind == "fallback":

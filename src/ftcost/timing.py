@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .errors import InvalidParameterError, integer
+from .errors import integer, real
 
 
 @dataclass(frozen=True)
@@ -23,12 +22,10 @@ class TimingModel:
     reaction_rounds: int = field(init=False)
 
     def __post_init__(self):
-        ns, us = self.syndrome_round_ns, self.reaction_us
-        if not 0 < ns < math.inf:
-            raise InvalidParameterError(f"syndrome_round_ns={ns} must be positive and finite")
-        if not 0 < us < math.inf:
-            raise InvalidParameterError(f"reaction_us={us} must be positive and finite")
-        object.__setattr__(self, "reaction_rounds", round(us * 1000.0 / ns))
+        for name in ("syndrome_round_ns", "reaction_us"):
+            object.__setattr__(self, name, real(getattr(self, name), name, above=0))
+        object.__setattr__(self, "reaction_rounds",
+                           round(self.reaction_us * 1000.0 / self.syndrome_round_ns))
 
     def logical_cycle_ns(self, rounds_per_cycle: int) -> float:
         """Duration of one lattice surgery cube, in nanoseconds."""

@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError, integer
+from .errors import integer, real
 from .synthesis import RotationCost
 
 #: Per-plaquette diagonalization cost (forward plus inverse direction).
@@ -58,10 +58,8 @@ class ProblemSpec:
         lattice_l, w_msf = check_plane(self.lattice_l, self.w_msf)
         object.__setattr__(self, "lattice_l", lattice_l)
         object.__setattr__(self, "w_msf", w_msf)
-        if not 0 < self.u_over_t < math.inf:
-            raise InvalidParameterError(f"u_over_t={self.u_over_t} must be positive and finite")
-        if not 0 < self.sim_time_t < math.inf:
-            raise InvalidParameterError(f"sim_time_t={self.sim_time_t} must be positive and finite")
+        object.__setattr__(self, "u_over_t", real(self.u_over_t, "u_over_t", above=0))
+        object.__setattr__(self, "sim_time_t", real(self.sim_time_t, "sim_time_t", above=0))
 
 
 def kappa(u_over_t: float) -> float:
@@ -72,8 +70,7 @@ def kappa(u_over_t: float) -> float:
 
 def trotter_steps(spec: ProblemSpec, eps_alg: float) -> int:
     """Number of second-order Trotter steps meeting the accuracy target."""
-    if not 0.0 < eps_alg:
-        raise InvalidParameterError("eps_alg must be positive")
+    eps_alg = real(eps_alg, "eps_alg", above=0)
     k = kappa(spec.u_over_t)
     bound = math.sqrt(k) * spec.lattice_l * spec.sim_time_t**1.5 / math.sqrt(eps_alg)
     return max(1, math.ceil(bound))

@@ -258,7 +258,16 @@ class TestCli:
         assert main(["estimate", "--set", f"data.msf_table_csv={path}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "ftcost estimate: error: protocols=[] must be None or a non-empty sequence\n"
+        assert captured.err == f"ftcost estimate: error: {path} has no data rows\n"
+
+    def test_empty_cube_data_is_one_line(self, tmp_path, capsys):
+        # named as the file it is, not as a fit that lacks points
+        path = tmp_path / "cubes.csv"
+        path.write_text(f"{DATA_HEADERS['data.lattice_surgery_csv']}\n")
+        assert main(["estimate", "--set", f"data.lattice_surgery_csv={path}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ftcost estimate: error: {path} has no data rows\n"
 
     @pytest.mark.parametrize("command", [
         "sweep --key problem.L --values 2,4,6,8,10",  # the sweep flushes every row

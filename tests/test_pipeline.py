@@ -274,18 +274,19 @@ class TestSolveEstimate:
             solve_estimate(REFERENCE_SPEC, REFERENCE_NOISE, allocate_budget(0.002))
 
     @pytest.mark.parametrize("options", [
-        SolveOptions(max_width=202, initial_rounds=10_000),
-        SolveOptions(max_width=201),
-        SolveOptions(max_width=5, initial_rounds=1),
-        SolveOptions(max_width=30.0),
+        {"max_width": 202, "initial_rounds": 10_000},
+        {"max_width": 201},
+        {"max_width": 5, "initial_rounds": 1},
+        {"max_width": 30.0},
     ])
     def test_max_width_outside_the_ladder_rejected(self, options):
-        # checked before the solver forms a ladder index, so a start past the
-        # ladder cannot end in an IndexError
+        # checked when the options are built, before the solver forms a ladder
+        # index, so a start past the ladder cannot end in an IndexError
         with pytest.raises(InvalidParameterError,
-                           match=rf"^max_width={options.max_width!r} must be an integer "
+                           match=rf"^max_width={options['max_width']!r} must be an integer "
                                  rf"in \[6, {MAX_WIDTH}\]$"):
-            solve_estimate(REFERENCE_SPEC, REFERENCE_NOISE, REFERENCE_BUDGET, options)
+            solve_estimate(REFERENCE_SPEC, REFERENCE_NOISE, REFERENCE_BUDGET,
+                           SolveOptions(**options))
 
     @pytest.mark.parametrize("start", [0, -60, 60.0, True, "60"])
     def test_initial_rounds_must_be_none_or_a_positive_integer(self, start):
