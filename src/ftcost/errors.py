@@ -55,6 +55,16 @@ def real(value, name: str, least: float = -math.inf, most: float = math.inf,
     return number
 
 
+def real_fields(obj, names: tuple, least: float = -math.inf, most: float = math.inf,
+                above: float = -math.inf, below: float = math.inf) -> None:
+    """``real`` of each field ``names`` of the frozen dataclass ``obj``, stored
+    unless the field holds a float in range already, which costs no call."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (type(value) is float and above < value < below and least <= value <= most):
+            object.__setattr__(obj, name, real(value, name, least, most, above, below))
+
+
 def _bounds(least: float, most: float, above: float, below: float) -> str:
     low, high = max(least, above), min(most, below)
     if high < math.inf:

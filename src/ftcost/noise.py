@@ -15,7 +15,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidParameterError, integer, real
+from .errors import InvalidParameterError, integer, real, real_fields
 
 #: Fixed relative weights of the two error mechanisms, photon loss and
 #: photon distinguishability, versus the overall noise intensity p.
@@ -51,8 +51,7 @@ class PhysicalNoiseParams:
     distinguishability: float
 
     def __post_init__(self):
-        for name in ("p", "epsilon", "distinguishability"):
-            object.__setattr__(self, name, real(getattr(self, name), name, 0, below=1))
+        real_fields(self, ("p", "epsilon", "distinguishability"), 0, below=1)
 
 
 @dataclass(frozen=True)
@@ -100,8 +99,7 @@ class PauliChannel:
                 raise InvalidParameterError(f"negative weight {w} on {label!r}")
         if not abs(self.total_weight() - 1.0) <= PROB_ATOL:
             raise InvalidParameterError("channel weights must sum to 1")
-        object.__setattr__(self, "classical_flip_weight",
-                           real(self.classical_flip_weight, "classical_flip_weight", 0, 1))
+        real_fields(self, ("classical_flip_weight",), 0, 1)
 
     def total_weight(self) -> float:
         return sum(w for _, w in self.terms)

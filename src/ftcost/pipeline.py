@@ -18,7 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InvalidParameterError, NoProtocolError, integer, real
+from .errors import InvalidParameterError, NoProtocolError, integer, real, real_fields
 from .noise import PhysicalNoiseParams
 from .surgery import (
     BUNDLED_NOISE_P,
@@ -38,7 +38,6 @@ from .synthesis import (
     MODES,
     STRATEGIES,
     RotationCost,
-    check_p_succ,
     direct_plan,
     fallback_plan,
     synthesis_cost,
@@ -64,8 +63,7 @@ class ErrorBudget:
     eps_msf: float
 
     def __post_init__(self):
-        for name in ("total_diamond", "eps_alg", "eps_rot", "eps_log", "eps_msf"):
-            object.__setattr__(self, name, real(getattr(self, name), name, 0))
+        real_fields(self, ("total_diamond", "eps_alg", "eps_rot", "eps_log", "eps_msf"), 0)
         consumed = 2 * self.eps_alg + self.eps_rot + self.eps_log + self.eps_msf
         if not consumed <= self.total_diamond + 1e-15:
             raise InvalidParameterError(
@@ -189,8 +187,7 @@ _LADDER_ROUNDS = [rung.geometry.rounds for rung in LADDER]
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Per-solve choices, checked and normalised when built; an optional one is
-    absent only when it is None."""
+    """Per-solve choices, checked and normalised when built; None means absent."""
 
     strategy: str = "mixed_fallback"
     p_succ: float = 0.99
@@ -211,7 +208,7 @@ class SolveOptions:
                 raise InvalidParameterError(
                     f"{name}={value!r} must be one of {' | '.join(choices)}")
         # p_succ is read only by a fallback strategy, but is checked for every one
-        object.__setattr__(self, "p_succ", check_p_succ(self.p_succ))
+        real_fields(self, ("p_succ",), above=0, most=1)
         if not isinstance(self.timing, TimingModel):
             raise InvalidParameterError(f"timing={self.timing!r} must be a TimingModel")
         if not (self.fit is None or isinstance(self.fit, FitParams)):
@@ -230,7 +227,8 @@ class SolveOptions:
             object.__setattr__(self, "initial_rounds", integer(
                 self.initial_rounds, "initial_rounds", rule="None or an integer >= 1"))
         ladder_rungs(self.max_width)  # the ladder's rule: an integer in [6, MAX_WIDTH]
-        object.__setattr__(self, "max_width", int(self.max_width))
+        if type(self.max_width) is not int:
+            object.__setattr__(self, "max_width", int(self.max_width))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import FitError, InvalidParameterError, NoDistanceFoundError, integer, real
+from .errors import FitError, InvalidParameterError, NoDistanceFoundError, integer, real, real_fields
 
 #: Heights for the tabulated widths 6..30.  Stored verbatim: the published
 #: rounding of 5w/3 to a multiple of 3 is not monotone in direction, so the
@@ -80,8 +80,8 @@ class ErrorDataPoint:
     sigma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "e_hv", real(self.e_hv, "e_hv", above=0, below=1))
-        object.__setattr__(self, "sigma", real(self.sigma, "sigma", above=0))
+        real_fields(self, ("e_hv",), above=0, below=1)
+        real_fields(self, ("sigma",), above=0)
 
 
 @dataclass(frozen=True)
@@ -145,12 +145,13 @@ def _rung(width: int) -> LadderRung:
 #: Every even width from 6 to ``MAX_WIDTH``, narrowest first: the table, then
 #: the off-table widths.  Rounds grow with width.
 LADDER = tuple(_rung(w) for w in range(LADDER_WIDTHS[0], MAX_WIDTH + 1, 2))
+#: The rule of ``max_width``, formatted once: ``ladder_rungs`` runs on every probe.
+_MAX_WIDTH_RULE = f"an integer in [{LADDER_WIDTHS[0]}, {MAX_WIDTH}]"
 
 
 def ladder_rungs(max_width: int) -> tuple[LadderRung, ...]:
     """The ``LADDER`` entries up to ``max_width``, an integer in [6, ``MAX_WIDTH``]."""
-    max_width = integer(max_width, "max_width", LADDER_WIDTHS[0], MAX_WIDTH,
-                        rule=f"an integer in [{LADDER_WIDTHS[0]}, {MAX_WIDTH}]")
+    max_width = integer(max_width, "max_width", LADDER_WIDTHS[0], MAX_WIDTH, rule=_MAX_WIDTH_RULE)
     return LADDER[:(max_width - LADDER_WIDTHS[0]) // 2 + 1]
 
 
@@ -207,9 +208,8 @@ class MsfProtocol:
     hh_rounds: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, value, below in (("p_out", self.p_out, 1), ("sc_qubits", self.sc_qubits, math.inf),
-                                   ("sc_cycles", self.sc_cycles, math.inf)):
-            object.__setattr__(self, name, real(value, name, above=0, below=below))
+        real_fields(self, ("p_out",), above=0, below=1)
+        real_fields(self, ("sc_qubits", "sc_cycles"), above=0)
         hh_qubits, hh_rounds = msf_convert(self.sc_qubits, self.sc_cycles)
         object.__setattr__(self, "hh_qubits", hh_qubits)
         object.__setattr__(self, "hh_rounds", hh_rounds)

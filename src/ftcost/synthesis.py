@@ -52,11 +52,6 @@ def _check_rounding(rounding: str):
         raise InvalidParameterError(f"rounding={rounding!r} must be 'none' or 'integer'")
 
 
-def check_p_succ(p_succ: float) -> float:
-    """``p_succ`` as a float, a success probability in (0, 1]."""
-    return real(p_succ, "p_succ", above=0, most=1)
-
-
 @dataclass(frozen=True)
 class SynthesisPlan:
     """Resolved per-rotation counts for one layer of L^2 parallel syntheses.
@@ -84,7 +79,7 @@ def fallback_plan(
     rounding: str = "none",
 ) -> SynthesisPlan:
     """Build the synchronization-aware plan for a fallback synthesis layer."""
-    p_succ = check_p_succ(p_succ)
+    p_succ = real(p_succ, "p_succ", above=0, most=1)
     lattice_l = integer(lattice_l, "lattice_l")
     _check_rounding(rounding)
     n_t = t_count(strategy, epsilon_synth, mode)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import integer, real
+from .errors import integer, real_fields
 
 
 @dataclass(frozen=True)
@@ -22,8 +22,7 @@ class TimingModel:
     reaction_rounds: int = field(init=False)
 
     def __post_init__(self):
-        for name in ("syndrome_round_ns", "reaction_us"):
-            object.__setattr__(self, name, real(getattr(self, name), name, above=0))
+        real_fields(self, ("syndrome_round_ns", "reaction_us"), above=0)
         object.__setattr__(self, "reaction_rounds",
                            round(self.reaction_us * 1000.0 / self.syndrome_round_ns))
 

@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import integer, real
+from .errors import integer, real, real_fields
 from .synthesis import RotationCost
 
 #: Per-plaquette diagonalization cost (forward plus inverse direction).
@@ -58,8 +58,7 @@ class ProblemSpec:
         lattice_l, w_msf = check_plane(self.lattice_l, self.w_msf)
         object.__setattr__(self, "lattice_l", lattice_l)
         object.__setattr__(self, "w_msf", w_msf)
-        object.__setattr__(self, "u_over_t", real(self.u_over_t, "u_over_t", above=0))
-        object.__setattr__(self, "sim_time_t", real(self.sim_time_t, "sim_time_t", above=0))
+        real_fields(self, ("u_over_t", "sim_time_t"), above=0)
 
 
 def kappa(u_over_t: float) -> float:

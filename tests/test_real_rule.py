@@ -48,7 +48,6 @@ from ftcost import (
 from ftcost.pipeline import SolveOptions
 from ftcost.plaquette import build_plaquette_hamiltonian, run_verification, verify_plaquette_evolution
 from ftcost.surgery import PatchGeometry
-from ftcost.synthesis import check_p_succ
 
 SPEC = ProblemSpec(8, 8.0, 80.0)
 NOISE = derive_noise_params(0.01)
@@ -81,7 +80,8 @@ def _reals(least=-INF, most=INF, above=-INF, below=INF, span=2.0**20):
     scalars = [st.floats(low, high, exclude_min=low == above, exclude_max=high == below,
                          width=width).map(kind)
                for width, kind in ((64, np.float64), (32, np.float32))]
-    first, last = math.ceil(low) + (math.ceil(low) == above), math.floor(high) - (math.floor(high) == below)
+    first, last = math.ceil(low), math.floor(high)
+    first, last = first + (first == above), last - (last == below)  # open ends
     if first <= last:
         scalars.append(st.integers(first, last).map(np.int64))
     return st.one_of(scalars)
@@ -123,7 +123,6 @@ SITES = {site.name: site for site in [
     Site("t_count.epsilon_synth", lambda v: t_count("diagonal", v), (0.0, 1.0), _reals(**OPEN_UNIT)),
     Site("fallback_plan.epsilon_synth", lambda v: fallback_plan(v, 0.99, 8), (0, 1),
          _reals(**OPEN_UNIT)),
-    Site("check_p_succ.p_succ", check_p_succ, (0.0, 1.01), _reals(above=0, most=1)),
     Site("fallback_plan.p_succ", lambda v: fallback_plan(1e-9, v, 8), (0.0, 2.0),
          _reals(above=0, most=1)),
     Site("synthesis_cost.tau_ratio", lambda v: synthesis_cost(PLAN, "direct", v), (-0.3,),
