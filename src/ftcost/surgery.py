@@ -75,7 +75,8 @@ def patch_geometry(width: int) -> PatchGeometry:
 class ErrorDataPoint:
     """Simulated combined spacelike logical error per cube, with uncertainty."""
 
-    geometry: PatchGeometry
+    # out of the hash, which the fit's memo takes of every point on each call
+    geometry: PatchGeometry = field(hash=False)
     e_hv: float
     sigma: float
 

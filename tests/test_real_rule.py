@@ -222,8 +222,10 @@ def check(key, kind, value):
         assert repr(_outcome(site.call, value)) == repr(_outcome(site.call, _python(value)))
 
 
-#: Calls that returned a result, raised a TypeError, or were built without
-#: complaint, before the rule: each must be among the draws.
+#: Bad values each call must reject, always among the draws: bools taken as
+#: numbers, strings and None that would meet a comparison or a product, and
+#: options the solver would read only later.  A max_width of 31 is inside
+#: the ladder rule, [6, 200], and solves up to width 30.
 MOTIVATION = [
     ("ProblemSpec.u_over_t", "bad", True), ("TimingModel.syndrome_round_ns", "bad", True),
     ("allocate_budget.total", "bad", True), ("derive_noise_params.p", "bad", False),
