@@ -19,7 +19,7 @@ from .noise import (
     heralded_mzz_distribution,
     mc_rus_oracle,
 )
-from .pipeline import corridor_capacity_check, solve_estimate
+from .pipeline import PRECISIONS, corridor_capacity_check, solve_estimate
 from .surgery import (
     LADDER_WIDTHS,
     extrapolate_error,
@@ -44,7 +44,9 @@ def _open_out(path: str, **kwargs):
 
 
 def _fmt(value) -> str:
-    return f"{value:.6g}" if isinstance(value, float) else str(value)
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return str(value)
 
 
 def cmd_estimate(args) -> int:
@@ -202,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="run the full resource estimate")
     _add_config_args(p)
-    p.add_argument("--precision", choices=("headline", "real"), default="headline")
+    p.add_argument("--precision", choices=PRECISIONS, default="headline")
     p.add_argument("--out", help="write the machine-readable report here")
     p.set_defaults(func=cmd_estimate)
 
@@ -210,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p)
     p.add_argument("--key", required=True, help="config key to sweep")
     p.add_argument("--values", required=True, help="comma-separated values")
-    p.add_argument("--precision", choices=("headline", "real"), default="headline")
+    p.add_argument("--precision", choices=PRECISIONS, default="headline")
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_sweep)
 

@@ -47,7 +47,10 @@ def real(value, name: str, least: float = -math.inf, most: float = math.inf,
     if type(value) is float:  # the common case, tested first
         number = value
     elif isinstance(value, numbers.Real) and not isinstance(value, bool):
-        number = float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an int or Fraction beyond any float
+            number = math.inf
     else:
         number = math.nan
     if not (above < number < below and least <= number <= most):
@@ -57,12 +60,9 @@ def real(value, name: str, least: float = -math.inf, most: float = math.inf,
 
 def real_fields(obj, names: tuple, least: float = -math.inf, most: float = math.inf,
                 above: float = -math.inf, below: float = math.inf) -> None:
-    """``real`` of each field ``names`` of the frozen dataclass ``obj``, stored
-    unless the field holds a float in range already, which costs no call."""
+    """Store ``real`` of each field ``names`` of the frozen dataclass ``obj``."""
     for name in names:
-        value = getattr(obj, name)
-        if not (type(value) is float and above < value < below and least <= value <= most):
-            object.__setattr__(obj, name, real(value, name, least, most, above, below))
+        object.__setattr__(obj, name, real(getattr(obj, name), name, least, most, above, below))
 
 
 def _bounds(least: float, most: float, above: float, below: float) -> str:

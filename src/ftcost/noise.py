@@ -174,7 +174,7 @@ def derive_noise_params(p: float) -> PhysicalNoiseParams:
     is scaled; both biases are below 1, so each lies in [0, 1) when p does.
     """
     p = real(p, "p", 0, below=1)
-    return PhysicalNoiseParams(p, DEFAULT_BIASES["epsilon"] * p, DEFAULT_BIASES["distinguishability"] * p)
+    return PhysicalNoiseParams(p=p, **{k: b * p for k, b in DEFAULT_BIASES.items()})
 
 
 def cycle_outcome_distribution(epsilon: float, distinguishability: float) -> CycleOutcomeDistribution:

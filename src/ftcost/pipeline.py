@@ -76,8 +76,13 @@ def allocate_budget(total: float) -> ErrorBudget:
     eps_rot = 0.01 eps_alg), half hardware (eps_log = eps_msf = total/4)."""
     total = real(total, "total", 0)
     eps_alg = (total / 2.0) / 2.01
-    # positional: a keyword call to the dataclass costs more on this hot path
-    return ErrorBudget(total, eps_alg, 0.01 * eps_alg, total / 4.0, total / 4.0)
+    return ErrorBudget(
+        total_diamond=total,
+        eps_alg=eps_alg,
+        eps_rot=0.01 * eps_alg,
+        eps_log=total / 4.0,
+        eps_msf=total / 4.0,
+    )
 
 
 @dataclass(frozen=True)
@@ -89,7 +94,7 @@ class FloorplanCounts:
         total = integer(self.total_patches, "total_patches", 0)
         msf = integer(self.msf_patches, "msf_patches", 0)
         if msf > total:
-            raise InvalidParameterError("msf_patches must not exceed total_patches")
+            raise InvalidParameterError(f"msf_patches={msf} must not exceed total_patches={total}")
         object.__setattr__(self, "total_patches", total)
         object.__setattr__(self, "msf_patches", msf)
 
@@ -183,6 +188,8 @@ def corridor_capacity_check(plan: FloorplanCounts, geometry: PatchGeometry,
 
 #: Rounds of each ``surgery.LADDER`` entry, the keys the solver bisects.
 _LADDER_ROUNDS = [rung.geometry.rounds for rung in LADDER]
+#: The choices of ``SolveOptions.precision``, which the CLI offers too.
+PRECISIONS = ("headline", "real")
 
 
 @dataclass(frozen=True)
@@ -203,7 +210,7 @@ class SolveOptions:
     def __post_init__(self):
         for name, value, choices in (("strategy", self.strategy, STRATEGIES),
                                      ("mode", self.mode, MODES),
-                                     ("precision", self.precision, ("headline", "real"))):
+                                     ("precision", self.precision, PRECISIONS)):
             if not (isinstance(value, str) and value in choices):
                 raise InvalidParameterError(
                     f"{name}={value!r} must be one of {' | '.join(choices)}")

@@ -402,8 +402,13 @@ def run_verification(n_angles: int = 20, seed: int = 0, tolerance: float = 1e-10
         and all(v <= tolerance for v in evolution.values())
         and all(v <= tolerance for v in fourier.values())
     )
-    return {"relations": relations, "clifford": clifford, "evolution": evolution,
-            "fourier": fourier, "passed": passed}
+    return {
+        "relations": relations,
+        "clifford": clifford,
+        "evolution": evolution,
+        "fourier": fourier,
+        "passed": passed,
+    }
 
 
 def mutated_map(target: str = "E21", qubit: int = 0) -> OperatorMap:

@@ -75,8 +75,7 @@ def patch_geometry(width: int) -> PatchGeometry:
 class ErrorDataPoint:
     """Simulated combined spacelike logical error per cube, with uncertainty."""
 
-    # out of the hash, which the fit's memo takes of every point on each call
-    geometry: PatchGeometry = field(hash=False)
+    geometry: PatchGeometry
     e_hv: float
     sigma: float
 
@@ -146,13 +145,12 @@ def _rung(width: int) -> LadderRung:
 #: Every even width from 6 to ``MAX_WIDTH``, narrowest first: the table, then
 #: the off-table widths.  Rounds grow with width.
 LADDER = tuple(_rung(w) for w in range(LADDER_WIDTHS[0], MAX_WIDTH + 1, 2))
-#: The rule of ``max_width``, formatted once: ``ladder_rungs`` runs on every probe.
-_MAX_WIDTH_RULE = f"an integer in [{LADDER_WIDTHS[0]}, {MAX_WIDTH}]"
 
 
 def ladder_rungs(max_width: int) -> tuple[LadderRung, ...]:
     """The ``LADDER`` entries up to ``max_width``, an integer in [6, ``MAX_WIDTH``]."""
-    max_width = integer(max_width, "max_width", LADDER_WIDTHS[0], MAX_WIDTH, rule=_MAX_WIDTH_RULE)
+    max_width = integer(max_width, "max_width", LADDER_WIDTHS[0], MAX_WIDTH,
+                        rule=f"an integer in [{LADDER_WIDTHS[0]}, {MAX_WIDTH}]")
     return LADDER[:(max_width - LADDER_WIDTHS[0]) // 2 + 1]
 
 

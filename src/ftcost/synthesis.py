@@ -42,7 +42,7 @@ def t_count(strategy: str, epsilon_synth: float, mode: str = "worst") -> float:
         raise InvalidParameterError(
             f"unknown strategy {strategy!r}; choose from {sorted(STRATEGIES)}")
     if mode not in MODES:
-        raise InvalidParameterError(f"mode must be 'mean' or 'worst', got {mode!r}")
+        raise InvalidParameterError(f"mode={mode!r} must be one of {' | '.join(MODES)}")
     c1, c2 = STRATEGIES[strategy][mode]
     return c1 * math.log2(1.0 / epsilon_synth) + c2
 
@@ -95,10 +95,18 @@ def fallback_plan(
     if rounding == "integer":
         n_succ = float(round(n_succ))
     p_all = p_succ ** (lattice_l**2)
-    ptilde_fail = p_fail / (1.0 - p_all) if p_all < 1.0 else 0.0
-    # positional, here and in ``direct_plan``: a keyword call to the dataclass
-    # costs more on this hot path
-    return SynthesisPlan(n_t, n_fb, n_succ, p_all, ptilde_fail, 1.0 - ptilde_fail)
+    if p_all < 1.0:
+        ptilde_fail = p_fail / (1.0 - p_all)
+    else:
+        ptilde_fail = 0.0
+    return SynthesisPlan(
+        n_t=n_t,
+        n_t_fallback=n_fb,
+        n_t_success=n_succ,
+        p_all=p_all,
+        ptilde_fail=ptilde_fail,
+        ptilde_succ=1.0 - ptilde_fail,
+    )
 
 
 def direct_plan(
@@ -112,7 +120,14 @@ def direct_plan(
     n_t = t_count(strategy, epsilon_synth, mode)
     if rounding == "integer":
         n_t = float(round(n_t))
-    return SynthesisPlan(n_t, 0.0, n_t, 1.0, 0.0, 1.0)
+    return SynthesisPlan(
+        n_t=n_t,
+        n_t_fallback=0.0,
+        n_t_success=n_t,
+        p_all=1.0,
+        ptilde_fail=0.0,
+        ptilde_succ=1.0,
+    )
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import integer, real_fields
+from .errors import InvalidParameterError, integer, real_fields
 
 
 @dataclass(frozen=True)
@@ -23,8 +23,13 @@ class TimingModel:
 
     def __post_init__(self):
         real_fields(self, ("syndrome_round_ns", "reaction_us"), above=0)
-        object.__setattr__(self, "reaction_rounds",
-                           round(self.reaction_us * 1000.0 / self.syndrome_round_ns))
+        try:
+            rounds = round(self.reaction_us * 1000.0 / self.syndrome_round_ns)
+        except OverflowError:  # the ratio is beyond any float
+            raise InvalidParameterError(
+                f"reaction_us={self.reaction_us!r} must be a finite number of "
+                f"syndrome_round_ns={self.syndrome_round_ns!r} rounds") from None
+        object.__setattr__(self, "reaction_rounds", rounds)
 
     def logical_cycle_ns(self, rounds_per_cycle: int) -> float:
         """Duration of one lattice surgery cube, in nanoseconds."""

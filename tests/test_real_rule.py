@@ -103,9 +103,8 @@ OPEN_UNIT = dict(above=0, below=1)  # (0, 1)
 SITES = {site.name: site for site in [
     Site("ProblemSpec.u_over_t", lambda v: ProblemSpec(8, v, 80.0), (0.0, -1.0), _reals(**POSITIVE)),
     Site("ProblemSpec.sim_time_t", lambda v: ProblemSpec(8, 8.0, v), (0.0,), _reals(**POSITIVE)),
-    Site("TimingModel.syndrome_round_ns", TimingModel, (0.0, -305.0), _reals(**POSITIVE, span=2.0**10)),
-    Site("TimingModel.reaction_us", lambda v: TimingModel(305.0, v), (0,),
-         _reals(**POSITIVE, span=2.0**10)),
+    Site("TimingModel.syndrome_round_ns", TimingModel, (0.0, -305.0), _reals(**POSITIVE)),
+    Site("TimingModel.reaction_us", lambda v: TimingModel(305.0, v), (0,), _reals(**POSITIVE)),
     Site("allocate_budget.total", allocate_budget, (-0.01,), _reals(**NONNEGATIVE)),
     *(Site(f"ErrorBudget.{name}", _budget_field(name), (-1e-3,), _reals(**NONNEGATIVE, span=1))
       for name in ("total_diamond", "eps_alg", "eps_rot", "eps_log", "eps_msf")),
@@ -174,14 +173,19 @@ SITES = {site.name: site for site in [
          st.integers(6, 200).map(np.int64)),
 ]}
 
-#: Bad for every argument, except None where the argument is optional.
-COMMON_BAD = (True, False, np.True_, "0.5", None, math.nan, INF, -INF)
+#: An integer beyond any float.
+HUGE = 10**400
+#: Bad for every argument, except None where the argument is optional and
+#: ``HUGE`` where any integer >= 0 or >= 1 is in range.
+COMMON_BAD = (True, False, np.True_, "0.5", None, math.nan, INF, -INF, HUGE)
 OPTIONAL = {"SolveOptions.fit", "SolveOptions.protocols", "SolveOptions.floorplan_override",
             "SolveOptions.initial_rounds"}
+UNBOUNDED = {"SolveOptions.floorplan_override[0].total_patches", "SolveOptions.initial_rounds"}
 
 
 def _bad(site):
-    common = [v for v in COMMON_BAD if not (v is None and site.name in OPTIONAL)]
+    common = [v for v in COMMON_BAD
+              if not (v is None and site.name in OPTIONAL or v is HUGE and site.name in UNBOUNDED)]
     return st.sampled_from(common + list(site.bad))
 
 
@@ -223,8 +227,8 @@ def check(key, kind, value):
 
 
 #: Bad values each call must reject, always among the draws: bools taken as
-#: numbers, strings and None that would meet a comparison or a product, and
-#: options the solver would read only later.  A max_width of 31 is inside
+#: numbers, strings and None that would meet a comparison or a product,
+#: options the solver would read only later, and integers beyond any float.  A max_width of 31 is inside
 #: the ladder rule, [6, 200], and solves up to width 30.
 MOTIVATION = [
     ("ProblemSpec.u_over_t", "bad", True), ("TimingModel.syndrome_round_ns", "bad", True),
@@ -239,6 +243,7 @@ MOTIVATION = [
     ("SolveOptions.strategy", "bad", "nope"), ("SolveOptions.mode", "bad", "nope"),
     ("SolveOptions.precision", "bad", "bogus"), ("SolveOptions.max_width", "bad", 201),
     ("SolveOptions.initial_rounds", "bad", 2.5),
+    ("allocate_budget.total", "bad", HUGE), ("ProblemSpec.u_over_t", "bad", HUGE),
 ]
 
 
@@ -253,6 +258,13 @@ def _with_examples(test):
 @given(case=_draws())
 def test_real_arguments_follow_one_rule(case):
     check(*case)
+
+
+@pytest.mark.parametrize("args", [(5e-324,), (305.0, 1e306)])
+def test_reaction_time_beyond_a_float_of_rounds_is_rejected(args):
+    # each field is in range, but the reaction time in rounds is not finite
+    with pytest.raises(InvalidParameterError, match=r"^reaction_us=\S+ must be a finite number of"):
+        TimingModel(*args)
 
 
 def test_numpy_solve_matches_the_python_solve_in_value_and_type():
