@@ -84,6 +84,9 @@ SCHEMA: dict[str, Key] = {key.name: key for key in (
         "factory protocols; none: bundled"),
 )}
 
+#: Every key's default, the start of each ``load_config`` result.
+_DEFAULTS = {name: key.default for name, key in SCHEMA.items()}
+
 
 def parse_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
@@ -132,7 +135,7 @@ def load_config(path: Optional[str] = None, overrides: Optional[list[str]] = Non
     each value parsed and checked once against ``SCHEMA``."""
     texts = parse_config_file(path) if path else {}
     texts.update(parse_overrides(overrides or []))
-    cfg = {name: key.default for name, key in SCHEMA.items()}
+    cfg = _DEFAULTS.copy()
     for name, text in texts.items():
         if name not in SCHEMA:
             raise InvalidParameterError(f"{name}={text} is not a config key")

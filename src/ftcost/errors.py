@@ -60,9 +60,12 @@ def real(value, name: str, least: float = -math.inf, most: float = math.inf,
 
 def real_fields(obj, names: tuple, least: float = -math.inf, most: float = math.inf,
                 above: float = -math.inf, below: float = math.inf) -> None:
-    """Store ``real`` of each field ``names`` of the frozen dataclass ``obj``."""
+    """Store ``real`` of each field ``names`` of the frozen dataclass ``obj``; a
+    float already in range is left as it is, without a call."""
     for name in names:
-        object.__setattr__(obj, name, real(getattr(obj, name), name, least, most, above, below))
+        value = getattr(obj, name)
+        if not (type(value) is float and above < value < below and least <= value <= most):
+            object.__setattr__(obj, name, real(value, name, least, most, above, below))
 
 
 def _bounds(least: float, most: float, above: float, below: float) -> str:

@@ -13,7 +13,9 @@ one end of the bracket, so it ends after at most one probe per entry.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -76,13 +78,7 @@ def allocate_budget(total: float) -> ErrorBudget:
     eps_rot = 0.01 eps_alg), half hardware (eps_log = eps_msf = total/4)."""
     total = real(total, "total", 0)
     eps_alg = (total / 2.0) / 2.01
-    return ErrorBudget(
-        total_diamond=total,
-        eps_alg=eps_alg,
-        eps_rot=0.01 * eps_alg,
-        eps_log=total / 4.0,
-        eps_msf=total / 4.0,
-    )
+    return ErrorBudget(total, eps_alg, 0.01 * eps_alg, total / 4.0, total / 4.0)
 
 
 @dataclass(frozen=True)
@@ -138,10 +134,14 @@ def floorplan(lattice_l: int, w_msf: int,
 
     The counts are those of ``render_floorplan``'s plane, in closed form: with
     p = L/2 plaquette pairs, a plane is 3p + (p - 1)(1 + w_msf) columns by
-    p(3 + w_msf) + 1 rows, of which p * w_msf rows are factory aisle.
+    p(3 + w_msf) + 1 rows, of which p * w_msf rows are factory aisle, counted
+    once per ``(lattice_l, w_msf)``, typed: ``8.0`` is never served ``8``'s entry.
     """
-    if override is not None:
-        return FloorplanCounts(*override)
+    return FloorplanCounts(*override) if override is not None else _plane_counts(lattice_l, w_msf)
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _plane_counts(lattice_l: int, w_msf: int) -> FloorplanCounts:
     lattice_l, w_msf = check_plane(lattice_l, w_msf)
     pairs = lattice_l // 2
     cols = 3 * pairs + (pairs - 1) * (1 + w_msf)
@@ -168,7 +168,7 @@ def msf_sizing(
     feasible = [p for p in protocols if p.p_out < target]
     if not feasible:
         raise NoProtocolError(f"no protocol with p_out below target {target:g}")
-    chosen = min(feasible, key=lambda p: p.hh_qubits)
+    chosen = min(feasible, key=operator.attrgetter("hh_qubits"))
     demand = lattice_l**2 / (rounds_per_cycle + reaction_rounds)
     factories = math.ceil(demand * chosen.hh_rounds)
     return chosen, factories, factories * chosen.hh_qubits
@@ -223,6 +223,9 @@ class SolveOptions:
         if not (self.protocols is None or isinstance(self.protocols, (list, tuple)) and self.protocols):
             raise InvalidParameterError(
                 f"protocols={self.protocols!r} must be None or a non-empty sequence")
+        for i, protocol in enumerate(self.protocols or ()):
+            if not isinstance(protocol, MsfProtocol):
+                raise InvalidParameterError(f"protocols[{i}]={protocol!r} must be an MsfProtocol")
         override = self.floorplan_override
         if override is not None:
             if not (isinstance(override, (list, tuple)) and len(override) == 2):
@@ -383,7 +386,7 @@ def solve_estimate(
             break
         probe = selected if lo < selected < hi else lo + 1
     rotation, step, n_l, p_l, _ = best
-    geometry = LADDER[hi].geometry
+    qubits, _, geometry = LADDER[hi]
 
     n_t_total = step.t_states * r
     p_msf = budget.eps_msf / n_t_total
@@ -392,35 +395,17 @@ def solve_estimate(
         geometry.rounds, timing.reaction_rounds, protocols,
     )
     plan_counts = floorplan(spec.lattice_l, spec.w_msf, options.floorplan_override)
-    msf_qubits_available = plan_counts.msf_patches * geometry.qubits
+    msf_qubits_available = plan_counts.msf_patches * qubits
     if options.floorplan_override is not None and msf_qubits_available < msf_qubits:
         raise InvalidParameterError(
             f"floorplan.override_msf={plan_counts.msf_patches} holds {msf_qubits_available} "
             f"factory qubits at width {geometry.width}; the factories need {msf_qubits:.6g}")
-    physical_qubits = plan_counts.total_patches * geometry.qubits
+    physical_qubits = plan_counts.total_patches * qubits
     cycle_ns = timing.logical_cycle_ns(geometry.rounds)
+    # positional: a keyword call to the dataclass costs more on this hot path
     return EstimateReport(
-        trotter_steps=r,
-        eps_synth=eps_synth,
-        n_t_per_rotation=plan.n_t,
-        n_t_fallback=plan.n_t_fallback,
-        t_synth_timesteps=rotation.logical_timesteps,
-        timesteps_per_step=step.logical_timesteps,
-        cubes_per_step=step.active_cubes,
-        t_states_per_step=step.t_states,
-        transversal_cnots_per_step=step.transversal_cnots,
-        n_l_total=n_l,
-        n_t_total=n_t_total,
-        p_l_target=p_l,
-        p_msf_target=p_msf,
-        geometry=geometry,
-        logical_cycle_ns=cycle_ns,
-        floorplan=plan_counts,
-        physical_qubits=physical_qubits,
-        msf_protocol=chosen.label,
-        msf_factories=factories,
-        msf_qubits_required=msf_qubits,
-        msf_qubits_available=msf_qubits_available,
-        runtime_seconds=runtime_seconds(r, step.logical_timesteps, cycle_ns),
-        iterations=iterations,
-    )
+        r, eps_synth, plan.n_t, plan.n_t_fallback, rotation.logical_timesteps,
+        step.logical_timesteps, step.active_cubes, step.t_states, step.transversal_cnots,
+        n_l, n_t_total, p_l, p_msf, geometry, cycle_ns, plan_counts, physical_qubits,
+        chosen.label, factories, msf_qubits, msf_qubits_available,
+        runtime_seconds(r, step.logical_timesteps, cycle_ns), iterations)

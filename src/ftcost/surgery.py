@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import NamedTuple, Optional, Sequence
@@ -100,20 +102,25 @@ def fit_error_curve(points: Sequence[ErrorDataPoint]) -> FitParams:
     weighted normal equations are solved in closed form about the weighted
     mean of sqrt(n), which keeps the slope accurate when the sizes cluster.
 
-    The fit is memoized on the values of the points, never on where they were
-    read from, so equal data are fitted once and changed data are refitted.
+    The fit is computed once per distinct list of the values it reads, read
+    without hashing the points, never per place they were read from: equal
+    data are fitted once and changed data are refitted.
     """
-    return _fit(tuple(points))
+    return _fit(tuple(map(_POINT_VALUES, points)))
+
+
+#: The values of an ``ErrorDataPoint`` that the fit reads, as a plain tuple.
+_POINT_VALUES = operator.attrgetter("geometry.width", "geometry.height", "e_hv", "sigma")
 
 
 @functools.lru_cache(maxsize=8)
-def _fit(points: tuple[ErrorDataPoint, ...]) -> FitParams:
-    sizes = [p.geometry.qubits for p in points]
+def _fit(values: tuple[tuple[int, int, float, float], ...]) -> FitParams:
+    sizes = [width * height for width, height, _, _ in values]
     if len(set(sizes)) < 2:
         raise FitError("need data points at two or more sizes to fit two parameters")
     xs = [math.sqrt(n) for n in sizes]
-    ys = [math.log(p.e_hv / n) for p, n in zip(points, sizes)]
-    ws = [(p.e_hv / p.sigma) ** 2 for p in points]
+    ys = [math.log(e_hv / n) for (_, _, e_hv, _), n in zip(values, sizes)]
+    ws = [(e_hv / sigma) ** 2 for _, _, e_hv, sigma in values]
     sw = sum(ws)
     x_mean = sum(w * x for w, x in zip(ws, xs)) / sw
     y_mean = sum(w * y for w, y in zip(ws, ys)) / sw
@@ -124,9 +131,16 @@ def _fit(points: tuple[ErrorDataPoint, ...]) -> FitParams:
 
 
 def extrapolate_error(fit: FitParams, width: int) -> float:
-    """Model error rate at the geometry of the given width."""
+    """Model error rate at the geometry of the given width, inf beyond any float."""
     n = patch_geometry(width).qubits
-    return n * math.exp(fit.a * math.sqrt(n) - fit.b)
+    return _model_error(fit.a, fit.b, n, math.sqrt(n))
+
+
+def _model_error(a: float, b: float, n: int, sqrt_n: float) -> float:
+    try:
+        return n * math.exp(a * sqrt_n - b)
+    except OverflowError:
+        return math.inf
 
 
 class LadderRung(NamedTuple):
@@ -147,11 +161,16 @@ def _rung(width: int) -> LadderRung:
 LADDER = tuple(_rung(w) for w in range(LADDER_WIDTHS[0], MAX_WIDTH + 1, 2))
 
 
+#: ``ladder_rungs`` of each Python int the ladder rule admits.
+_RUNGS = {w: LADDER[:(w - LADDER_WIDTHS[0]) // 2 + 1] for w in range(LADDER_WIDTHS[0], MAX_WIDTH + 1)}
+
+
 def ladder_rungs(max_width: int) -> tuple[LadderRung, ...]:
-    """The ``LADDER`` entries up to ``max_width``, an integer in [6, ``MAX_WIDTH``]."""
-    max_width = integer(max_width, "max_width", LADDER_WIDTHS[0], MAX_WIDTH,
-                        rule=f"an integer in [{LADDER_WIDTHS[0]}, {MAX_WIDTH}]")
-    return LADDER[:(max_width - LADDER_WIDTHS[0]) // 2 + 1]
+    """The ``LADDER`` entries up to ``max_width``, an integer in [6, ``MAX_WIDTH``];
+    a Python int is looked up, anything else goes through the rule first."""
+    rungs = _RUNGS.get(max_width) if type(max_width) is int else None
+    return rungs or _RUNGS[integer(max_width, "max_width", LADDER_WIDTHS[0], MAX_WIDTH,
+                                   rule=f"an integer in [{LADDER_WIDTHS[0]}, {MAX_WIDTH}]")]
 
 
 def select_distance(
@@ -163,15 +182,26 @@ def select_distance(
 
     The table holds every even width from 6 to 30; off-table widths continue
     in steps of 2 up to ``MAX_WIDTH``.  Each width's error is computed as
-    ``extrapolate_error`` computes it.
+    ``extrapolate_error`` computes it, once per fit for the whole ladder; a
+    probe bisects the running minimum of those errors.
     """
     rungs = ladder_rungs(max_width)
     target_error = real(target_error, "target_error", above=0, below=1)
-    a, b = fit.a, fit.b
-    for n, root, geometry in rungs:
-        if n * math.exp(a * root - b) <= target_error:
-            return geometry
-    raise NoDistanceFoundError(f"no width up to {max_width} reaches target {target_error:g}")
+    index = bisect_left(_least_errors(fit.a, fit.b), -target_error, 0, len(rungs))
+    if index == len(rungs):
+        raise NoDistanceFoundError(f"no width up to {max_width} reaches target {target_error:g}")
+    return rungs[index].geometry
+
+
+@functools.lru_cache(maxsize=8, typed=True)
+def _least_errors(a: float, b: float) -> list[float]:
+    """Minus the least model error up to each ``LADDER`` width, ascending: the
+    first entry >= -t is the first width with error <= t, NaN never being one."""
+    table, least = [], math.inf
+    for n, root, _ in LADDER:
+        least = min(least, _model_error(a, b, n, root))
+        table.append(-least)
+    return table
 
 
 def round_sig(x: float, sig: int = 3) -> float:

@@ -99,14 +99,7 @@ def fallback_plan(
         ptilde_fail = p_fail / (1.0 - p_all)
     else:
         ptilde_fail = 0.0
-    return SynthesisPlan(
-        n_t=n_t,
-        n_t_fallback=n_fb,
-        n_t_success=n_succ,
-        p_all=p_all,
-        ptilde_fail=ptilde_fail,
-        ptilde_succ=1.0 - ptilde_fail,
-    )
+    return SynthesisPlan(n_t, n_fb, n_succ, p_all, ptilde_fail, 1.0 - ptilde_fail)
 
 
 def direct_plan(
@@ -120,14 +113,7 @@ def direct_plan(
     n_t = t_count(strategy, epsilon_synth, mode)
     if rounding == "integer":
         n_t = float(round(n_t))
-    return SynthesisPlan(
-        n_t=n_t,
-        n_t_fallback=0.0,
-        n_t_success=n_t,
-        p_all=1.0,
-        ptilde_fail=0.0,
-        ptilde_succ=1.0,
-    )
+    return SynthesisPlan(n_t, 0.0, n_t, 1.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

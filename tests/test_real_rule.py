@@ -156,6 +156,8 @@ SITES = {site.name: site for site in [
     Site("SolveOptions.timing", _options_field("timing"), (305.0,)),
     Site("SolveOptions.fit", _options_field("fit"), ((1.0, 2.0),)),
     Site("SolveOptions.protocols", _options_field("protocols"), ([], (), PROTOCOLS[0])),
+    # what the sequence holds: each item is an MsfProtocol
+    Site("SolveOptions.protocols[0]", lambda v: SolveOptions(protocols=[v, 2]), (1, "x", PROTOCOLS)),
     Site("SolveOptions.floorplan_override", _options_field("floorplan_override"),
          ((1000,), (1000, 400, 0), "10", {1000: 400}),
          st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)).map(
@@ -228,7 +230,8 @@ def check(key, kind, value):
 
 #: Bad values each call must reject, always among the draws: bools taken as
 #: numbers, strings and None that would meet a comparison or a product,
-#: options the solver would read only later, and integers beyond any float.  A max_width of 31 is inside
+#: options the solver would read only later (a protocol list of ints, [1, 2], ended in an
+#: AttributeError inside msf_sizing), and integers beyond any float.  A max_width of 31 is inside
 #: the ladder rule, [6, 200], and solves up to width 30.
 MOTIVATION = [
     ("ProblemSpec.u_over_t", "bad", True), ("TimingModel.syndrome_round_ns", "bad", True),
@@ -242,7 +245,7 @@ MOTIVATION = [
     ("synthesis_cost.tau_ratio", "bad", "0.3"), ("SolveOptions.p_succ", "bad", "0.9"),
     ("SolveOptions.strategy", "bad", "nope"), ("SolveOptions.mode", "bad", "nope"),
     ("SolveOptions.precision", "bad", "bogus"), ("SolveOptions.max_width", "bad", 201),
-    ("SolveOptions.initial_rounds", "bad", 2.5),
+    ("SolveOptions.initial_rounds", "bad", 2.5), ("SolveOptions.protocols[0]", "bad", 1),
     ("allocate_budget.total", "bad", HUGE), ("ProblemSpec.u_over_t", "bad", HUGE),
 ]
 
@@ -258,6 +261,16 @@ def _with_examples(test):
 @given(case=_draws())
 def test_real_arguments_follow_one_rule(case):
     check(*case)
+
+
+@pytest.mark.parametrize("protocols, message", [
+    ([1, 2], "protocols[0]=1 must be an MsfProtocol"),
+    ((*PROTOCOLS, "x"), f"protocols[{len(PROTOCOLS)}]='x' must be an MsfProtocol"),
+])
+def test_protocols_hold_only_protocols(protocols, message):
+    with pytest.raises(InvalidParameterError) as info:
+        SolveOptions(protocols=protocols)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("args", [(5e-324,), (305.0, 1e306)])

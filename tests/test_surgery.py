@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ftcost import (
@@ -109,7 +109,7 @@ class TestFit:
         points = load_error_data()
         first = fit_error_curve(points)
         assert fit_error_curve(load_error_data()) == first
-        assert surgery._fit.__wrapped__(tuple(points)) == first
+        assert surgery._fit.__wrapped__(tuple(map(surgery._POINT_VALUES, points))) == first
 
     def test_rewritten_file_is_refitted(self, tmp_path):
         # the memo is keyed on the rows, so a same-size rewrite at the same
@@ -123,7 +123,7 @@ class TestFit:
         assert new != old
         rows = ((6, 3e-3, 1e-4), (10, 1e-5, 1e-6))
         points = tuple(ErrorDataPoint(patch_geometry(w), e, sigma) for w, e, sigma in rows)
-        assert new == surgery._fit.__wrapped__(points)
+        assert new == surgery._fit.__wrapped__(tuple(map(surgery._POINT_VALUES, points)))
 
     @pytest.mark.parametrize("weighted", [True])  # the fit is weighted only
     def test_bundled_data_matches_lstsq(self, weighted):
@@ -256,6 +256,66 @@ class TestSelectDistance:
                 return str(exc)
 
         assert outcome(lambda: select_distance(fit, target, max_width)) == outcome(brute_force)
+
+
+def _linear_scan(fit, target, max_width):
+    """``select_distance`` as it was before its per-fit table: a scan of the
+    ladder, narrowest first, with an error beyond any float read as inf."""
+    for w in range(6, max_width + 1, 2):
+        n = patch_geometry(w).qubits
+        try:
+            error = n * math.exp(fit.a * math.sqrt(n) - fit.b)
+        except OverflowError:
+            error = math.inf
+        if error <= target:
+            return patch_geometry(w)
+    raise NoDistanceFoundError(f"no width up to {max_width} reaches target {target:g}")
+
+
+def _outcome(call):
+    try:
+        return call()
+    except NoDistanceFoundError as exc:
+        return type(exc)
+
+
+class TestLadderTable:
+    """The per-fit table ``select_distance`` bisects gives the linear scan's answer."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # a < 0.27 in size makes E(w) rise before it falls; a > 0 makes it grow,
+        # past any float on the wide rungs once a * sqrt(n) - b > 709
+        a=st.floats(-1.0, 3.0),
+        b=st.floats(-20.0, 800.0),
+        target=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                         st.floats(-300.0, -1e-6).map(lambda e: 10.0**e)),
+        at_width=st.one_of(st.none(), st.integers(3, MAX_WIDTH // 2).map(lambda k: 2 * k)),
+    )
+    @example(a=3.0, b=30.0, target=0.5, at_width=None)  # width 6 meets it; wide rungs overflow
+    @example(a=0.1, b=5.0, target=0.5, at_width=None)
+    @example(a=-0.05, b=0.0, target=0.5, at_width=200)  # E(w) rises, then falls
+    def test_every_max_width_matches_the_linear_scan(self, a, b, target, at_width):
+        fit = FitParams(a, b)
+        if at_width is not None:  # a target exactly at one width's error
+            target = extrapolate_error(fit, at_width)
+            assume(0.0 < target < 1.0)
+        for max_width in range(6, MAX_WIDTH + 1):
+            want = _outcome(lambda: _linear_scan(fit, target, max_width))
+            assert _outcome(lambda: select_distance(fit, target, max_width)) == want, max_width
+
+    def test_overflowing_error_is_inf_not_a_crash(self):
+        fit = FitParams(10.0, 0.0)
+        assert extrapolate_error(fit, 200) == math.inf
+        with pytest.raises(NoDistanceFoundError):
+            select_distance(fit, 1e-3, 200)
+        assert select_distance(FitParams(3.0, 30.0), 0.5, 200).width == 6
+
+    @pytest.mark.parametrize("bad", [30.0, True, np.float64(30.0)])
+    def test_max_width_cache_is_typed(self, bad):
+        assert surgery.ladder_rungs(30) == surgery.ladder_rungs(np.int64(30))
+        with pytest.raises(InvalidParameterError, match=r"^max_width="):
+            surgery.ladder_rungs(bad)
 
 
 class TestMsfConversion:
