@@ -134,15 +134,16 @@ def floorplan(lattice_l: int, w_msf: int,
 
     The counts are those of ``render_floorplan``'s plane, in closed form: with
     p = L/2 plaquette pairs, a plane is 3p + (p - 1)(1 + w_msf) columns by
-    p(3 + w_msf) + 1 rows, of which p * w_msf rows are factory aisle, counted
-    once per ``(lattice_l, w_msf)``, typed: ``8.0`` is never served ``8``'s entry.
+    p(3 + w_msf) + 1 rows, of which p * w_msf rows are factory aisle.  They are
+    counted once per pair of Python ints that the plane rule returns.
     """
-    return FloorplanCounts(*override) if override is not None else _plane_counts(lattice_l, w_msf)
+    if override is not None:
+        return FloorplanCounts(*override)
+    return _plane_counts(*check_plane(lattice_l, w_msf))
 
 
-@functools.lru_cache(maxsize=64, typed=True)
+@functools.lru_cache(maxsize=64)
 def _plane_counts(lattice_l: int, w_msf: int) -> FloorplanCounts:
-    lattice_l, w_msf = check_plane(lattice_l, w_msf)
     pairs = lattice_l // 2
     cols = 3 * pairs + (pairs - 1) * (1 + w_msf)
     rows = pairs * (3 + w_msf) + 1

@@ -177,9 +177,10 @@ class TestFloorplan:
         with pytest.raises(InvalidParameterError):
             FloorplanCounts(10, 20)
 
-    @pytest.mark.parametrize("args", [(8.0, 2), (8, 2.0), (True, 2), (8, True), (-8, 2)])
+    @pytest.mark.parametrize("args", [(8.0, 2), (8, 2.0), (True, 2), (8, True), (-8, 2), ([8], 2)])
     def test_cached_counts_are_typed(self, args):
-        # the counts of (8, 2) are cached; an equal float or bool is not served them
+        # the counts of (8, 2) are cached; an equal float or bool, or an unhashable
+        # value, meets the plane rule, not the cache
         assert floorplan(8, 2) is floorplan(8, 2)
         with pytest.raises(InvalidParameterError, match="^(lattice_l|w_msf)="):
             floorplan(*args)

@@ -19,7 +19,7 @@ import ftcost
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 #: Calls of one warm pass over the 960 points, counted on CPython 3.11.7.
 #: CPython 3.12 and later inline comprehensions, so they count fewer.
-MAX_CALLS = 88_494
+MAX_CALLS = 90_576
 
 
 def _sweep_grid():
