@@ -102,9 +102,9 @@ def fit_error_curve(points: Sequence[ErrorDataPoint]) -> FitParams:
     weighted normal equations are solved in closed form about the weighted
     mean of sqrt(n), which keeps the slope accurate when the sizes cluster.
 
-    The fit is computed once per distinct list of the values it reads, read
-    without hashing the points, never per place they were read from: equal
-    data are fitted once and changed data are refitted.
+    The fit is memoized on the values it reads from each point, taken without
+    hashing the points and never on where they were read from, so equal data
+    are fitted once and changed data are refitted.
     """
     return _fit(tuple(map(_POINT_VALUES, points)))
 
