@@ -11,13 +11,11 @@ from .noise import (
     AttemptCaps,
     CycleOutcomeDistribution,
     HeraldedOutcomeDistribution,
-    PauliChannel,
     PhysicalNoiseParams,
     cycle_outcome_distribution,
     derive_noise_params,
     heralded_cz_distribution,
     heralded_mzz_distribution,
-    loss_channel,
     mc_rus_oracle,
 )
 from .pipeline import (

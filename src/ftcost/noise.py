@@ -1,9 +1,10 @@
-"""Physical noise parameters, heralded Pauli channels, and the RUS outcome model.
+"""Physical noise parameters and the RUS outcome model.
 
 All closed forms follow the heralded repeat-until-success (RUS) gate model of
 the photonic spin-qubit architecture: per cycle the two emitted photons either
 produce a success, a repeat, a single loss, or a double loss, and the capped
-protocol's outcome categories carry known Pauli channels.
+protocol ends in one of a few heralded outcome categories, whose
+probabilities the closed forms give and the Monte-Carlo oracle samples.
 """
 
 from __future__ import annotations
@@ -24,12 +25,6 @@ DEFAULT_BIASES = {"epsilon": 0.9, "distinguishability": 0.085}
 #: Tolerance of the probability checks.  They are written as
 #: ``not x <= PROB_ATOL`` rather than ``x > PROB_ATOL`` so that a NaN fails them.
 PROB_ATOL = 1e-12
-
-#: Letter of the product of two Pauli letters, phase dropped: with
-#: X = 01, Z = 10 and Y = 11 as (z, x) bits, multiplying XORs the bits.
-_LETTER_PRODUCTS = {
-    (a, b): "IXZY"["IXZY".index(a) ^ "IXZY".index(b)] for a in "IXYZ" for b in "IXYZ"
-}
 
 
 @dataclass(frozen=True)
@@ -78,71 +73,15 @@ class CycleOutcomeDistribution:
 
 
 @dataclass(frozen=True)
-class PauliChannel:
-    """A probability-weighted mixture of Pauli super-operators.
-
-    ``terms`` maps Pauli labels (one letter per qubit, e.g. ``"ZZ"``) to
-    weights.  ``classical_flip_weight`` is the probability of flipping an
-    attached classical measurement record, 0 when there is none; the quantum
-    terms always sum to 1 on their own.
-    """
-
-    arity: int
-    terms: tuple[tuple[str, float], ...]
-    classical_flip_weight: float = 0.0
-
-    def __post_init__(self):
-        for label, w in self.terms:
-            if len(label) != self.arity or any(c not in "IXYZ" for c in label):
-                raise InvalidParameterError(f"bad Pauli label {label!r} for arity {self.arity}")
-            if not w >= -PROB_ATOL:
-                raise InvalidParameterError(f"negative weight {w} on {label!r}")
-        if not abs(self.total_weight() - 1.0) <= PROB_ATOL:
-            raise InvalidParameterError("channel weights must sum to 1")
-        real_fields(self, ("classical_flip_weight",), 0, 1)
-
-    def total_weight(self) -> float:
-        return sum(w for _, w in self.terms)
-
-    def weight(self, label: str) -> float:
-        return dict(self.terms).get(label, 0.0)
-
-    def compose(self, other: "PauliChannel") -> "PauliChannel":
-        """Super-operator composition of two Pauli mixtures on the same qubits.
-
-        Pauli super-operators satisfy [P][Q] = [PQ] with phases dropping out,
-        so composition is a convolution of the weights over letterwise
-        products.
-        """
-        if self.arity != other.arity:
-            raise InvalidParameterError("cannot compose channels of different arity")
-        out: dict[str, float] = {}
-        for la, wa in self.terms:
-            for lb, wb in other.terms:
-                label = "".join(_LETTER_PRODUCTS[a, b] for a, b in zip(la, lb))
-                out[label] = out.get(label, 0.0) + wa * wb
-        fa, fb = self.classical_flip_weight, other.classical_flip_weight
-        # record flips compose like independent bit flips
-        flip = fa * (1 - fb) + fb * (1 - fa)
-        return PauliChannel(self.arity, tuple(sorted(out.items())), flip)
-
-    def is_close(self, other: "PauliChannel") -> bool:
-        labels = {l for l, _ in self.terms} | {l for l, _ in other.terms}
-        if any(abs(self.weight(l) - other.weight(l)) > PROB_ATOL for l in labels):
-            return False
-        return abs(self.classical_flip_weight - other.classical_flip_weight) <= PROB_ATOL
-
-
-@dataclass(frozen=True)
 class HeraldedOutcome:
     label: str
     probability: float
-    channel: Optional[PauliChannel]
+    channel: None = None  # always None: bench/test_checkers.py still passes it positionally
 
 
 @dataclass(frozen=True)
 class HeraldedOutcomeDistribution:
-    """Outcome categories of a capped RUS protocol with attached channels.
+    """Outcome categories of a capped RUS protocol and their probabilities.
 
     ``trials`` is set on empirical (Monte-Carlo) distributions and left None
     on closed-form ones.
@@ -192,38 +131,6 @@ def cycle_outcome_distribution(epsilon: float, distinguishability: float) -> Cyc
     )
 
 
-# -- channel constructors -----------------------------------------------------
-
-def loss_channel(k) -> PauliChannel:
-    """k-fold composition of the single-photon-loss channel on an emitter pair.
-
-    Weights (1/4 + 2^-(k+1)) on II, 1/4 on each single Z, (1/4 - 2^-(k+1)) on
-    ZZ; ``k=math.inf`` gives the uniform two-qubit dephasing mixture, as
-    2^-inf is 0.
-    """
-    if k != math.inf:
-        k = integer(k, "k", rule="a positive integer or math.inf")
-    half_pow = 0.5 ** (k + 1)
-    return PauliChannel(2, (
-        ("II", 0.25 + half_pow),
-        ("ZI", 0.25),
-        ("IZ", 0.25),
-        ("ZZ", 0.25 - half_pow),
-    ))
-
-
-def distinguishability_cz_channel(distinguishability: float) -> PauliChannel:
-    """Residual channel of a successful RUS-CZ with partially distinguishable photons."""
-    d = distinguishability
-    return PauliChannel(2, (("II", (1.0 + d) / 2.0), ("ZZ", (1.0 - d) / 2.0)))
-
-
-def distinguishability_mzz_channel(distinguishability: float) -> PauliChannel:
-    """Classical record flip of a successful RUS-MZZ; quantum part is identity."""
-    d = distinguishability
-    return PauliChannel(2, (("II", 1.0),), classical_flip_weight=(1.0 - d) / 2.0)
-
-
 # -- heralded protocol distributions ------------------------------------------
 
 def _binomial_loss_sum(k: int, n: int, p1: float, pr: float) -> float:
@@ -252,11 +159,10 @@ def cz_loss_label(k: int) -> str:
 
 
 def heralded_cz_distribution(params: PhysicalNoiseParams, caps: AttemptCaps) -> HeraldedOutcomeDistribution:
-    """Outcome categories of the capped RUS-CZ with attached channels.
+    """Outcome probabilities of the capped RUS-CZ.
 
-    Success after k single-loss cycles composes the k-fold loss channel with
-    the distinguishability channel; a double loss (failure) or running out of
-    attempts (abort) fully dephases both spins.
+    The gate succeeds after k single-loss cycles (k = 0 is a pure success),
+    fails on a double loss, or aborts when it runs out of attempts.
     """
     cyc = cycle_outcome_distribution(params.epsilon, params.distinguishability)
     n = caps.n_rus
@@ -268,22 +174,19 @@ def heralded_cz_distribution(params: PhysicalNoiseParams, caps: AttemptCaps) -> 
     # quotient is defined everywhere and gives 0 at p2 = 0
     pf = p2 * (1.0 - (pr + p1) ** n) / (1.0 - pr - p1)
 
-    dist_cz = distinguishability_cz_channel(params.distinguishability)
-    full_dephase = loss_channel(math.inf)
-    outcomes = [HeraldedOutcome(CZ_PURE_SUCCESS, p0, dist_cz)]
+    outcomes = [HeraldedOutcome(CZ_PURE_SUCCESS, p0)]
     for k in range(1, n):
-        pk = ps * _binomial_loss_sum(k, n, p1, pr)
-        outcomes.append(HeraldedOutcome(cz_loss_label(k), pk, dist_cz.compose(loss_channel(k))))
-    outcomes.append(HeraldedOutcome(CZ_FAILURE, pf, full_dephase))
-    outcomes.append(HeraldedOutcome(CZ_ABORT, pa, full_dephase))
+        outcomes.append(HeraldedOutcome(cz_loss_label(k), ps * _binomial_loss_sum(k, n, p1, pr)))
+    outcomes.append(HeraldedOutcome(CZ_FAILURE, pf))
+    outcomes.append(HeraldedOutcome(CZ_ABORT, pa))
     return HeraldedOutcomeDistribution(tuple(outcomes))
 
 
 def heralded_mzz_distribution(params: PhysicalNoiseParams, caps: AttemptCaps) -> HeraldedOutcomeDistribution:
-    """Outcome categories of the capped RUS-MZZ parity measurement.
+    """Outcome probabilities of the capped RUS-MZZ parity measurement.
 
-    A loss before eventual success dephases one spin (the first, by
-    convention); an abort dephases one spin and erases the record.
+    The measurement succeeds with no loss, succeeds after at least one loss,
+    or aborts when it runs out of attempts.
     """
     cyc = cycle_outcome_distribution(params.epsilon, params.distinguishability)
     n = caps.n_rus
@@ -292,14 +195,10 @@ def heralded_mzz_distribution(params: PhysicalNoiseParams, caps: AttemptCaps) ->
     q0 = ps * (1.0 - pr**n) / (1.0 - pr)
     qa = (1.0 - ps) ** n
     qe = 1.0 - qa - q0
-
-    erasure = PauliChannel(2, (("II", 0.5), ("ZI", 0.5)))  # ([I] + [Z_1]) / 2
-    dist_mzz = distinguishability_mzz_channel(params.distinguishability)
-    abort_channel = PauliChannel(2, erasure.terms, classical_flip_weight=0.5)
     return HeraldedOutcomeDistribution((
-        HeraldedOutcome(MZZ_PURE_SUCCESS, q0, dist_mzz),
-        HeraldedOutcome(MZZ_LOSS_SUCCESS, qe, erasure.compose(dist_mzz)),
-        HeraldedOutcome(MZZ_ABORT, qa, abort_channel),
+        HeraldedOutcome(MZZ_PURE_SUCCESS, q0),
+        HeraldedOutcome(MZZ_LOSS_SUCCESS, qe),
+        HeraldedOutcome(MZZ_ABORT, qa),
     ))
 
 
@@ -375,7 +274,7 @@ def mc_rus_oracle(
     seed = integer(seed, "seed", 0, rule="a non-negative integer")
     streams = integer(streams, "streams")
     if kind not in ("cz", "mzz"):
-        raise InvalidParameterError(f"kind must be 'cz' or 'mzz', got {kind!r}")
+        raise InvalidParameterError(f"kind={kind!r} must be one of cz | mzz")
     if caps.n_rus > _BLOCK_UNIFORMS:
         raise InvalidParameterError(
             f"n_rus={caps.n_rus} must be <= {_BLOCK_UNIFORMS}, the uniforms the "
@@ -383,7 +282,7 @@ def mc_rus_oracle(
 
     cz, mzz = _mc_counts(cycle_dist, caps.n_rus, trials, seed, streams)
     outcomes = tuple(
-        HeraldedOutcome(label, count / trials, None)
+        HeraldedOutcome(label, count / trials)
         for label, count in zip(_category_labels(kind, caps.n_rus), cz if kind == "cz" else mzz)
     )
     return HeraldedOutcomeDistribution(outcomes, trials=trials)

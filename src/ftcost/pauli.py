@@ -40,9 +40,9 @@ class PauliString:
 
     def __post_init__(self):
         if not _LETTERS.issuperset(self.letters):
-            raise InvalidParameterError(f"bad Pauli letters {self.letters!r}")
+            raise InvalidParameterError(f"letters={self.letters!r} must hold only I, X, Y and Z")
         if self.phase not in _PHASES:
-            raise InvalidParameterError(f"phase must be a fourth root of unity, got {self.phase}")
+            raise InvalidParameterError(f"phase={self.phase!r} must be one of 1 | 1j | -1 | -1j")
 
     @property
     def n_qubits(self) -> int:

@@ -95,6 +95,14 @@ class FloorplanCounts:
         object.__setattr__(self, "msf_patches", msf)
 
 
+def _override_counts(override, name: str) -> FloorplanCounts:
+    """The override pair ``(total, msf)`` as checked counts; ``name`` is the
+    argument it came in, for the message."""
+    if not (isinstance(override, (list, tuple)) and len(override) == 2):
+        raise InvalidParameterError(f"{name}={override!r} must be None or a (total, msf) pair")
+    return FloorplanCounts(*override)
+
+
 def render_floorplan(lattice_l: int, w_msf: int) -> list[str]:
     """One plane of the patch layout as rows of cell characters.
 
@@ -138,7 +146,7 @@ def floorplan(lattice_l: int, w_msf: int,
     counted once per pair of Python ints that the plane rule returns.
     """
     if override is not None:
-        return FloorplanCounts(*override)
+        return _override_counts(override, "override")
     return _plane_counts(*check_plane(lattice_l, w_msf))
 
 
@@ -227,12 +235,8 @@ class SolveOptions:
         for i, protocol in enumerate(self.protocols or ()):
             if not isinstance(protocol, MsfProtocol):
                 raise InvalidParameterError(f"protocols[{i}]={protocol!r} must be an MsfProtocol")
-        override = self.floorplan_override
-        if override is not None:
-            if not (isinstance(override, (list, tuple)) and len(override) == 2):
-                raise InvalidParameterError(
-                    f"floorplan_override={override!r} must be None or a (total, msf) pair")
-            counts = FloorplanCounts(*override)
+        if self.floorplan_override is not None:
+            counts = _override_counts(self.floorplan_override, "floorplan_override")
             object.__setattr__(self, "floorplan_override", (counts.total_patches, counts.msf_patches))
         if self.initial_rounds is not None:
             object.__setattr__(self, "initial_rounds", integer(

@@ -38,12 +38,14 @@ FALLBACK_BRANCH = {"fallback": "diagonal", "mixed_fallback": "mixed_diagonal"}
 def t_count(strategy: str, epsilon_synth: float, mode: str = "worst") -> float:
     """Expected T-count of one rotation at the given synthesis accuracy."""
     epsilon_synth = real(epsilon_synth, "epsilon_synth", above=0, below=1)
-    if strategy not in STRATEGIES:
+    try:  # a lookup, not ``in``, so that an unhashable strategy gets the same line
+        laws = STRATEGIES[strategy]
+    except (KeyError, TypeError):
         raise InvalidParameterError(
-            f"unknown strategy {strategy!r}; choose from {sorted(STRATEGIES)}")
+            f"strategy={strategy!r} must be one of {' | '.join(STRATEGIES)}") from None
     if mode not in MODES:
         raise InvalidParameterError(f"mode={mode!r} must be one of {' | '.join(MODES)}")
-    c1, c2 = STRATEGIES[strategy][mode]
+    c1, c2 = laws[mode]
     return c1 * math.log2(1.0 / epsilon_synth) + c2
 
 
@@ -84,7 +86,8 @@ def fallback_plan(
     _check_rounding(rounding)
     n_t = t_count(strategy, epsilon_synth, mode)
     if strategy not in FALLBACK_BRANCH:
-        raise InvalidParameterError(f"{strategy!r} is not a fallback strategy")
+        raise InvalidParameterError(
+            f"strategy={strategy!r} must be one of {' | '.join(FALLBACK_BRANCH)}")
     n_fb = t_count(FALLBACK_BRANCH[strategy], epsilon_synth, mode)
     if rounding == "integer":
         n_t, n_fb = float(round(n_t)), float(round(n_fb))
@@ -164,8 +167,7 @@ def synthesis_cost(plan: SynthesisPlan, strategy_kind: str, tau_ratio: float) ->
                  * (plan.n_t_fallback * (3.0 + 3.0 * tau) + 9.0))
     else:
         raise InvalidParameterError(
-            f"strategy_kind must be 'direct' or 'fallback', got {strategy_kind!r}"
-        )
+            f"strategy_kind={strategy_kind!r} must be one of direct | fallback")
     # positional: a keyword call to the dataclass costs more on this hot path
     return RotationCost(plan.n_t, timesteps, cubes, 0.0)
 

@@ -37,11 +37,19 @@ SINGLE_PLANE_SYNTH_LAYERS = 6
 SINGLE_PLANE_DIAG_TIMESTEPS = 354
 
 
+_LATTICE_RULE = "an even integer >= 2 (plaquette layers need L^2/4 whole plaquettes)"
+
+
+def _check_lattice(lattice_l: int) -> int:
+    """The plane rule's half for L alone, returning L as a Python int."""
+    return integer(lattice_l, "lattice_l", 2, even=True, rule=_LATTICE_RULE)
+
+
 def check_plane(lattice_l: int, w_msf: int) -> tuple[int, int]:
     """The plane rule, L an even integer >= 2 and the aisle width an integer >= 1,
     returning both as Python ints."""
-    return (integer(lattice_l, "lattice_l", 2, even=True,
-                    rule="an even integer >= 2 (plaquette layers need L^2/4 whole plaquettes)"),
+    # _check_lattice written out: ProblemSpec applies this rule once per sweep point
+    return (integer(lattice_l, "lattice_l", 2, even=True, rule=_LATTICE_RULE),
             integer(w_msf, "w_msf"))
 
 
@@ -93,7 +101,7 @@ def _golden(lattice_l: int, w_msf: int, rotation: RotationCost) -> tuple:
     # the golden layer diagonalizes as many plaquettes as the pink one
     return ((l2 / 2) * PLAQ_DIAG_T_STATES + l2 * rotation.t_states,
             GOLDEN_DIAG_TIMESTEPS + rotation.logical_timesteps,
-            golden_diag_cubes(lattice_l, w_msf) + l2 * rotation.active_cubes,
+            _golden_diag_cubes(lattice_l, w_msf) + l2 * rotation.active_cubes,
             0.0)
 
 
@@ -103,7 +111,7 @@ def interaction_cost(lattice_l: int, rotation: RotationCost) -> RotationCost:
     The transversal CNOTs consume no cubes or timesteps; the L^2 rotations
     run in parallel so their timesteps count once.
     """
-    return RotationCost(*_interaction(lattice_l**2, rotation))
+    return RotationCost(*_interaction(_check_lattice(lattice_l)**2, rotation))
 
 
 def pink_cost(lattice_l: int, rotation: RotationCost) -> RotationCost:
@@ -112,10 +120,9 @@ def pink_cost(lattice_l: int, rotation: RotationCost) -> RotationCost:
     L^2/2 plaquettes diagonalize in parallel; cube and T entries scale with
     the plaquette count while timesteps add once.
     """
-    return RotationCost(*_pink(lattice_l**2, rotation))
+    return RotationCost(*_pink(_check_lattice(lattice_l)**2, rotation))
 
 
-@functools.lru_cache(maxsize=64, typed=True)
 def golden_diag_cubes(lattice_l: int, w_msf: int) -> float:
     """Active cubes of the golden-layer diagonalization, all four passes.
 
@@ -123,10 +130,14 @@ def golden_diag_cubes(lattice_l: int, w_msf: int) -> float:
     through the two rounds it does not participate in; corridor terms cover
     the long-range boundary edge operators and the column shift through the
     factory aisle.  It depends on neither the rounds nor the rotation, so it
-    is computed once per ``(lattice_l, w_msf)``, typed so that ``2.0`` is not
-    served the entry of ``2``; a bad pair raises every time.
+    is computed once per pair of Python ints that the plane rule returns; a
+    bad pair raises every time.
     """
-    lattice_l, w_msf = check_plane(lattice_l, w_msf)
+    return _golden_diag_cubes(*check_plane(lattice_l, w_msf))
+
+
+@functools.lru_cache(maxsize=64)
+def _golden_diag_cubes(lattice_l: int, w_msf: int) -> float:
     l2 = lattice_l**2
     half = lattice_l / 2 - 1
     base_per_plaquette = PLAQ_DIAG_CUBES / 2 + (GOLDEN_GROUPS - 1) * _IDLE_CUBES_PER_ROUND
@@ -142,7 +153,7 @@ def golden_diag_cubes(lattice_l: int, w_msf: int) -> float:
 
 def golden_cost(lattice_l: int, w_msf: int, rotation: RotationCost) -> RotationCost:
     """One full step over the golden plaquette layer."""
-    return RotationCost(*_golden(lattice_l, w_msf, rotation))
+    return RotationCost(*_golden(*check_plane(lattice_l, w_msf), rotation))
 
 
 def trotter_step_cost(spec: ProblemSpec, rotation: RotationCost) -> RotationCost:

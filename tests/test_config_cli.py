@@ -365,6 +365,8 @@ class TestCli:
     @pytest.mark.parametrize("argv, golden", [
         (["--trials", "200000"], "verify_noise_200k.txt"),
         (["--trials", "200000", "--n-rus", "30", "--p", "0.05"], "verify_noise_200k_n30_p05.txt"),
+        # 80 categories, blocks of fewer than 2^15 rows, an uneven split
+        (["--n-rus", "80", "--trials", "300001", "--seed", "5"], "verify_noise_300001_n80_seed5.txt"),
     ])
     def test_verify_noise_output_matches_golden(self, capsys, argv, golden):
         # the MC counts are seeded, so every printed frequency is exact: a

@@ -15,14 +15,17 @@ from ftcost import (
     AttemptCaps,
     InvalidParameterError,
     ProblemSpec,
+    RotationCost,
     TimingModel,
     allocate_budget,
     cycle_outcome_distribution,
     derive_noise_params,
     fallback_plan,
-    loss_channel,
+    golden_cost,
+    interaction_cost,
     mc_rus_oracle,
     patch_geometry,
+    pink_cost,
     solve_estimate,
 )
 from ftcost.pipeline import FloorplanCounts, SolveOptions
@@ -33,11 +36,12 @@ NOISE = derive_noise_params(0.01)
 BUDGET = allocate_budget(0.01)
 CYCLE = cycle_outcome_distribution(0.009, 8.5e-4)
 TIMING = TimingModel()
+ROTATION = RotationCost(33, 96, 434)
 
 #: (argument name, call taking the argument, a valid Python int, other valid values)
 SITES = [
     ("n_rus", AttemptCaps, 10, ()),
-    ("k", loss_channel, 3, (math.inf,)),
+    ("lattice_l", lambda v: golden_cost(v, 2, ROTATION), 8, ()),
     ("trials", lambda v: mc_rus_oracle(CYCLE, AttemptCaps(), v, seed=1), 50, ()),
     ("seed", lambda v: mc_rus_oracle(CYCLE, AttemptCaps(), 50, seed=v), 7, ()),
     ("streams", lambda v: mc_rus_oracle(CYCLE, AttemptCaps(), 50, seed=1, streams=v), 2, ()),
@@ -58,6 +62,9 @@ SITES = [
     ("rounds_per_cycle", TIMING.reaction_ratio, 102, ()),
     ("total_patches", lambda v: FloorplanCounts(v, 30), 100, ()),
     ("msf_patches", lambda v: FloorplanCounts(100, v), 30, ()),
+    ("w_msf", lambda v: golden_cost(8, v, ROTATION), 2, ()),
+    ("lattice_l", lambda v: pink_cost(v, ROTATION), 12, ()),
+    ("lattice_l", lambda v: interaction_cost(v, ROTATION), 12, ()),
 ]
 SITE_IDS = [f"{name}-{i}" for i, (name, *_) in enumerate(SITES)]
 

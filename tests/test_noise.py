@@ -19,7 +19,6 @@ from ftcost import (
     derive_noise_params,
     heralded_cz_distribution,
     heralded_mzz_distribution,
-    loss_channel,
     mc_rus_oracle,
 )
 from ftcost import noise
@@ -27,10 +26,7 @@ from ftcost.noise import (
     CycleOutcomeDistribution,
     HeraldedOutcome,
     HeraldedOutcomeDistribution,
-    PauliChannel,
     binomial_sigma,
-    distinguishability_cz_channel,
-    distinguishability_mzz_channel,
 )
 
 NAN = float("nan")
@@ -113,8 +109,6 @@ class TestHeraldedCz:
         d = heralded_cz_distribution(params, AttemptCaps(n_rus=n))
         assert d.total() == pytest.approx(1.0, abs=1e-12)
         assert all(o.probability >= 0 for o in d.outcomes)
-        assert all(o.channel.total_weight() == pytest.approx(1.0, abs=1e-12)
-                   for o in d.outcomes)
 
     def test_large_cap_matches_integer_binomial(self):
         # a cap past 64 attempts, where the binomial coefficients outgrow a
@@ -162,17 +156,6 @@ class TestHeraldedCz:
         assert purities == sorted(purities)
         assert len(set(aborts)) == 4  # strictly decreasing
 
-    def test_channels_attached(self):
-        d = heralded_cz_distribution(REFERENCE_PARAMS, CAPS)
-        by_label = {o.label: o.channel for o in d.outcomes}
-        dist_cz = by_label["pure_success"]
-        assert dist_cz.weight("II") == pytest.approx((1 + 8.5e-4) / 2)
-        assert dist_cz.weight("ZZ") == pytest.approx((1 - 8.5e-4) / 2)
-        assert by_label["failure"].is_close(loss_channel(math.inf))
-        assert by_label["abort"].is_close(loss_channel(math.inf))
-        k1 = by_label["success_with_1_losses"]
-        assert k1.is_close(dist_cz.compose(loss_channel(1)))
-
     @pytest.mark.parametrize("name", ["n_rus"])
     @pytest.mark.parametrize("value", [True, 0, 2.0, np.True_])
     def test_attempt_caps_reject_non_integers_and_bools(self, name, value):
@@ -198,68 +181,9 @@ class TestHeraldedMzz:
         d = heralded_mzz_distribution(derive_noise_params(p), AttemptCaps(n_rus=n))
         assert d.total() == pytest.approx(1.0, abs=1e-12)
 
-    def test_abort_channel_erases_record(self):
-        d = heralded_mzz_distribution(REFERENCE_PARAMS, CAPS)
-        abort = {o.label: o.channel for o in d.outcomes}["abort"]
-        assert abort.classical_flip_weight == 0.5
-        assert abort.weight("ZI") == pytest.approx(0.5)  # erasure on the first spin
-
-
-class TestChannels:
-    def test_loss_channel_k1(self):
-        c = loss_channel(1)
-        assert c.weight("II") == pytest.approx(0.5)
-        assert c.weight("ZI") == c.weight("IZ") == pytest.approx(0.25)
-        assert c.weight("ZZ") == 0.0
-
-    def test_loss_channel_infinite(self):
-        c = loss_channel(math.inf)
-        assert all(c.weight(l) == pytest.approx(0.25) for l in ("II", "ZI", "IZ", "ZZ"))
-        # 2^-inf is exactly 0, so the general weights are exactly uniform
-        assert c.terms == (("II", 0.25), ("ZI", 0.25), ("IZ", 0.25), ("ZZ", 0.25))
-
-    def test_loss_channel_k2_matches_composition(self):
-        assert loss_channel(2).is_close(loss_channel(1).compose(loss_channel(1)))
-        assert loss_channel(2).weight("II") == pytest.approx(3 / 8)
-        assert loss_channel(2).weight("ZZ") == pytest.approx(1 / 8)
-
-    @given(k=st.integers(1, 20))
-    def test_loss_channel_recursion(self, k):
-        assert loss_channel(k + 1).is_close(loss_channel(k).compose(loss_channel(1)))
-
-    def test_loss_channel_converges(self):
-        c = loss_channel(40)
-        for l in ("II", "ZI", "IZ", "ZZ"):
-            assert c.weight(l) == pytest.approx(0.25, abs=1e-11)
-
-    def test_loss_channel_invalid(self):
-        with pytest.raises(InvalidParameterError):
-            loss_channel(0)
-
-    def test_no_record_composes_to_no_flip(self):
-        c = loss_channel(1).compose(distinguishability_cz_channel(0.2))
-        assert c.classical_flip_weight == 0.0
-        flip = distinguishability_mzz_channel(0.2).compose(loss_channel(1))
-        assert flip.classical_flip_weight == 0.4
-
-    def test_channel_validation(self):
-        with pytest.raises(InvalidParameterError):
-            PauliChannel(1, (("I", 0.5),))
-        with pytest.raises(InvalidParameterError):
-            PauliChannel(1, (("I", 1.5), ("Z", -0.5)))
-
 
 class TestValidatorsRejectNanAndBool:
-    """A NaN fails every probability check, and a bool is not a count."""
-
-    @pytest.mark.parametrize("terms", [
-        (("I", NAN),),
-        (("I", 1.0), ("Z", NAN)),
-        (("I", NAN), ("Z", 1.0)),
-    ])
-    def test_pauli_channel(self, terms):
-        with pytest.raises(InvalidParameterError):
-            PauliChannel(1, terms)
+    """A NaN fails every probability check."""
 
     @pytest.mark.parametrize("vals", [
         (NAN, 0, 0, 0, 0),
@@ -276,11 +200,6 @@ class TestValidatorsRejectNanAndBool:
         with pytest.raises(InvalidParameterError):
             HeraldedOutcomeDistribution(outcomes)
 
-    @pytest.mark.parametrize("k", [True, False, 0, NAN, 1.5, -math.inf, np.True_])
-    def test_loss_channel(self, k):
-        with pytest.raises(InvalidParameterError, match="^k="):
-            loss_channel(k)
-
 
 class TestCountsTakeAnyInteger:
     """A count is any integer, numpy's included, and is used as a Python int."""
@@ -292,17 +211,9 @@ class TestCountsTakeAnyInteger:
         for heralded in (heralded_cz_distribution, heralded_mzz_distribution):
             assert heralded(REFERENCE_PARAMS, caps) == heralded(REFERENCE_PARAMS, AttemptCaps(10))
 
-    # k + 1 in uint8 would wrap 255 to 0
-    @pytest.mark.parametrize("integer,k", [(np.int64, 3), (np.int32, 3), (np.uint8, 255)])
-    def test_loss_channel(self, integer, k):
-        assert loss_channel(integer(k)) == loss_channel(k)
-
     def test_int_messages(self):
         with pytest.raises(InvalidParameterError, match="^n_rus=0 must be an integer >= 1$"):
             AttemptCaps(0)
-        with pytest.raises(InvalidParameterError,
-                           match=r"^k=0 must be a positive integer or math\.inf$"):
-            loss_channel(0)
 
 
 class TestMcOracle:

@@ -197,6 +197,16 @@ class TestFloorplan:
         with pytest.raises(InvalidParameterError, match="^total_patches="):
             build(override)
 
+    @pytest.mark.parametrize("override", [(10,), [1, 2, 3], 5])
+    @pytest.mark.parametrize("build, name", [
+        (lambda override: floorplan(8, 2, override), "override"),
+        (lambda override: SolveOptions(floorplan_override=override), "floorplan_override"),
+    ], ids=["floorplan", "SolveOptions"])
+    def test_override_must_be_a_pair(self, build, name, override):
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^{name}=.* must be None or a \(total, msf\) pair$"):
+            build(override)
+
 
 class TestMsfSizing:
     def test_reference_instance(self):

@@ -6,7 +6,8 @@ bool, a string, None, NaN, inf or a value out of range is an
 ``InvalidParameterError`` whose message starts with the argument's name.  The
 fuzz test below draws, for one argument at a time, either such a bad value or
 an in-range numpy scalar, and asks a numpy scalar for the result of the same
-value as a Python number, in value and in type.
+value as a Python number, in value and in type.  A choice argument, such as
+a strategy name, fails in the same form: ``name=value!r must be one of ...``.
 """
 
 import dataclasses
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ftcost import (
+    AttemptCaps,
     ErrorBudget,
     ErrorDataPoint,
     FitError,
@@ -26,7 +28,6 @@ from ftcost import (
     MsfProtocol,
     NoDistanceFoundError,
     NoProtocolError,
-    PauliChannel,
     PhysicalNoiseParams,
     ProblemSpec,
     TimingModel,
@@ -38,6 +39,7 @@ from ftcost import (
     fit_error_curve,
     load_error_data,
     load_msf_table,
+    mc_rus_oracle,
     msf_sizing,
     select_distance,
     solve_estimate,
@@ -45,6 +47,7 @@ from ftcost import (
     t_count,
     trotter_steps,
 )
+from ftcost.pauli import PauliString
 from ftcost.pipeline import SolveOptions
 from ftcost.plaquette import build_plaquette_hamiltonian, run_verification, verify_plaquette_evolution
 from ftcost.surgery import PatchGeometry
@@ -117,8 +120,6 @@ SITES = {site.name: site for site in [
          (1.0, -0.5), _reals(**PROBABILITY)),
     Site("cycle_outcome_distribution.distinguishability",
          lambda v: cycle_outcome_distribution(0.009, v), (1.0,), _reals(**PROBABILITY)),
-    Site("PauliChannel.classical_flip_weight",
-         lambda v: PauliChannel(2, (("II", 1.0),), v), (1.5, -0.5), _reals(least=0, most=1)),
     Site("t_count.epsilon_synth", lambda v: t_count("diagonal", v), (0.0, 1.0), _reals(**OPEN_UNIT)),
     Site("fallback_plan.epsilon_synth", lambda v: fallback_plan(v, 0.99, 8), (0, 1),
          _reals(**OPEN_UNIT)),
@@ -270,6 +271,33 @@ def test_real_arguments_follow_one_rule(case):
 def test_protocols_hold_only_protocols(protocols, message):
     with pytest.raises(InvalidParameterError) as info:
         SolveOptions(protocols=protocols)
+    assert str(info.value) == message
+
+
+ANY_STRATEGY = "must be one of diagonal | mixed_diagonal | fallback | mixed_fallback"
+
+
+@pytest.mark.parametrize("name, call, message", [
+    ("strategy", lambda: SolveOptions(strategy="nope"), f"strategy='nope' {ANY_STRATEGY}"),
+    ("strategy", lambda: t_count("nope", 1e-3), f"strategy='nope' {ANY_STRATEGY}"),
+    ("strategy", lambda: t_count(["x"], 1e-3), f"strategy=['x'] {ANY_STRATEGY}"),
+    ("strategy", lambda: direct_plan(1e-3, "nope"), f"strategy='nope' {ANY_STRATEGY}"),
+    ("strategy", lambda: fallback_plan(1e-3, 0.99, 8, "diagonal"),
+     "strategy='diagonal' must be one of fallback | mixed_fallback"),
+    ("mode", lambda: t_count("diagonal", 1e-3, "typical"), "mode='typical' must be one of worst | mean"),
+    ("strategy_kind", lambda: synthesis_cost(PLAN, "x", 0.3),
+     "strategy_kind='x' must be one of direct | fallback"),
+    ("kind", lambda: mc_rus_oracle(cycle_outcome_distribution(0.009, 8.5e-4), AttemptCaps(), 50,
+                                   seed=1, kind="CZ"),
+     "kind='CZ' must be one of cz | mzz"),
+    ("letters", lambda: PauliString("AB"), "letters='AB' must hold only I, X, Y and Z"),
+    ("phase", lambda: PauliString("XZ", 2), "phase=2 must be one of 1 | 1j | -1 | -1j"),
+], ids=["SolveOptions", "t_count", "t_count-unhashable", "direct_plan", "fallback_plan",
+        "t_count-mode", "synthesis_cost", "mc_rus_oracle", "PauliString-letters",
+        "PauliString-phase"])
+def test_choice_arguments_fail_in_one_form(name, call, message):
+    with pytest.raises(InvalidParameterError, match=f"^{name}=") as info:
+        call()
     assert str(info.value) == message
 
 

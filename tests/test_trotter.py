@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -114,18 +115,29 @@ class TestSubEvolutionCosts:
             with pytest.raises(InvalidParameterError):
                 golden_diag_cubes(8, 0)
 
-    @pytest.mark.parametrize("check", [
-        lambda l, w: ProblemSpec(l, 8.0, 80.0, w),
-        golden_diag_cubes, floorplan, render_floorplan,
-    ], ids=["ProblemSpec", "golden_diag_cubes", "floorplan", "render_floorplan"])
-    @pytest.mark.parametrize("l, w, prefix", [
-        (8, 2.5, "w_msf=2.5"), (8, 2.0, "w_msf=2.0"), (8, 0, "w_msf=0"),
-        (8, True, "w_msf=True"), (7, 2, "lattice_l=7"), (0, 2, "lattice_l=0"),
-        (8.0, 2, "lattice_l=8.0"),
+    @pytest.mark.parametrize("check, l, w, prefix", [
+        pytest.param(check, l, w, prefix, id=f"{l}-{w}-{prefix}-{name}")
+        for name, check in {
+            "ProblemSpec": lambda l, w: ProblemSpec(l, 8.0, 80.0, w),
+            "golden_diag_cubes": golden_diag_cubes,
+            "golden_cost": lambda l, w: golden_cost(l, w, REFERENCE_ROTATION),
+            "floorplan": floorplan,
+            "render_floorplan": render_floorplan,
+            # these take L alone, so only the L cases apply
+            "pink_cost": lambda l, w: pink_cost(l, REFERENCE_ROTATION),
+            "interaction_cost": lambda l, w: interaction_cost(l, REFERENCE_ROTATION),
+        }.items()
+        for l, w, prefix in [
+            (8, 2.5, "w_msf=2.5"), (8, 2.0, "w_msf=2.0"), (8, 0, "w_msf=0"),
+            (8, True, "w_msf=True"), (7, 2, "lattice_l=7"), (0, 2, "lattice_l=0"),
+            (8.0, 2, "lattice_l=8.0"), (True, 2, "lattice_l=True"), (-8, 2, "lattice_l=-8"),
+            ([8], 2, "lattice_l=[8]"),
+        ]
+        if prefix.startswith("lattice_l=") or name not in ("pink_cost", "interaction_cost")
     ])
     def test_one_plane_rule(self, check, l, w, prefix):
         golden_diag_cubes(8, 2)  # a cached (8, 2) must not serve (8, 2.0)
-        with pytest.raises(InvalidParameterError, match=rf"^{prefix} must be "):
+        with pytest.raises(InvalidParameterError, match=rf"^{re.escape(prefix)} must be "):
             check(l, w)
 
     def test_golden_timesteps(self):
