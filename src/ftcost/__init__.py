@@ -55,10 +55,7 @@ from .synthesis import (
 from .timing import TimingModel, logical_cycle_time
 from .trotter import (
     ProblemSpec,
-    golden_cost,
-    interaction_cost,
     kappa,
-    pink_cost,
     trotter_step_cost,
     trotter_steps,
 )

@@ -5,12 +5,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import inspect
 import os
 import sys
 
 from . import config as cfgmod
 from .errors import FitError, InvalidParameterError, NoDistanceFoundError, NoProtocolError
 from .noise import (
+    GATE_SIGMAS,
     AttemptCaps,
     binomial_sigma,
     cycle_outcome_distribution,
@@ -167,18 +169,24 @@ def cmd_verify_noise(args) -> int:
             sigma = binomial_sigma(p, args.trials)
             dev = abs(emp - p) / sigma if sigma > 0 else (0.0 if emp == p else float("inf"))
             flag = ""
-            if dev > 5.0:
+            if dev > GATE_SIGMAS:
                 flag = "  FAIL"
                 failed = True
             print(f"  {outcome.label:<24} {p:>13.6e} {emp:>13.6e} {dev:>10.2f}{flag}")
-    print("FAIL: a category deviates beyond 5 sigma" if failed else "all categories within 5 sigma")
+    verdict = "FAIL: a category deviates beyond" if failed else "all categories within"
+    print(f"{verdict} {GATE_SIGMAS:g} sigma")
     return 1 if failed else 0
 
 
 def cmd_verify_plaquette(args) -> int:
     from . import plaquette
 
-    report = plaquette.run_verification(args.angles, args.seed, args.tolerance)
+    # a flag left out takes run_verification's own default
+    given = {name: value for name, value in vars(args).items()
+             if name in ("n_angles", "seed", "tolerance")}
+    call = inspect.signature(plaquette.run_verification).bind(**given)
+    call.apply_defaults()
+    report = plaquette.run_verification(*call.args, **call.kwargs)
     bad_relations = [k for k, ok in report["relations"].items() if not ok]
     print(f"operator relations: {len(report['relations']) - len(bad_relations)}"
           f"/{len(report['relations'])} hold")
@@ -188,7 +196,8 @@ def cmd_verify_plaquette(args) -> int:
         print(f"  {name}: deviation {dev:.3e}")
     worst_evo = max(report["evolution"].values())
     worst_fourier = max(report["fourier"].values())
-    print(f"time-evolution identity over {args.angles} angles: worst deviation {worst_evo:.3e}")
+    print(f"time-evolution identity over {call.arguments['n_angles']} angles: "
+          f"worst deviation {worst_evo:.3e}")
     print(f"fourier-conjugation identity: worst deviation {worst_fourier:.3e}")
     print("PASS" if report["passed"] else "FAIL")
     return 0 if report["passed"] else 1
@@ -222,15 +231,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-noise", help="Monte-Carlo check of the heralded closed forms")
     p.add_argument("--p", type=float, default=0.01, help="overall noise intensity")
-    p.add_argument("--n-rus", type=int, default=10)
+    p.add_argument("--n-rus", type=int, default=AttemptCaps.n_rus)
     p.add_argument("--trials", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=2026)
     p.set_defaults(func=cmd_verify_noise)
 
     p = sub.add_parser("verify-plaquette", help="dense checks of the plaquette algebra")
-    p.add_argument("--angles", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--angles", dest="n_angles", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--tolerance", type=float, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify_plaquette)
 
     return parser

@@ -133,7 +133,7 @@ def _value(key: Key, text: str):
 def load_config(path: Optional[str] = None, overrides: Optional[list[str]] = None) -> dict:
     """The defaults, then the file at ``path``, then the ``--set`` overrides,
     each value parsed and checked once against ``SCHEMA``."""
-    texts = parse_config_file(path) if path else {}
+    texts = {} if path is None else parse_config_file(path)
     texts.update(parse_overrides(overrides or []))
     cfg = _DEFAULTS.copy()
     for name, text in texts.items():

@@ -419,6 +419,10 @@ def _classify(draws: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndar
     return cz, mzz
 
 
+#: ``verify-noise`` fails a category more than this many ``binomial_sigma`` off its closed form.
+GATE_SIGMAS = 5.0
+
+
 def binomial_sigma(p: float, trials: int) -> float:
     """One binomial standard deviation of an empirical frequency."""
     return math.sqrt(max(p * (1.0 - p), 0.0) / trials)

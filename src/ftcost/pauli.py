@@ -7,7 +7,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, real
 
 # single-qubit products: (a, b) -> (k, letter) for the product i^k letter
 _PRODUCTS = {}
@@ -39,9 +39,9 @@ class PauliString:
     phase: complex = 1
 
     def __post_init__(self):
-        if not _LETTERS.issuperset(self.letters):
-            raise InvalidParameterError(f"letters={self.letters!r} must hold only I, X, Y and Z")
-        if self.phase not in _PHASES:
+        if type(self.letters) is not str or not _LETTERS.issuperset(self.letters):
+            raise InvalidParameterError(f"letters={self.letters!r} must be a str of I, X, Y and Z")
+        if isinstance(self.phase, (bool, np.bool_)) or self.phase not in _PHASES:
             raise InvalidParameterError(f"phase={self.phase!r} must be one of 1 | 1j | -1 | -1j")
 
     @property
@@ -69,9 +69,6 @@ class PauliString:
     def __neg__(self) -> "PauliString":
         return PauliString(self.letters, _PHASES[(_POWERS[self.phase] + 2) % 4])
 
-    def dagger(self) -> "PauliString":
-        return PauliString(self.letters, _PHASES[-_POWERS[self.phase] % 4])
-
     def commutes_with(self, other: "PauliString") -> bool:
         if len(self.letters) != len(other.letters):
             raise InvalidParameterError("cannot compare strings of different sizes")
@@ -82,10 +79,6 @@ class PauliString:
         out = np.zeros((2**self.n_qubits, 2**self.n_qubits), dtype=complex)
         _add_dense(out, self.phase, self.letters)
         return out
-
-    def __str__(self):
-        sign = {1: "+", -1: "-", 1j: "+i", -1j: "-i"}[self.phase]
-        return sign + self.letters
 
 
 @dataclass(frozen=True)
@@ -114,9 +107,6 @@ class PauliSum:
         )
         return PauliSum(kept)
 
-    def is_hermitian(self) -> bool:
-        return all(abs(c.imag) < COEFF_ATOL for c, _ in self.terms)
-
     def dense(self) -> np.ndarray:
         if not self.terms:
             raise InvalidParameterError("cannot densify an empty sum without a size")
@@ -126,14 +116,12 @@ class PauliSum:
             _add_dense(out, c * s.phase, s.letters)
         return out
 
-    def __len__(self):
-        return len(self.terms)
-
 
 def exp_pauli_rotation(theta: float, pauli: PauliString) -> np.ndarray:
-    """exp(-i theta P) as a dense matrix, valid because P^2 = I."""
-    if not pauli.is_hermitian():
-        raise InvalidParameterError("rotation axis must be Hermitian (real phase)")
+    """exp(-i theta P), theta finite and P Hermitian, as a dense matrix (P^2 = I)."""
+    theta = real(theta, "theta")
+    if type(pauli) is not PauliString or not pauli.is_hermitian():
+        raise InvalidParameterError(f"pauli={pauli!r} must be a Hermitian PauliString")
     dim = 2**pauli.n_qubits
     out = np.zeros((dim, dim), dtype=complex)
     out.reshape(-1)[:: dim + 1] = np.cos(theta)

@@ -147,8 +147,13 @@ def fourier_transform(j: int, k: int) -> np.ndarray:
 
     Built as exp(i pi/4 V_j) exp(pi/8 V_j E_kj) exp(pi/8 E_kj V_k); the edge
     enters with orientation k->j, the convention under which this reproduces
-    the explicit rotation sequences of the diagonalizing circuit.
+    the explicit rotation sequences of the diagonalizing circuit.  Any two
+    different vertices of 1..4 are an edge (j, k): four boundary, two diagonal.
     """
+    rule = "a plaquette vertex: 1, 2, 3 or 4"
+    j, k = integer(j, "j", 1, 4, rule=rule), integer(k, "k", 1, 4, rule=rule)
+    if j == k:
+        raise InvalidParameterError(f"(j, k)={(j, k)} must be a plaquette edge: two different vertices")
     (theta, axis), *rest = _FOURIER_ROTATIONS[(j, k)]
     out = exp_pauli_rotation(theta, axis)
     for theta, axis in rest:

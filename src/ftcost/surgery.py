@@ -13,6 +13,7 @@ import csv
 import functools
 import math
 import operator
+import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from importlib import resources
@@ -249,8 +250,11 @@ def _bundled(name: str):
 
 
 def read_text(path: str) -> str:
-    """The text of the UTF-8 file at ``path``; one that cannot be read is an
+    """The text of the UTF-8 file at ``path``, a non-empty str or an
+    ``os.PathLike``; any other path, or a file that cannot be read, is an
     error naming it."""
+    if not (isinstance(path, str) and path or isinstance(path, os.PathLike)):
+        raise InvalidParameterError(f"path={path!r} must be a non-empty str or os.PathLike")
     try:
         with open(path, encoding="utf-8", newline="") as f:
             return f.read()
@@ -261,8 +265,8 @@ def read_text(path: str) -> str:
 
 def _parse_rows(path: Optional[str], bundled: str, make) -> list:
     """``make(row)`` for every CSV row of ``path``, or of the bundled file when
-    ``path`` is unset; a bad row, or no row at all, is an error naming it."""
-    text = read_text(path) if path else _bundled(bundled).read_text(encoding="utf-8")
+    ``path`` is None; a bad row, or no row at all, is an error naming it."""
+    text = _bundled(bundled).read_text(encoding="utf-8") if path is None else read_text(path)
     items = []
     for i, row in enumerate(csv.DictReader(text.splitlines()), start=1):
         try:
@@ -310,8 +314,8 @@ def _parse_bundled(name: str, make) -> tuple:
 
 def _load(path: Optional[str], bundled: str, make) -> list:
     """A new list of the rows of the file at ``path``, parsed on every call, or
-    when ``path`` is unset of the bundled file, parsed once per process."""
-    return _parse_rows(path, bundled, make) if path else list(_parse_bundled(bundled, make))
+    when ``path`` is None of the bundled file, parsed once per process."""
+    return list(_parse_bundled(bundled, make)) if path is None else _parse_rows(path, bundled, make)
 
 
 def load_error_data(path: Optional[str] = None) -> list[ErrorDataPoint]:

@@ -121,8 +121,8 @@ def direct_plan(
 
 @dataclass(frozen=True)
 class RotationCost:
-    """Additive record of fault-tolerant resources: one synthesized
-    Z-rotation, one sub-evolution, or one Trotter step."""
+    """Record of fault-tolerant resources: one synthesized Z-rotation or one
+    Trotter step."""
 
     t_states: float = 0.0
     logical_timesteps: float = 0.0
@@ -134,14 +134,6 @@ class RotationCost:
                 and self.active_cubes >= 0 and self.transversal_cnots >= 0):
             name, value = next((k, v) for k, v in vars(self).items() if not v >= 0)
             raise InvalidParameterError(f"{name}={value} must be nonnegative")
-
-    def __add__(self, other: "RotationCost") -> "RotationCost":
-        return RotationCost(
-            self.t_states + other.t_states,
-            self.logical_timesteps + other.logical_timesteps,
-            self.active_cubes + other.active_cubes,
-            self.transversal_cnots + other.transversal_cnots,
-        )
 
 
 def _direct(n_t: float, tau: float) -> tuple[float, float]:

@@ -40,15 +40,9 @@ SINGLE_PLANE_DIAG_TIMESTEPS = 354
 _LATTICE_RULE = "an even integer >= 2 (plaquette layers need L^2/4 whole plaquettes)"
 
 
-def _check_lattice(lattice_l: int) -> int:
-    """The plane rule's half for L alone, returning L as a Python int."""
-    return integer(lattice_l, "lattice_l", 2, even=True, rule=_LATTICE_RULE)
-
-
 def check_plane(lattice_l: int, w_msf: int) -> tuple[int, int]:
     """The plane rule, L an even integer >= 2 and the aisle width an integer >= 1,
     returning both as Python ints."""
-    # _check_lattice written out: ProblemSpec applies this rule once per sweep point
     return (integer(lattice_l, "lattice_l", 2, even=True, rule=_LATTICE_RULE),
             integer(w_msf, "w_msf"))
 
@@ -83,7 +77,9 @@ def trotter_steps(spec: ProblemSpec, eps_alg: float) -> int:
     return max(1, math.ceil(bound))
 
 
-# (T states, timesteps, cubes, CNOTs) of each sub-evolution, for its ledger and the step
+# (T states, timesteps, cubes, CNOTs) of each sub-evolution.  Its L^2 rotations, and a
+# plaquette layer's L^2/2 diagonalizations, run in parallel, so their timesteps count
+# once; the interaction's transversal CNOTs take no cubes or timesteps.
 def _interaction(l2: int, rotation: RotationCost) -> tuple:
     return (l2 * rotation.t_states, rotation.logical_timesteps,
             l2 * rotation.active_cubes, 2 * l2)
@@ -103,24 +99,6 @@ def _golden(lattice_l: int, w_msf: int, rotation: RotationCost) -> tuple:
             GOLDEN_DIAG_TIMESTEPS + rotation.logical_timesteps,
             _golden_diag_cubes(lattice_l, w_msf) + l2 * rotation.active_cubes,
             0.0)
-
-
-def interaction_cost(lattice_l: int, rotation: RotationCost) -> RotationCost:
-    """One interaction sub-evolution: inter-plane CNOT conjugation plus rotations.
-
-    The transversal CNOTs consume no cubes or timesteps; the L^2 rotations
-    run in parallel so their timesteps count once.
-    """
-    return RotationCost(*_interaction(_check_lattice(lattice_l)**2, rotation))
-
-
-def pink_cost(lattice_l: int, rotation: RotationCost) -> RotationCost:
-    """One half-step over the bulk plaquette layer (applied twice per step).
-
-    L^2/2 plaquettes diagonalize in parallel; cube and T entries scale with
-    the plaquette count while timesteps add once.
-    """
-    return RotationCost(*_pink(_check_lattice(lattice_l)**2, rotation))
 
 
 def golden_diag_cubes(lattice_l: int, w_msf: int) -> float:
@@ -151,17 +129,11 @@ def _golden_diag_cubes(lattice_l: int, w_msf: int) -> float:
     return 4.0 * per_plane_one_way
 
 
-def golden_cost(lattice_l: int, w_msf: int, rotation: RotationCost) -> RotationCost:
-    """One full step over the golden plaquette layer."""
-    return RotationCost(*_golden(*check_plane(lattice_l, w_msf), rotation))
-
-
 def trotter_step_cost(spec: ProblemSpec, rotation: RotationCost) -> RotationCost:
     """Ledger of one full Trotter step (interaction + pink + golden + pink).
 
-    Each field is the sum of the four sub-evolution ledgers' fields, added in
-    that order, so the step equals the sum of ``interaction_cost``,
-    ``pink_cost``, ``golden_cost`` and ``pink_cost`` bit for bit.
+    Each field is the sum of the four sub-evolution parts' fields, added in
+    that order: ``_interaction``, ``_pink``, ``_golden`` and ``_pink``.
     """
     l2 = spec.lattice_l**2
     i_t, i_ts, i_cubes, i_cnots = _interaction(l2, rotation)

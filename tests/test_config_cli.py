@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ftcost
-from ftcost.cli import main
+from ftcost.cli import build_parser, main
 from ftcost.config import (
     SCHEMA,
     budget_from,
@@ -17,6 +17,9 @@ from ftcost.config import (
     problem_from,
 )
 from ftcost.errors import InvalidParameterError
+from ftcost.noise import AttemptCaps
+from ftcost.plaquette import run_verification
+from ftcost.surgery import load_error_data, load_msf_table
 
 #: Config keys that changed no output and were removed, each with a value
 #: that was once legal.
@@ -166,6 +169,44 @@ class TestConfig:
         cfg = load_config(overrides=[f"data.lattice_surgery_csv={data}"])
         options = options_from(cfg)
         assert options.fit.a < 0
+
+
+#: Stands for an open descriptor of a temporary file in the path cases below.
+_OPEN_FD = object()
+
+
+class TestPathRule:
+    """``None`` is the only "no path"; anything else but a non-empty str or an
+    ``os.PathLike`` is one ``path=`` error, raised before any file is opened."""
+
+    @pytest.mark.parametrize("load", [load_error_data, load_msf_table, load_config],
+                             ids=["load_error_data", "load_msf_table", "load_config"])
+    @pytest.mark.parametrize("path", [_OPEN_FD, 0, False, "", b"cubes.csv"],
+                             ids=["fd", "0", "False", "empty", "bytes"])
+    def test_only_a_str_or_pathlike_is_a_path(self, tmp_path, load, path):
+        fd = os.open(tmp_path / "cubes.csv", os.O_RDONLY | os.O_CREAT)
+        try:
+            path = fd if path is _OPEN_FD else path
+            message = rf"^path={re.escape(repr(path))} must be a non-empty str or os.PathLike$"
+            with pytest.raises(InvalidParameterError, match=message):
+                load(path)
+            os.fstat(fd)  # the descriptor is still open
+        finally:
+            os.close(fd)
+
+    def test_a_pathlike_is_read(self, tmp_path):
+        cubes, cfg = tmp_path / "cubes.csv", tmp_path / "run.cfg"
+        cubes.write_text("width,height,rounds,qubits,ehv,ehv_stddev\n10,18,36,180,1e-5,1e-6\n")
+        cfg.write_text("problem.L = 4\n")
+        assert load_error_data(cubes)[0].e_hv == 1e-5
+        assert load_config(cfg)["problem.L"] == 4
+
+    def test_empty_config_flag_is_one_line(self, capsys):
+        assert main(["estimate", "--config", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("ftcost estimate: error: "
+                                "path='' must be a non-empty str or os.PathLike\n")
 
 
 class TestCli:
@@ -469,6 +510,17 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.endswith("\n") and captured.err.count("\n") == 1
         assert captured.err.startswith(f"ftcost verify-plaquette: error: {name}={value} ")
+
+    def test_flagless_verify_plaquette_reports_run_verification(self, capsys):
+        assert main(["verify-plaquette"]) == 0
+        out = capsys.readouterr().out
+        report = run_verification()
+        assert (f"time-evolution identity over {len(report['evolution'])} angles: "
+                f"worst deviation {max(report['evolution'].values()):.3e}\n") in out
+        assert f"identity: worst deviation {max(report['fourier'].values()):.3e}\n" in out
+
+    def test_verify_noise_n_rus_default_is_the_library_default(self):
+        assert build_parser().parse_args(["verify-noise"]).n_rus == AttemptCaps().n_rus
 
     def test_verify_plaquette_tolerance_failure(self, capsys):
         rc = main(["verify-plaquette", "--angles", "4", "--tolerance", "1e-18"])

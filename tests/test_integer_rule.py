@@ -15,33 +15,30 @@ from ftcost import (
     AttemptCaps,
     InvalidParameterError,
     ProblemSpec,
-    RotationCost,
     TimingModel,
     allocate_budget,
     cycle_outcome_distribution,
     derive_noise_params,
     fallback_plan,
-    golden_cost,
-    interaction_cost,
+    floorplan,
     mc_rus_oracle,
     patch_geometry,
-    pink_cost,
     solve_estimate,
 )
-from ftcost.pipeline import FloorplanCounts, SolveOptions
+from ftcost.pipeline import FloorplanCounts, SolveOptions, render_floorplan
 from ftcost.plaquette import run_verification
 from ftcost.surgery import PatchGeometry, ladder_rungs
+from ftcost.trotter import golden_diag_cubes
 
 NOISE = derive_noise_params(0.01)
 BUDGET = allocate_budget(0.01)
 CYCLE = cycle_outcome_distribution(0.009, 8.5e-4)
 TIMING = TimingModel()
-ROTATION = RotationCost(33, 96, 434)
 
 #: (argument name, call taking the argument, a valid Python int, other valid values)
 SITES = [
     ("n_rus", AttemptCaps, 10, ()),
-    ("lattice_l", lambda v: golden_cost(v, 2, ROTATION), 8, ()),
+    ("lattice_l", lambda v: golden_diag_cubes(v, 2), 8, ()),
     ("trials", lambda v: mc_rus_oracle(CYCLE, AttemptCaps(), v, seed=1), 50, ()),
     ("seed", lambda v: mc_rus_oracle(CYCLE, AttemptCaps(), 50, seed=v), 7, ()),
     ("streams", lambda v: mc_rus_oracle(CYCLE, AttemptCaps(), 50, seed=1, streams=v), 2, ()),
@@ -62,9 +59,9 @@ SITES = [
     ("rounds_per_cycle", TIMING.reaction_ratio, 102, ()),
     ("total_patches", lambda v: FloorplanCounts(v, 30), 100, ()),
     ("msf_patches", lambda v: FloorplanCounts(100, v), 30, ()),
-    ("w_msf", lambda v: golden_cost(8, v, ROTATION), 2, ()),
-    ("lattice_l", lambda v: pink_cost(v, ROTATION), 12, ()),
-    ("lattice_l", lambda v: interaction_cost(v, ROTATION), 12, ()),
+    ("w_msf", lambda v: golden_diag_cubes(8, v), 2, ()),
+    ("lattice_l", lambda v: floorplan(v, 2), 12, ()),
+    ("lattice_l", lambda v: render_floorplan(v, 2), 12, ()),
 ]
 SITE_IDS = [f"{name}-{i}" for i, (name, *_) in enumerate(SITES)]
 

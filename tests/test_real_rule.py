@@ -290,7 +290,7 @@ ANY_STRATEGY = "must be one of diagonal | mixed_diagonal | fallback | mixed_fall
     ("kind", lambda: mc_rus_oracle(cycle_outcome_distribution(0.009, 8.5e-4), AttemptCaps(), 50,
                                    seed=1, kind="CZ"),
      "kind='CZ' must be one of cz | mzz"),
-    ("letters", lambda: PauliString("AB"), "letters='AB' must hold only I, X, Y and Z"),
+    ("letters", lambda: PauliString("AB"), "letters='AB' must be a str of I, X, Y and Z"),
     ("phase", lambda: PauliString("XZ", 2), "phase=2 must be one of 1 | 1j | -1 | -1j"),
 ], ids=["SolveOptions", "t_count", "t_count-unhashable", "direct_plan", "fallback_plan",
         "t_count-mode", "synthesis_cost", "mc_rus_oracle", "PauliString-letters",

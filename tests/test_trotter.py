@@ -9,19 +9,25 @@ from ftcost import (
     InvalidParameterError,
     ProblemSpec,
     RotationCost,
-    golden_cost,
-    interaction_cost,
     kappa,
-    pink_cost,
     trotter_step_cost,
     trotter_steps,
 )
 from ftcost.pipeline import floorplan, render_floorplan
-from ftcost.trotter import golden_diag_cubes, single_plane_step_timesteps
+from ftcost.trotter import (
+    GOLDEN_DIAG_TIMESTEPS,
+    PLAQ_DIAG_TIMESTEPS,
+    _golden,
+    _interaction,
+    _pink,
+    golden_diag_cubes,
+    single_plane_step_timesteps,
+)
 
 #: Converged per-rotation cost of the reference instance.
 REFERENCE_ROTATION = RotationCost(t_states=33, logical_timesteps=96, active_cubes=434)
 REFERENCE_SPEC = ProblemSpec(lattice_l=8, u_over_t=8.0, sim_time_t=80.0, w_msf=2)
+ZERO = RotationCost(0, 0, 0)
 EPS_ALG = 0.005 / 2.01
 
 
@@ -65,32 +71,34 @@ class TestTrotterSteps:
 
 
 class TestSubEvolutionCosts:
+    # a step with a zero rotation holds only the diagonalizations and the CNOTs
     def test_interaction(self):
-        c = interaction_cost(8, REFERENCE_ROTATION)
-        assert c.transversal_cnots == 128
-        assert c.t_states == 64 * 33 == 2112
-        assert c.active_cubes == 64 * 434 == 27776
-        assert c.logical_timesteps == 96
+        # what the rotations add to a step: L^2 rotations in each of the four parts
+        step, bare = (trotter_step_cost(REFERENCE_SPEC, r) for r in (REFERENCE_ROTATION, ZERO))
+        assert step.t_states - bare.t_states == 4 * 64 * 33 == 4 * 2112
+        assert step.active_cubes - bare.active_cubes == 4 * 64 * 434 == 4 * 27776
+        assert step.logical_timesteps - bare.logical_timesteps == 4 * 96
+        assert step.transversal_cnots == bare.transversal_cnots == 128
 
     def test_interaction_small(self):
-        assert interaction_cost(2, REFERENCE_ROTATION).transversal_cnots == 8
-        zero = RotationCost(0, 0, 0)
-        c = interaction_cost(8, zero)
-        assert (c.t_states, c.logical_timesteps, c.active_cubes) == (0, 0, 0)
-        assert c.transversal_cnots == 128
+        # 2 L^2 transversal CNOTs, the step's only ones
+        assert trotter_step_cost(ProblemSpec(2, 8.0, 20.0), REFERENCE_ROTATION).transversal_cnots == 8
+        c = trotter_step_cost(REFERENCE_SPEC, ZERO)
+        assert (c.t_states, c.logical_timesteps, c.active_cubes, c.transversal_cnots) == (
+            768, 90, 32316, 128)
 
     def test_pink_half_step(self):
-        zero = RotationCost(0, 0, 0)
-        c = pink_cost(8, zero)
-        assert c.t_states == 8 * 32 == 256        # 8 per plaquette, L^2/2 plaquettes
-        assert c.logical_timesteps == 18
-        assert c.active_cubes == 205 * 32
-        # both halves together: 205 L^2
-        assert 2 * c.active_cubes == 13120
+        c = trotter_step_cost(REFERENCE_SPEC, ZERO)
+        # 8 T states per plaquette, L^2/2 plaquettes in each of three layers
+        assert c.t_states == 3 * 8 * 32 == 768
+        assert PLAQ_DIAG_TIMESTEPS == 18
+        assert c.logical_timesteps == 2 * 18 + GOLDEN_DIAG_TIMESTEPS
+        # 205 cubes per plaquette in both pink halves: 205 L^2
+        assert c.active_cubes - golden_diag_cubes(8, 2) == 205 * 64 == 13120
 
     def test_pink_small_lattice(self):
-        zero = RotationCost(0, 0, 0)
-        assert 2 * pink_cost(2, zero).active_cubes == 205 * 4
+        c = trotter_step_cost(ProblemSpec(2, 8.0, 20.0), ZERO)
+        assert c.active_cubes - golden_diag_cubes(2, 2) == 205 * 4
 
     def test_golden_reference_value(self):
         assert golden_diag_cubes(8, 2) == pytest.approx(19196)
@@ -120,12 +128,8 @@ class TestSubEvolutionCosts:
         for name, check in {
             "ProblemSpec": lambda l, w: ProblemSpec(l, 8.0, 80.0, w),
             "golden_diag_cubes": golden_diag_cubes,
-            "golden_cost": lambda l, w: golden_cost(l, w, REFERENCE_ROTATION),
             "floorplan": floorplan,
             "render_floorplan": render_floorplan,
-            # these take L alone, so only the L cases apply
-            "pink_cost": lambda l, w: pink_cost(l, REFERENCE_ROTATION),
-            "interaction_cost": lambda l, w: interaction_cost(l, REFERENCE_ROTATION),
         }.items()
         for l, w, prefix in [
             (8, 2.5, "w_msf=2.5"), (8, 2.0, "w_msf=2.0"), (8, 0, "w_msf=0"),
@@ -133,7 +137,6 @@ class TestSubEvolutionCosts:
             (8.0, 2, "lattice_l=8.0"), (True, 2, "lattice_l=True"), (-8, 2, "lattice_l=-8"),
             ([8], 2, "lattice_l=[8]"),
         ]
-        if prefix.startswith("lattice_l=") or name not in ("pink_cost", "interaction_cost")
     ])
     def test_one_plane_rule(self, check, l, w, prefix):
         golden_diag_cubes(8, 2)  # a cached (8, 2) must not serve (8, 2.0)
@@ -141,10 +144,10 @@ class TestSubEvolutionCosts:
             check(l, w)
 
     def test_golden_timesteps(self):
-        zero = RotationCost(0, 0, 0)
-        c = golden_cost(8, 2, zero)
-        assert c.logical_timesteps == 54
-        assert c.t_states == 4 * 64
+        c = trotter_step_cost(REFERENCE_SPEC, ZERO)
+        assert GOLDEN_DIAG_TIMESTEPS == 3 * PLAQ_DIAG_TIMESTEPS == 54
+        assert c.logical_timesteps == 54 + 2 * PLAQ_DIAG_TIMESTEPS == 90
+        assert c.t_states == 3 * 4 * 64
 
 
 class TestTrotterStep:
@@ -156,13 +159,15 @@ class TestTrotterStep:
         assert step.transversal_cnots == 128
 
     def test_step_composition(self):
-        # the step ledger is exactly the sum of its four sub-evolutions
+        # the step ledger is exactly the sum of its four sub-evolution parts
+        interaction = _interaction(64, REFERENCE_ROTATION)
+        pink = _pink(64, REFERENCE_ROTATION)
+        golden = _golden(8, 2, REFERENCE_ROTATION)
+        assert interaction == (2112, 96, 27776, 128)
+        assert pink == (256 + 2112, 18 + 96, 205 * 32 + 27776, 0)
+        assert golden == (256 + 2112, 54 + 96, 19196 + 27776, 0)
         step = trotter_step_cost(REFERENCE_SPEC, REFERENCE_ROTATION)
-        parts = (interaction_cost(8, REFERENCE_ROTATION)
-                 + pink_cost(8, REFERENCE_ROTATION)
-                 + golden_cost(8, 2, REFERENCE_ROTATION)
-                 + pink_cost(8, REFERENCE_ROTATION))
-        assert step == parts
+        assert step == RotationCost(*map(sum, zip(interaction, pink, golden, pink)))
 
     @given(
         l=st.integers(1, 20).map(lambda half: 2 * half),
@@ -173,11 +178,12 @@ class TestTrotterStep:
     @settings(max_examples=200)
     def test_step_is_the_exact_sum_of_its_parts(self, l, w, fields):
         # the one-ledger step adds each field in the order of the four
-        # sub-evolution ledgers, so it equals their sum bit for bit
+        # sub-evolution parts, so a per-part trace sums to it bit for bit
         rotation = RotationCost(*fields)
         step = trotter_step_cost(ProblemSpec(l, 8.0, 10.0 * l, w), rotation)
-        pink = pink_cost(l, rotation)
-        assert step == interaction_cost(l, rotation) + pink + golden_cost(l, w, rotation) + pink
+        pink = _pink(l * l, rotation)
+        parts = zip(_interaction(l * l, rotation), pink, _golden(l, w, rotation), pink)
+        assert step == RotationCost(*(((i + p) + g) + q for i, p, g, q in parts))
         assert type(step.transversal_cnots) is float
 
     def test_diagonalization_floor(self):
@@ -199,19 +205,6 @@ class TestTrotterStep:
 
 
 class TestCostLedger:
-    @given(
-        entries=st.lists(
-            st.tuples(*[st.floats(0, 1e6) for _ in range(4)]), min_size=3, max_size=3)
-    )
-    @settings(max_examples=50)
-    def test_merge_associative_commutative(self, entries):
-        a, b, c = (RotationCost(*e) for e in entries)
-        left = (a + b) + c
-        right = a + (b + c)
-        for attr in ("t_states", "logical_timesteps", "active_cubes", "transversal_cnots"):
-            assert getattr(left, attr) == pytest.approx(getattr(right, attr))
-            assert getattr(a + b, attr) == pytest.approx(getattr(b + a, attr))
-
     def test_nonnegative(self):
         with pytest.raises(InvalidParameterError):
             RotationCost(t_states=-1)
