@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import cmath
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -55,9 +57,14 @@ class PauliString:
     def is_hermitian(self) -> bool:
         return self.phase in (1, -1)
 
-    def __mul__(self, other: "PauliString") -> "PauliString":
+    def _check_operand(self, other, verb: str) -> None:
+        if type(other) is not PauliString:
+            raise InvalidParameterError(f"other={other!r} must be a PauliString")
         if len(self.letters) != len(other.letters):
-            raise InvalidParameterError("cannot multiply strings of different sizes")
+            raise InvalidParameterError(f"cannot {verb} strings of different sizes")
+
+    def __mul__(self, other: "PauliString") -> "PauliString":
+        self._check_operand(other, "multiply")
         power = _POWERS[self.phase] + _POWERS[other.phase]
         letters = []
         for pair in zip(self.letters, other.letters):
@@ -70,8 +77,7 @@ class PauliString:
         return PauliString(self.letters, _PHASES[(_POWERS[self.phase] + 2) % 4])
 
     def commutes_with(self, other: "PauliString") -> bool:
-        if len(self.letters) != len(other.letters):
-            raise InvalidParameterError("cannot compare strings of different sizes")
+        self._check_operand(other, "compare")
         return sum(map(_ANTICOMMUTING.__contains__, zip(self.letters, other.letters))) % 2 == 0
 
     def dense(self) -> np.ndarray:
@@ -97,6 +103,10 @@ class PauliSum:
         merged: dict[str, complex] = {}
         n = None
         for coeff, string in terms:
+            if type(string) is not PauliString or not (
+                    isinstance(coeff, numbers.Number) and cmath.isfinite(coeff)):
+                raise InvalidParameterError(
+                    f"terms={(coeff, string)!r} must pair a finite coefficient with a PauliString")
             if n is None:
                 n = string.n_qubits
             elif string.n_qubits != n:

@@ -98,9 +98,14 @@ def check_majorana_relations(mapping: OperatorMap | None = None) -> dict[str, bo
     Checks Hermiticity, self-inversion and tracelessness, the
     share-a-vertex anticommutation rule over all operator pairs, the
     edge-concatenation identities for the two diagonals, and the closed-loop
-    product around the plaquette.
+    product around the plaquette, of the bundled map unless ``mapping`` is given.
     """
-    mapping = mapping or _MAP
+    if mapping is None:
+        mapping = _MAP
+    elif not (isinstance(mapping, dict) and mapping.keys() == _MAP.keys() and all(
+            type(op) is PauliString and op.n_qubits == N_QUBITS for op in mapping.values())):
+        raise InvalidParameterError(
+            f"mapping={mapping!r} must map exactly {', '.join(_MAP)} to {N_QUBITS}-qubit PauliStrings")
     report: dict[str, bool] = {}
     identity = PauliString("I" * N_QUBITS)
 
@@ -188,9 +193,9 @@ class DiagonalizationCircuit:
     def evolution(self, theta) -> np.ndarray:
         """The circuit at one inner angle ``theta``, or a stack at an array of them.
 
-        The halves are built once and reused for every angle of a run; an
-        angle costs only the diagonal e^{i theta Z2} e^{i theta Z3}, applied
-        as a vector, and one 32x32 product.
+        The module's halves are built once, at import, and reused for every
+        angle; an angle costs only the diagonal e^{i theta Z2} e^{i theta Z3},
+        applied as a vector, and one 32x32 product.
         """
         phases = np.exp(1j * np.asarray(theta)[..., None] * _Z2_PLUS_Z3)
         return (self.forward * phases[..., None, :]) @ self.inverse
@@ -228,45 +233,36 @@ _HOPPING = tuple(
 )
 #: The rotations of every Fourier transform the directed edges allow.
 _FOURIER_ROTATIONS = {(j, k): _fourier_rotations(j, k) for (k, j) in _EDGES}
+#: C†, F31 and F24, and the circuit halves F31 F24 C and C† F24† F31†: fixed
+#: operators, built at import.
+_CD, _F31, _F24 = diagonalizing_clifford_dagger(), fourier_transform(3, 1), fourier_transform(2, 4)
+_CIRCUIT = DiagonalizationCircuit(_F31 @ _F24 @ _CD.conj().T, _CD @ _F24.conj().T @ _F31.conj().T)
 
 
-def build_diagonalization_circuit(theta: float = 0.0,
-                                  circuit: DiagonalizationCircuit | None = None) -> np.ndarray:
-    """Dense F31 F24 C e^{i theta Z2} e^{i theta Z3} C† F24† F31†, from ``circuit``'s halves if given."""
-    return (circuit or _circuit()).evolution(theta)
+def build_diagonalization_circuit(theta: float = 0.0) -> np.ndarray:
+    """Dense F31 F24 C e^{i theta Z2} e^{i theta Z3} C† F24† F31†, for a finite ``theta``."""
+    return _CIRCUIT.evolution(real(theta, "theta"))
 
 
-def _circuit(cd: np.ndarray | None = None) -> DiagonalizationCircuit:
-    cd = diagonalizing_clifford_dagger() if cd is None else cd
-    f31 = fourier_transform(3, 1)
-    f24 = fourier_transform(2, 4)
-    inverse = cd @ f24.conj().T @ f31.conj().T
-    forward = f31 @ f24 @ cd.conj().T
-    return DiagonalizationCircuit(forward, inverse)
-
-
-def check_clifford_relations(cd: np.ndarray | None = None,
-                             circuit: DiagonalizationCircuit | None = None) -> dict[str, float]:
+def check_clifford_relations() -> dict[str, float]:
     """Dense checks that C maps Z2, Z3 onto the plaquette hopping axes.
 
-    ``cd`` is C† and ``circuit`` the circuit halves; each is built here if
-    not given.  The caller bounds the returned deviations.
+    The caller bounds the returned deviations.
     """
-    cd = diagonalizing_clifford_dagger() if cd is None else cd
-    c = cd.conj().T
+    c = _CD.conj().T
     # Z2 and Z3 are diagonal: multiplying C's columns by them is the product C Z
     return {
-        "C Z2 C† = X2X3Xaux": float(np.linalg.norm((c * _Z2) @ cd - _X2X3XAUX)),
-        "C Z3 C† = Y2Y3Xaux": float(np.linalg.norm((c * _Z3) @ cd - _Y2Y3XAUX)),
-        "circuit unitarity": unitarity_defect(build_diagonalization_circuit(0.37, circuit)),
+        "C Z2 C† = X2X3Xaux": float(np.linalg.norm((c * _Z2) @ _CD - _X2X3XAUX)),
+        "C Z3 C† = Y2Y3Xaux": float(np.linalg.norm((c * _Z3) @ _CD - _Y2Y3XAUX)),
+        "circuit unitarity": unitarity_defect(build_diagonalization_circuit(0.37)),
     }
 
 
 def _angle_list(theta) -> tuple[list[float], bool]:
-    """``theta`` as a list of floats, and whether it was a single angle."""
+    """``theta`` as a list of finite floats, and whether it was a single angle."""
     if np.ndim(theta) == 0:
-        return [float(theta)], True
-    return [float(a) for a in theta], False
+        return [real(theta, "theta")], True
+    return [real(a, "theta") for a in theta], False
 
 
 #: Angles whose spectral sums are taken as one (angles x 1024) stack, 16 kB
@@ -305,23 +301,23 @@ def _row_norms(rows: np.ndarray) -> list[float]:
 
 
 def verify_plaquette_evolution(t_coupling: float, theta,
-                               circuit: DiagonalizationCircuit | None = None):
+                               circuit: DiagonalizationCircuit = _CIRCUIT):
     """Deviation between exp(-i theta/t H_plaquette) and the circuit.
 
     ``t_coupling`` is finite and nonzero; ``theta`` is the inner rotation
-    angle t*T_sim/(2r), one angle giving one float or a sequence giving their
-    deviations in order.  Global phases are quotiented out.  The halves
-    F = F31 F24 C and G = C† F24† F31† are ``circuit``, built here if not
-    given.  H = V diag(w) V† is diagonalized once per call, and the circuit
-    is split by the spectrum {-2, 0, 2} of Z2 + Z3: in H's eigenbasis it is
-    K(theta) = sum_s e^{i theta s} R_s, with R_s = (V† F)[:, s] (G V)[s, :]
-    built once.  The exact evolution is there the diagonal
-    a = e^{-i theta w/t}, so an angle costs one three-term sum and the
-    distance ||K - conj(lam) diag(a)||, lam the phase of tr(K† diag(a)) as
-    in ``phase_quotient_distance``.  The sums are taken ``_CHUNK`` angles at
-    a time, so memory does not grow with the number of angles.  The first
-    angle is also compared directly, as two dense 32x32 matrices, and its
-    deviation is the larger of the two results.
+    angle t*T_sim/(2r), finite, one angle giving one float or a sequence
+    giving their deviations in order.  Global phases are quotiented out.  The
+    halves F = F31 F24 C and G = C† F24† F31† are ``circuit``, the module's
+    by default.  H = V diag(w) V† is built and diagonalized once per call,
+    and the circuit is split by the spectrum {-2, 0, 2} of Z2 + Z3: in H's
+    eigenbasis it is K(theta) = sum_s e^{i theta s} R_s, with
+    R_s = (V† F)[:, s] (G V)[s, :] built once.  The exact evolution is there
+    the diagonal a = e^{-i theta w/t}, so an angle costs one three-term sum
+    and the distance ||K - conj(lam) diag(a)||, lam the phase of
+    tr(K† diag(a)) as in ``phase_quotient_distance``.  The sums are taken
+    ``_CHUNK`` angles at a time, so memory does not grow with the number of
+    angles.  The first angle is also compared directly, as two dense 32x32
+    matrices, and its deviation is the larger of the two results.
     """
     t_coupling = real(t_coupling, "t_coupling")
     if t_coupling == 0:
@@ -329,7 +325,6 @@ def verify_plaquette_evolution(t_coupling: float, theta,
     angles, single = _angle_list(theta)
     w, v = np.linalg.eigh(build_plaquette_hamiltonian(t_coupling).dense())
     v_dagger = v.conj().T
-    circuit = circuit or _circuit()
     parts = _spectral_parts(v_dagger @ circuit.forward, circuit.inverse @ v,
                             _Z2_PLUS_Z3, _Z2_PLUS_Z3_VALUES)
     devs = []
@@ -352,9 +347,9 @@ def verify_fourier_identity(theta):
     """Deviation of F23-conjugated number rotations from the hopping rotation.
 
     Checks F23 e^{i theta n2} e^{-i theta n3} F23† against
-    e^{i theta A}, A = (X2X3Xaux + Y2Y3Xaux)/2.  ``theta`` is one angle,
-    giving one float, or a sequence of angles, giving their deviations in
-    order.  F23 is built once per call.  Both sides are sums over the
+    e^{i theta A}, A = (X2X3Xaux + Y2Y3Xaux)/2.  ``theta`` is one finite
+    angle, giving one float, or a sequence of them, giving their deviations
+    in order.  F23 is built once per call.  Both sides are sums over the
     spectrum {-1, 0, 1}: the left of S_d = F23[:, d] F23†[d, :] split by the
     values d of n2 - n3, the right of A's projectors P_d.  So
     D_d = S_d - P_d is built once, and an angle costs the norm of
@@ -382,24 +377,22 @@ def run_verification(n_angles: int = 20, seed: int = 0, tolerance: float = 1e-10
 
     ``n_angles`` must be an integer >= 1, ``seed`` a non-negative integer
     and ``tolerance`` positive and finite.
-    The operator map is a module constant; C†, F31, F24, F23 and the circuit
-    halves are built once per run and shared by the checks.  The evolution
-    and Fourier checks sum each angle over a spectrum of three values, in
-    chunks of ``_CHUNK`` angles, so memory does not grow with ``n_angles``,
-    and compare the first angle directly too.
+    The operator map, C† and the circuit halves are module constants; F23
+    and the Hamiltonian are built once per check that reads them.  The
+    evolution and Fourier checks sum each angle over a spectrum of three
+    values, in chunks of ``_CHUNK`` angles, so memory does not grow with
+    ``n_angles``, and compare the first angle directly too.
     Returns a report dict; ``report["passed"]`` aggregates everything.
     """
     n_angles = integer(n_angles, "n_angles")
     seed = integer(seed, "seed", 0, rule="a non-negative integer")
     tolerance = real(tolerance, "tolerance", above=0)
-    cd = diagonalizing_clifford_dagger()
-    circuit = _circuit(cd)
     relations = check_majorana_relations()
-    clifford = check_clifford_relations(cd, circuit)
+    clifford = check_clifford_relations()
     rng = np.random.default_rng(seed)
     angles = [float(a) for a in rng.uniform(0.0, math.pi, n_angles)]
     fourier_angles = angles[: max(3, n_angles // 4)]
-    evolution = dict(zip(angles, verify_plaquette_evolution(1.0, angles, circuit)))
+    evolution = dict(zip(angles, verify_plaquette_evolution(1.0, angles)))
     fourier = dict(zip(fourier_angles, verify_fourier_identity(fourier_angles)))
     passed = (
         all(relations.values())

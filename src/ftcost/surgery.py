@@ -162,16 +162,13 @@ def _rung(width: int) -> LadderRung:
 LADDER = tuple(_rung(w) for w in range(LADDER_WIDTHS[0], MAX_WIDTH + 1, 2))
 
 
-#: ``ladder_rungs`` of each Python int the ladder rule admits.
-_RUNGS = {w: LADDER[:(w - LADDER_WIDTHS[0]) // 2 + 1] for w in range(LADDER_WIDTHS[0], MAX_WIDTH + 1)}
-
-
 def ladder_rungs(max_width: int) -> tuple[LadderRung, ...]:
     """The ``LADDER`` entries up to ``max_width``, an integer in [6, ``MAX_WIDTH``];
-    a Python int is looked up, anything else goes through the rule first."""
-    rungs = _RUNGS.get(max_width) if type(max_width) is int else None
-    return rungs or _RUNGS[integer(max_width, "max_width", LADDER_WIDTHS[0], MAX_WIDTH,
-                                   rule=f"an integer in [{LADDER_WIDTHS[0]}, {MAX_WIDTH}]")]
+    anything but a Python int in range goes through the rule first."""
+    if type(max_width) is not int or not LADDER_WIDTHS[0] <= max_width <= MAX_WIDTH:
+        max_width = integer(max_width, "max_width", LADDER_WIDTHS[0], MAX_WIDTH,
+                            rule=f"an integer in [{LADDER_WIDTHS[0]}, {MAX_WIDTH}]")
+    return LADDER[:(max_width - LADDER_WIDTHS[0]) // 2 + 1]
 
 
 def select_distance(
@@ -205,10 +202,10 @@ def _least_errors(a: float, b: float) -> list[float]:
     return table
 
 
-def round_sig(x: float, sig: int = 3) -> float:
+def round_sig(x: float) -> float:
     if x == 0:
         return 0.0
-    return round(x, sig - 1 - math.floor(math.log10(abs(x))))
+    return round(x, 2 - math.floor(math.log10(abs(x))))
 
 
 def msf_convert(sc_qubits: float, sc_cycles: float):

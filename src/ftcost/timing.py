@@ -43,6 +43,6 @@ class TimingModel:
 DEFAULT_TIMING = TimingModel()
 
 
-def logical_cycle_time(rounds_per_cycle: int, timing: TimingModel = DEFAULT_TIMING) -> float:
-    """Logical cycle time in nanoseconds for the given rounds per cube."""
-    return timing.logical_cycle_ns(rounds_per_cycle)
+def logical_cycle_time(rounds_per_cycle: int) -> float:
+    """Logical cycle time in nanoseconds for the given rounds per cube, at the default timing."""
+    return DEFAULT_TIMING.logical_cycle_ns(rounds_per_cycle)

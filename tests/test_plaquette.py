@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 from collections import Counter
 from unittest import mock
 
@@ -131,12 +132,38 @@ class TestPauliStrings:
     ("j", lambda: fourier_transform(1.0, 2)),
     ("k", lambda: fourier_transform(1, 0)),
     (r"\(j, k\)", lambda: fourier_transform(2, 2)),
+    ("terms", lambda: PauliSum.from_terms([(1.0, PauliString("X")), (math.nan, PauliString("Z"))])),
+    ("terms", lambda: PauliSum.from_terms([(complex(1, math.inf), PauliString("X"))])),
+    ("terms", lambda: PauliSum.from_terms([("1", PauliString("X"))])),
+    ("terms", lambda: PauliSum.from_terms([(1.0, "X")])),
+    ("other", lambda: PauliString("X") * 2),
+    ("other", lambda: PauliString("X") * "X"),
+    ("other", lambda: PauliString("X").commutes_with("X")),
 ], ids=["letters-list", "letters-tuple", "letters-int", "letters-A", "phase-True",
         "phase-np.True_", "phase-2", "axis-str", "axis-antihermitian", "theta-nan",
-        "theta-str", "fourier-j-5", "fourier-j-float", "fourier-k-0", "fourier-j-is-k"])
+        "theta-str", "fourier-j-5", "fourier-j-float", "fourier-k-0", "fourier-j-is-k",
+        "sum-nan", "sum-complex-inf", "sum-str-coefficient", "sum-str-operand", "mul-int",
+        "mul-str", "commutes-str"])
 def test_bad_pauli_arguments_fail_as_one_named_line(name, call):
     with pytest.raises(InvalidParameterError, match=f"^{name}="):
         call()
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, "abc", True, [0.1, math.nan],
+                                   np.array([0.1, -math.inf]), [0.2, "abc"], [True]],
+                         ids=["nan", "inf", "str", "True", "list-nan", "array-inf", "list-str",
+                              "list-True"])
+@pytest.mark.parametrize("check", [
+    lambda theta: verify_plaquette_evolution(1.0, theta),
+    verify_fourier_identity,
+    build_diagonalization_circuit,
+], ids=["evolution", "fourier", "circuit"])
+def test_bad_theta_fails_as_one_named_line(check, theta):
+    # before any numpy warning: a warning here is an error
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="^theta="):
+            check(theta)
 
 
 class TestOperatorMap:
@@ -201,6 +228,19 @@ class TestMajoranaRelations:
     def test_mutation_breaks_a_relation(self, target, qubit):
         report = check_majorana_relations(mutated_map(target, qubit))
         assert any(not ok for ok in report.values())
+
+    @pytest.mark.parametrize("mapping", [
+        {},
+        {name: op for name, op in plaquette_operator_map().items() if name != "E24"},
+        {**plaquette_operator_map(), "V1": "ZIIII"},
+        {**plaquette_operator_map(), "V1": PauliString("ZII")},
+        {**plaquette_operator_map(), "V5": PauliString("IIIIZ")},
+        list(plaquette_operator_map().items()),
+    ], ids=["empty", "without-E24", "str-operator", "three-qubit-operator", "extra-name", "list"])
+    def test_incomplete_or_malformed_map_rejected(self, mapping):
+        # an empty map is not the bundled one
+        with pytest.raises(InvalidParameterError, match="^mapping="):
+            check_majorana_relations(mapping)
 
 
 class TestPlaquetteHamiltonian:
@@ -330,12 +370,20 @@ class TestEvolutionIdentity:
             return wrapper
 
         for name in ("plaquette_operator_map", "diagonalizing_clifford_dagger",
-                     "_circuit", "fourier_transform"):
+                     "DiagonalizationCircuit", "fourier_transform"):
             monkeypatch.setattr(plaquette, name, counted(name))
         assert run_verification(n_angles=n_angles, seed=2)["passed"]
-        # the operator map is a module constant, so a run builds none
-        assert calls == {"diagonalizing_clifford_dagger": 1, "_circuit": 1, ("fourier_transform", 3, 1): 1,
-                         ("fourier_transform", 2, 4): 1, ("fourier_transform", 2, 3): 1}
+        # the operator map, C†, F31, F24 and the circuit halves are module
+        # constants, so a run builds only F23
+        assert calls == {("fourier_transform", 2, 3): 1}
+
+    def test_module_circuit_is_a_fresh_build(self):
+        # the same operations in the same order, so the same bits
+        cd = diagonalizing_clifford_dagger()
+        f31, f24 = fourier_transform(3, 1), fourier_transform(2, 4)
+        assert np.array_equal(plaquette._CD, cd)
+        assert np.array_equal(plaquette._CIRCUIT.forward, f31 @ f24 @ cd.conj().T)
+        assert np.array_equal(plaquette._CIRCUIT.inverse, cd @ f24.conj().T @ f31.conj().T)
 
     @pytest.mark.parametrize("seed", [0, 7, 31])
     def test_run_verification_equals_fresh_checks(self, seed):
@@ -371,7 +419,7 @@ class TestEvolutionIdentity:
 
 
 #: The circuit halves and F23, shared by the tests that compare checks at many angles.
-_CIRCUIT = plaquette._circuit()
+_CIRCUIT = plaquette._CIRCUIT
 _F23 = fourier_transform(2, 3)
 
 

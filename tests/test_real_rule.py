@@ -49,7 +49,13 @@ from ftcost import (
 )
 from ftcost.pauli import PauliString
 from ftcost.pipeline import SolveOptions
-from ftcost.plaquette import build_plaquette_hamiltonian, run_verification, verify_plaquette_evolution
+from ftcost.plaquette import (
+    build_diagonalization_circuit,
+    build_plaquette_hamiltonian,
+    run_verification,
+    verify_fourier_identity,
+    verify_plaquette_evolution,
+)
 from ftcost.surgery import PatchGeometry
 
 SPEC = ProblemSpec(8, 8.0, 80.0)
@@ -148,6 +154,11 @@ SITES = {site.name: site for site in [
          _reals(span=2.0**10)),
     Site("verify_plaquette_evolution.t_coupling", lambda v: verify_plaquette_evolution(v, 0.3),
          (0.0, 0), _reals(above=0, span=2.0**10)),
+    Site("verify_plaquette_evolution.theta", lambda v: verify_plaquette_evolution(1.0, v), (),
+         _reals(span=2.0**10)),
+    Site("verify_fourier_identity.theta", verify_fourier_identity, (), _reals(span=2.0**10)),
+    Site("build_diagonalization_circuit.theta", build_diagonalization_circuit, (),
+         _reals(span=2.0**10)),
     Site("run_verification.tolerance", lambda v: run_verification(1, 0, v), (0.0, -1e-10),
          _reals(**POSITIVE)),
     Site("SolveOptions.p_succ", _options_field("p_succ"), (0.0, 5), _reals(above=0, most=1)),

@@ -317,6 +317,16 @@ class TestLadderTable:
         with pytest.raises(InvalidParameterError, match=r"^max_width="):
             surgery.ladder_rungs(bad)
 
+    def test_rungs_are_the_ladder_up_to_each_width(self):
+        # a Python int and an np.int64 give the same slice, an odd width the even one below it
+        for width in range(6, MAX_WIDTH + 1):
+            want = tuple(rung for rung in surgery.LADDER if rung.geometry.width <= width)
+            assert surgery.ladder_rungs(width) == surgery.ladder_rungs(np.int64(width)) == want
+        for bad in (4, 5, 201, np.int64(5), np.int64(201), -1):
+            with pytest.raises(InvalidParameterError) as error:
+                surgery.ladder_rungs(bad)
+            assert str(error.value) == f"max_width={bad!r} must be an integer in [6, 200]"
+
 
 class TestMsfConversion:
     def test_convert_examples(self):
