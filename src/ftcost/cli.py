@@ -3,32 +3,11 @@
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
-import inspect
 import os
 import sys
 
-from . import config as cfgmod
-from .errors import FitError, InvalidParameterError, NoDistanceFoundError, NoProtocolError
-from .noise import (
-    GATE_SIGMAS,
-    AttemptCaps,
-    binomial_sigma,
-    cycle_outcome_distribution,
-    derive_noise_params,
-    heralded_cz_distribution,
-    heralded_mzz_distribution,
-    mc_rus_oracle,
-)
-from .pipeline import PRECISIONS, corridor_capacity_check, solve_estimate
-from .surgery import (
-    LADDER_WIDTHS,
-    extrapolate_error,
-    fit_error_curve,
-    load_error_data,
-    patch_geometry,
-)
+from .errors import (DEFAULT_N_RUS, PRECISIONS, FitError, InvalidParameterError,
+                     NoDistanceFoundError, NoProtocolError)
 
 
 def _add_config_args(p: argparse.ArgumentParser):
@@ -52,6 +31,9 @@ def _fmt(value) -> str:
 
 
 def cmd_estimate(args) -> int:
+    from . import config as cfgmod
+    from .pipeline import corridor_capacity_check, solve_estimate
+
     cfg = cfgmod.load_config(args.config, args.overrides)
     spec = cfgmod.problem_from(cfg)
     noise = cfgmod.noise_from(cfg)
@@ -115,6 +97,12 @@ def cmd_estimate(args) -> int:
 def cmd_sweep(args) -> int:
     """One CSV row per value, written as soon as it is solved, so an error
     at a later value keeps the rows before it."""
+    import contextlib
+    import csv
+
+    from . import config as cfgmod
+    from .pipeline import solve_estimate
+
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise InvalidParameterError("--values must list at least one value")
@@ -139,6 +127,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from . import config as cfgmod
+    from .surgery import (LADDER_WIDTHS, extrapolate_error, fit_error_curve, load_error_data,
+                          patch_geometry)
+
     cfg = cfgmod.load_config(args.config, args.overrides)
     points = load_error_data(cfg["data.lattice_surgery_csv"])
     fit = fit_error_curve(points)
@@ -152,6 +144,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_verify_noise(args) -> int:
+    from .noise import (GATE_SIGMAS, AttemptCaps, binomial_sigma, cycle_outcome_distribution,
+                        derive_noise_params, heralded_cz_distribution, heralded_mzz_distribution,
+                        mc_rus_oracle)
+
     params = derive_noise_params(args.p)
     caps = AttemptCaps(n_rus=args.n_rus)
     cycle = cycle_outcome_distribution(params.epsilon, params.distinguishability)
@@ -179,6 +175,8 @@ def cmd_verify_noise(args) -> int:
 
 
 def cmd_verify_plaquette(args) -> int:
+    import inspect
+
     from . import plaquette
 
     # a flag left out takes run_verification's own default
@@ -231,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-noise", help="Monte-Carlo check of the heralded closed forms")
     p.add_argument("--p", type=float, default=0.01, help="overall noise intensity")
-    p.add_argument("--n-rus", type=int, default=AttemptCaps.n_rus)
+    p.add_argument("--n-rus", type=int, default=DEFAULT_N_RUS)
     p.add_argument("--trials", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=2026)
     p.set_defaults(func=cmd_verify_noise)

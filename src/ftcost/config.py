@@ -14,7 +14,6 @@ import math
 from typing import Callable, NamedTuple, Optional
 
 from .errors import InvalidParameterError
-from .noise import derive_noise_params
 from .pipeline import SolveOptions, allocate_budget
 from .surgery import (
     BUNDLED_NOISE_P,
@@ -24,7 +23,7 @@ from .surgery import (
     read_text,
 )
 from .synthesis import MODES, STRATEGIES
-from .timing import TimingModel
+from .timing import TimingModel, derive_noise_params
 from .trotter import ProblemSpec
 
 

@@ -1,7 +1,13 @@
-"""Exception types, and the one rule each for integer and real arguments."""
+"""Exception types, the one rule each for integer and real arguments, and the
+library choices and defaults the CLI's parser shows without loading a layer."""
 
 import math
 import numbers
+
+#: The choices of ``SolveOptions.precision``.
+PRECISIONS = ("headline", "real")
+#: The default ``AttemptCaps.n_rus``.
+DEFAULT_N_RUS = 10
 
 
 class InvalidParameterError(ValueError):

@@ -1,10 +1,12 @@
-"""Physical noise parameters and the RUS outcome model.
+"""The RUS outcome model, its closed forms and its Monte-Carlo oracle.
 
 All closed forms follow the heralded repeat-until-success (RUS) gate model of
 the photonic spin-qubit architecture: per cycle the two emitted photons either
 produce a success, a repeat, a single loss, or a double loss, and the capped
 protocol ends in one of a few heralded outcome categories, whose
 probabilities the closed forms give and the Monte-Carlo oracle samples.
+The physical noise parameters live in ``timing``, which the estimate loads
+without this module; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -16,11 +18,8 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidParameterError, integer, real, real_fields
-
-#: Fixed relative weights of the two error mechanisms, photon loss and
-#: photon distinguishability, versus the overall noise intensity p.
-DEFAULT_BIASES = {"epsilon": 0.9, "distinguishability": 0.085}
+from .errors import DEFAULT_N_RUS, InvalidParameterError, integer, real
+from .timing import DEFAULT_BIASES, PhysicalNoiseParams, derive_noise_params  # noqa: F401
 
 #: Tolerance of the probability checks.  They are written as
 #: ``not x <= PROB_ATOL`` rather than ``x > PROB_ATOL`` so that a NaN fails them.
@@ -31,22 +30,10 @@ PROB_ATOL = 1e-12
 class AttemptCaps:
     """Maximum attempt count of the capped RUS protocols."""
 
-    n_rus: int = 10
+    n_rus: int = DEFAULT_N_RUS
 
     def __post_init__(self):
         object.__setattr__(self, "n_rus", integer(self.n_rus, "n_rus"))
-
-
-@dataclass(frozen=True)
-class PhysicalNoiseParams:
-    """The noise intensity p and the two error parameters derived from it."""
-
-    p: float
-    epsilon: float
-    distinguishability: float
-
-    def __post_init__(self):
-        real_fields(self, ("p", "epsilon", "distinguishability"), 0, below=1)
 
 
 @dataclass(frozen=True)
@@ -104,17 +91,6 @@ class HeraldedOutcomeDistribution:
             if o.label == label:
                 return o.probability
         return 0.0
-
-
-def derive_noise_params(p: float) -> PhysicalNoiseParams:
-    """Scale the two physical error parameters off the overall intensity p.
-
-    epsilon = 0.9 p and distinguishability = 0.085 p.  p is checked before it
-    is scaled; both biases are below 1, so each lies in [0, 1) when p does.
-    """
-    p = real(p, "p", 0, below=1)
-    return PhysicalNoiseParams(p, DEFAULT_BIASES["epsilon"] * p,
-                               DEFAULT_BIASES["distinguishability"] * p)
 
 
 def cycle_outcome_distribution(epsilon: float, distinguishability: float) -> CycleOutcomeDistribution:

@@ -61,7 +61,9 @@ class PauliString:
         if type(other) is not PauliString:
             raise InvalidParameterError(f"other={other!r} must be a PauliString")
         if len(self.letters) != len(other.letters):
-            raise InvalidParameterError(f"cannot {verb} strings of different sizes")
+            raise InvalidParameterError(
+                f"other={other!r} must have as many letters as {self.letters!r}: "
+                f"cannot {verb} strings of different sizes")
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         self._check_operand(other, "multiply")
@@ -102,15 +104,21 @@ class PauliSum:
     def from_terms(terms: Iterable[tuple[complex, PauliString]]) -> "PauliSum":
         merged: dict[str, complex] = {}
         n = None
-        for coeff, string in terms:
+        for term in terms:
+            try:
+                coeff, string = term
+            except (TypeError, ValueError):  # not a pair
+                coeff = string = None
             if type(string) is not PauliString or not (
                     isinstance(coeff, numbers.Number) and cmath.isfinite(coeff)):
                 raise InvalidParameterError(
-                    f"terms={(coeff, string)!r} must pair a finite coefficient with a PauliString")
+                    f"terms={term!r} must pair a finite coefficient with a PauliString")
             if n is None:
                 n = string.n_qubits
             elif string.n_qubits != n:
-                raise InvalidParameterError("mixed qubit counts in Pauli sum")
+                raise InvalidParameterError(
+                    f"terms={term!r} must act on {n} qubits, as the terms before it do: "
+                    "mixed qubit counts in Pauli sum")
             merged[string.letters] = merged.get(string.letters, 0) + coeff * string.phase
         kept = tuple(
             (c, PauliString(l)) for l, c in sorted(merged.items()) if abs(c) > COEFF_ATOL
@@ -119,7 +127,8 @@ class PauliSum:
 
     def dense(self) -> np.ndarray:
         if not self.terms:
-            raise InvalidParameterError("cannot densify an empty sum without a size")
+            raise InvalidParameterError(
+                "terms=() is empty: cannot densify an empty sum without a size")
         dim = 2 ** self.terms[0][1].n_qubits
         out = np.zeros((dim, dim), dtype=complex)
         for c, s in self.terms:

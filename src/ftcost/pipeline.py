@@ -20,8 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InvalidParameterError, NoProtocolError, integer, real, real_fields
-from .noise import PhysicalNoiseParams
+from .errors import PRECISIONS, InvalidParameterError, NoProtocolError, integer, real, real_fields
 from .surgery import (
     BUNDLED_NOISE_P,
     LADDER,
@@ -44,7 +43,7 @@ from .synthesis import (
     fallback_plan,
     synthesis_cost,
 )
-from .timing import DEFAULT_TIMING, TimingModel
+from .timing import DEFAULT_TIMING, PhysicalNoiseParams, TimingModel
 from .trotter import (
     ProblemSpec,
     check_plane,
@@ -197,8 +196,6 @@ def corridor_capacity_check(plan: FloorplanCounts, geometry: PatchGeometry,
 
 #: Rounds of each ``surgery.LADDER`` entry, the keys the solver bisects.
 _LADDER_ROUNDS = [rung.geometry.rounds for rung in LADDER]
-#: The choices of ``SolveOptions.precision``, which the CLI offers too.
-PRECISIONS = ("headline", "real")
 
 
 @dataclass(frozen=True)

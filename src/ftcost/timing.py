@@ -1,10 +1,39 @@
-"""Syndrome round and reaction timings, and logical-clock quantities."""
+"""The physical inputs: the noise intensity and the two error parameters
+scaled off it, syndrome round and reaction timings, and logical-clock
+quantities."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvalidParameterError, integer, real_fields
+from .errors import InvalidParameterError, integer, real, real_fields
+
+#: Fixed relative weights of the two error mechanisms, photon loss and
+#: photon distinguishability, versus the overall noise intensity p.
+DEFAULT_BIASES = {"epsilon": 0.9, "distinguishability": 0.085}
+
+
+@dataclass(frozen=True)
+class PhysicalNoiseParams:
+    """The noise intensity p and the two error parameters derived from it."""
+
+    p: float
+    epsilon: float
+    distinguishability: float
+
+    def __post_init__(self):
+        real_fields(self, ("p", "epsilon", "distinguishability"), 0, below=1)
+
+
+def derive_noise_params(p: float) -> PhysicalNoiseParams:
+    """Scale the two physical error parameters off the overall intensity p.
+
+    epsilon = 0.9 p and distinguishability = 0.085 p.  p is checked before it
+    is scaled; both biases are below 1, so each lies in [0, 1) when p does.
+    """
+    p = real(p, "p", 0, below=1)
+    return PhysicalNoiseParams(p, DEFAULT_BIASES["epsilon"] * p,
+                               DEFAULT_BIASES["distinguishability"] * p)
 
 
 @dataclass(frozen=True)

@@ -209,6 +209,14 @@ class TestPathRule:
                                 "path='' must be a non-empty str or os.PathLike\n")
 
 
+#: ``{argv: stdout}`` of ``ftcost --help`` and each ``ftcost <command> --help``;
+#: each section of the file starts with a ``$ ftcost <argv>`` line.
+_HELP_PARTS = re.split(r"^\$ ftcost (.*)\n",
+                       (Path(__file__).resolve().parent / "data" / "cli_help.txt").read_text(),
+                       flags=re.MULTILINE)
+HELP = dict(zip(_HELP_PARTS[1::2], _HELP_PARTS[2::2]))
+
+
 class TestCli:
     def test_estimate_writes_report(self, tmp_path, capsys):
         out = tmp_path / "report.txt"
@@ -414,6 +422,16 @@ class TestCli:
         # change to the draw or to the classification shows here
         assert main(["verify-noise", *argv]) == 0
         expected = (Path(__file__).resolve().parent / "data" / golden).read_text()
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("argv, expected", HELP.items(), ids=list(HELP))
+    def test_help_matches_golden(self, capsys, monkeypatch, argv, expected):
+        # the choices and defaults the parser shows stay as they were when it
+        # still imported the layers they come from; the file was written at 80 columns
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit:
+            main(argv.split())
+        assert exit.value.code == 0
         assert capsys.readouterr().out == expected
 
     def test_fit_prints_ladder(self, capsys):

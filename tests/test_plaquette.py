@@ -139,11 +139,17 @@ class TestPauliStrings:
     ("other", lambda: PauliString("X") * 2),
     ("other", lambda: PauliString("X") * "X"),
     ("other", lambda: PauliString("X").commutes_with("X")),
+    ("other", lambda: PauliString("X") * PauliString("XX")),
+    ("other", lambda: PauliString("X").commutes_with(PauliString("XX"))),
+    ("terms", lambda: PauliSum.from_terms([(1.0, PauliString("X")), (1.0, PauliString("XX"))])),
+    ("terms", lambda: PauliSum(()).dense()),
+    ("terms", lambda: PauliSum.from_terms([PauliString("X")])),
 ], ids=["letters-list", "letters-tuple", "letters-int", "letters-A", "phase-True",
         "phase-np.True_", "phase-2", "axis-str", "axis-antihermitian", "theta-nan",
         "theta-str", "fourier-j-5", "fourier-j-float", "fourier-k-0", "fourier-j-is-k",
         "sum-nan", "sum-complex-inf", "sum-str-coefficient", "sum-str-operand", "mul-int",
-        "mul-str", "commutes-str"])
+        "mul-str", "commutes-str", "mul-sizes", "commutes-sizes", "sum-mixed-sizes",
+        "sum-empty-dense", "sum-bare-string"])
 def test_bad_pauli_arguments_fail_as_one_named_line(name, call):
     with pytest.raises(InvalidParameterError, match=f"^{name}="):
         call()
