@@ -78,7 +78,7 @@ SCHEMA: dict[str, Key] = {key.name: key for key in (
     Key("floorplan.override_msf", int, None, "an integer >= 0", lambda v: v >= 0,
         "factory aisle patches"),
     Key("data.lattice_surgery_csv", str, None, "a file path", bool,
-        "cube error data; none: bundled (p = 0.01)"),
+        f"cube error data; none: bundled (p = {BUNDLED_NOISE_P})"),
     Key("data.msf_table_csv", str, None, "a file path", bool,
         "factory protocols; none: bundled"),
 )}

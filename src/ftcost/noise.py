@@ -12,6 +12,7 @@ without this module; they are re-exported here.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import threading
@@ -122,16 +123,20 @@ def _binomial_loss_sum(k: int, n: int, p1: float, pr: float) -> float:
     return total
 
 
-CZ_PURE_SUCCESS = "pure_success"
-CZ_FAILURE = "failure"
-CZ_ABORT = "abort"
-MZZ_PURE_SUCCESS = "pure_success"
-MZZ_LOSS_SUCCESS = "success_with_loss"
-MZZ_ABORT = "abort"
+def _category_labels(kind: str, n: int) -> list[str]:
+    """The outcome categories of ``kind`` at the cap ``n``: the one order of
+    the closed forms, the Monte-Carlo counts and their distributions."""
+    if kind == "cz":
+        return (["pure_success"] + [f"success_with_{k}_losses" for k in range(1, n)]
+                + ["failure", "abort"])
+    return ["pure_success", "success_with_loss", "abort"]
 
 
-def cz_loss_label(k: int) -> str:
-    return f"success_with_{k}_losses"
+def _distribution(kind: str, n: int, probabilities,
+                  trials: Optional[int] = None) -> HeraldedOutcomeDistribution:
+    """``probabilities`` in ``_category_labels(kind, n)`` order as a distribution."""
+    return HeraldedOutcomeDistribution(
+        tuple(map(HeraldedOutcome, _category_labels(kind, n), probabilities)), trials)
 
 
 def heralded_cz_distribution(params: PhysicalNoiseParams, caps: AttemptCaps) -> HeraldedOutcomeDistribution:
@@ -149,13 +154,8 @@ def heralded_cz_distribution(params: PhysicalNoiseParams, caps: AttemptCaps) -> 
     # 1 - pr - p1 = ps + p2 >= 1/3 for every epsilon in [0, 1), so the
     # quotient is defined everywhere and gives 0 at p2 = 0
     pf = p2 * (1.0 - (pr + p1) ** n) / (1.0 - pr - p1)
-
-    outcomes = [HeraldedOutcome(CZ_PURE_SUCCESS, p0)]
-    for k in range(1, n):
-        outcomes.append(HeraldedOutcome(cz_loss_label(k), ps * _binomial_loss_sum(k, n, p1, pr)))
-    outcomes.append(HeraldedOutcome(CZ_FAILURE, pf))
-    outcomes.append(HeraldedOutcome(CZ_ABORT, pa))
-    return HeraldedOutcomeDistribution(tuple(outcomes))
+    losses = [ps * _binomial_loss_sum(k, n, p1, pr) for k in range(1, n)]
+    return _distribution("cz", n, [p0, *losses, pf, pa])
 
 
 def heralded_mzz_distribution(params: PhysicalNoiseParams, caps: AttemptCaps) -> HeraldedOutcomeDistribution:
@@ -170,12 +170,7 @@ def heralded_mzz_distribution(params: PhysicalNoiseParams, caps: AttemptCaps) ->
 
     q0 = ps * (1.0 - pr**n) / (1.0 - pr)
     qa = (1.0 - ps) ** n
-    qe = 1.0 - qa - q0
-    return HeraldedOutcomeDistribution((
-        HeraldedOutcome(MZZ_PURE_SUCCESS, q0),
-        HeraldedOutcome(MZZ_LOSS_SUCCESS, qe),
-        HeraldedOutcome(MZZ_ABORT, qa),
-    ))
+    return _distribution("mzz", n, (q0, 1.0 - qa - q0, qa))
 
 
 # -- Monte-Carlo oracle --------------------------------------------------------
@@ -257,11 +252,8 @@ def mc_rus_oracle(
             "Monte-Carlo oracle holds at once")
 
     cz, mzz = _mc_counts(cycle_dist, caps.n_rus, trials, seed, streams)
-    outcomes = tuple(
-        HeraldedOutcome(label, count / trials)
-        for label, count in zip(_category_labels(kind, caps.n_rus), cz if kind == "cz" else mzz)
-    )
-    return HeraldedOutcomeDistribution(outcomes, trials=trials)
+    counts = cz if kind == "cz" else mzz
+    return _distribution(kind, caps.n_rus, [count / trials for count in counts], trials)
 
 
 @functools.lru_cache(maxsize=1)
@@ -326,13 +318,6 @@ def _mc_counts(
     return tuple(cz.tolist()), tuple(mzz.tolist())
 
 
-def _category_labels(kind: str, n: int) -> list[str]:
-    if kind == "cz":
-        return ([CZ_PURE_SUCCESS] + [cz_loss_label(k) for k in range(1, n)]
-                + [CZ_FAILURE, CZ_ABORT])
-    return [MZZ_PURE_SUCCESS, MZZ_LOSS_SUCCESS, MZZ_ABORT]
-
-
 def _classify(draws: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The cz and mzz counts of one block of trials, in ``_category_labels`` order.
 
@@ -395,10 +380,29 @@ def _classify(draws: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndar
     return cz, mzz
 
 
-#: ``verify-noise`` fails a category more than this many ``binomial_sigma`` off its closed form.
+#: ``verify-noise`` fails a category more than this many ``binomial_sigma`` off its
+#: closed form or, where the normal band reaches below a count of 0 (below
+#: ``GATE_SIGMAS**2`` expected counts), whose ``binomial_tail`` is below ``GATE_TAIL``.
 GATE_SIGMAS = 5.0
+GATE_TAIL = math.erfc(GATE_SIGMAS / math.sqrt(2.0)) / 2.0  # Phi(-5) ~ 2.87e-7
 
 
 def binomial_sigma(p: float, trials: int) -> float:
     """One binomial standard deviation of an empirical frequency."""
     return math.sqrt(max(p * (1.0 - p), 0.0) / trials)
+
+
+def binomial_tail(count: int, trials: int, p: float) -> float:
+    """The tail of X ~ B(trials, p) on ``count``'s side of the mean:
+    P(X <= count) below ``trials * p``, P(X >= count) at or above it.
+
+    The other tail holds the median, so it is at least 1/2.
+    """
+    if not 0.0 < p < 1.0:
+        return float(count == trials * p)
+    step, end = (-1, -1) if count < trials * p else (1, trials + 1)
+    terms = (math.exp(math.lgamma(trials + 1) - math.lgamma(k + 1) - math.lgamma(trials - k + 1)
+                      + k * math.log(p) + (trials - k) * math.log1p(-p))
+             for k in range(count, end, step))
+    # the terms shrink away from the mean: the first to underflow ends the sum
+    return sum(itertools.takewhile(bool, terms))

@@ -94,14 +94,6 @@ class FloorplanCounts:
         object.__setattr__(self, "msf_patches", msf)
 
 
-def _override_counts(override, name: str) -> FloorplanCounts:
-    """The override pair ``(total, msf)`` as checked counts; ``name`` is the
-    argument it came in, for the message."""
-    if not (isinstance(override, (list, tuple)) and len(override) == 2):
-        raise InvalidParameterError(f"{name}={override!r} must be None or a (total, msf) pair")
-    return FloorplanCounts(*override)
-
-
 def render_floorplan(lattice_l: int, w_msf: int) -> list[str]:
     """One plane of the patch layout as rows of cell characters.
 
@@ -135,17 +127,14 @@ def render_floorplan(lattice_l: int, w_msf: int) -> list[str]:
     return rows
 
 
-def floorplan(lattice_l: int, w_msf: int,
-              override: Optional[tuple[int, int]] = None) -> FloorplanCounts:
-    """Patch counts over both planes, or an explicit ``(total, msf)`` override.
+def floorplan(lattice_l: int, w_msf: int) -> FloorplanCounts:
+    """Patch counts over both planes.
 
     The counts are those of ``render_floorplan``'s plane, in closed form: with
     p = L/2 plaquette pairs, a plane is 3p + (p - 1)(1 + w_msf) columns by
     p(3 + w_msf) + 1 rows, of which p * w_msf rows are factory aisle.  They are
     counted once per pair of Python ints that the plane rule returns.
     """
-    if override is not None:
-        return _override_counts(override, "override")
     return _plane_counts(*check_plane(lattice_l, w_msf))
 
 
@@ -232,8 +221,12 @@ class SolveOptions:
         for i, protocol in enumerate(self.protocols or ()):
             if not isinstance(protocol, MsfProtocol):
                 raise InvalidParameterError(f"protocols[{i}]={protocol!r} must be an MsfProtocol")
-        if self.floorplan_override is not None:
-            counts = _override_counts(self.floorplan_override, "floorplan_override")
+        override = self.floorplan_override
+        if override is not None:
+            if not (isinstance(override, (list, tuple)) and len(override) == 2):
+                raise InvalidParameterError(
+                    f"floorplan_override={override!r} must be None or a (total, msf) pair")
+            counts = FloorplanCounts(*override)
             object.__setattr__(self, "floorplan_override", (counts.total_patches, counts.msf_patches))
         if self.initial_rounds is not None:
             object.__setattr__(self, "initial_rounds", integer(
@@ -396,7 +389,8 @@ def solve_estimate(
         n_t_total, budget.eps_msf, spec.lattice_l,
         geometry.rounds, timing.reaction_rounds, protocols,
     )
-    plan_counts = floorplan(spec.lattice_l, spec.w_msf, options.floorplan_override)
+    plan_counts = (floorplan(spec.lattice_l, spec.w_msf) if options.floorplan_override is None
+                   else FloorplanCounts(*options.floorplan_override))
     msf_qubits_available = plan_counts.msf_patches * qubits
     if options.floorplan_override is not None and msf_qubits_available < msf_qubits:
         raise InvalidParameterError(

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import ftcost
+from ftcost import noise
 from ftcost.cli import build_parser, main
 from ftcost.config import (
     SCHEMA,
@@ -494,6 +495,23 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "RUS-CZ" in out and "RUS-MZZ" in out and "within 5 sigma" in out
+
+    def test_verify_noise_small_counts_take_the_exact_tail(self, capsys):
+        # one trial in success_with_3_losses, expected 0.035 of them, reads 5.16 sigma
+        assert main(["verify-noise", "--trials", "1000"]) == 0
+        out = capsys.readouterr().out
+        assert "success_with_3_losses" in out and "5.16" in out
+        assert "FAIL" not in out
+
+    def test_verify_noise_fails_an_oracle_at_another_p(self, capsys, monkeypatch):
+        # the oracle draws at p = 0.012, the closed forms are at p = 0.01
+        oracle = noise.mc_rus_oracle
+        params = noise.derive_noise_params(0.012)
+        cycle = noise.cycle_outcome_distribution(params.epsilon, params.distinguishability)
+        monkeypatch.setattr(noise, "mc_rus_oracle", lambda _, caps, trials, seed, kind:
+                            oracle(cycle, caps, trials, seed, kind=kind))
+        assert main(["verify-noise", "--trials", "200000"]) == 1
+        assert capsys.readouterr().out.endswith("FAIL: a category deviates beyond 5 sigma\n")
 
     def test_verify_noise_noiseless(self, capsys):
         assert main(["verify-noise", "--p", "0", "--trials", "20000"]) == 0

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from ftcost.noise import (
     HeraldedOutcome,
     HeraldedOutcomeDistribution,
     binomial_sigma,
+    binomial_tail,
 )
 
 NAN = float("nan")
@@ -281,6 +283,50 @@ class TestMcOracle:
         cyc = cycle_outcome_distribution(0.0, 0.0)
         with pytest.raises(InvalidParameterError, match="^streams="):
             mc_rus_oracle(cyc, CAPS, 10, seed=1, streams=streams)
+
+    @pytest.mark.parametrize("n_rus", [1, 2, 10, 80])
+    @pytest.mark.parametrize("kind,closed_form", [
+        ("cz", heralded_cz_distribution), ("mzz", heralded_mzz_distribution),
+    ])
+    def test_closed_forms_list_the_oracles_labels(self, n_rus, kind, closed_form):
+        caps = AttemptCaps(n_rus)
+        cyc = cycle_outcome_distribution(REFERENCE_PARAMS.epsilon,
+                                         REFERENCE_PARAMS.distinguishability)
+        empirical = mc_rus_oracle(cyc, caps, 50, seed=1, kind=kind)
+        labels = [o.label for o in closed_form(REFERENCE_PARAMS, caps).outcomes]
+        assert labels == [o.label for o in empirical.outcomes]
+        assert len(set(labels)) == len(labels) == (n_rus + 2 if kind == "cz" else 3)
+
+
+class TestBinomialTail:
+    @staticmethod
+    def _brute_force(count, trials, p):
+        """The tail on ``count``'s side of the mean, from exact rational terms."""
+        p = Fraction(p)
+        pmf = [math.comb(trials, k) * p**k * (1 - p) ** (trials - k) for k in range(trials + 1)]
+        side = pmf[:count + 1] if count < trials * p else pmf[count:]
+        return float(sum(side))
+
+    @pytest.mark.parametrize("trials", [1, 2, 7, 30])
+    @pytest.mark.parametrize("p", [1e-6, 0.035, 0.3, 0.5, 0.97])
+    def test_matches_the_brute_force_sum(self, trials, p):
+        for count in range(trials + 1):
+            expected = self._brute_force(count, trials, p)
+            assert binomial_tail(count, trials, p) == pytest.approx(expected, rel=1e-9, abs=1e-300)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_a_certain_count(self, p):
+        trials = 5
+        assert [binomial_tail(k, trials, p) for k in range(trials + 1)] == [
+            float(k == trials * p) for k in range(trials + 1)]
+
+    def test_the_gate_level_is_the_normal_tail_at_five_sigma(self):
+        assert noise.GATE_TAIL == pytest.approx(2.8665e-7, rel=1e-4)
+
+    def test_a_far_count_underflows_to_zero(self):
+        # one trial in a category of expected count 0.035 is likely; a thousand is not
+        assert binomial_tail(1, 1000, 3.5e-5) > noise.GATE_TAIL
+        assert binomial_tail(1000, 1000, 3.5e-5) == 0.0
 
 
 @contextlib.contextmanager
