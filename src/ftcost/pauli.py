@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import functools
 import numbers
 from dataclasses import dataclass
 from typing import Iterable
@@ -20,7 +21,6 @@ for _a in "IXYZ":
 for _a, _b, _c in (("X", "Y", "Z"), ("Y", "Z", "X"), ("Z", "X", "Y")):
     _PRODUCTS[(_a, _b)] = (1, _c)
     _PRODUCTS[(_b, _a)] = (3, _c)
-_ANTICOMMUTING = frozenset((a, b) for a in "XYZ" for b in "XYZ" if a != b)
 
 #: The phases i^k for k = 0..3, and k for each of them.
 _PHASES = (1, 1j, -1, -1j)
@@ -31,6 +31,18 @@ _XY_BITS, _YZ_BITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011"
 _BYTE_SIGNS = np.array([1 - 2 * (b.bit_count() & 1) for b in range(256)], dtype=np.int8)
 #: Coefficients at or below this magnitude are dropped, or read as real.
 COEFF_ATOL = 1e-12
+
+
+@functools.lru_cache(maxsize=256)  # one relation check multiplies 59 distinct pairs
+def _letter_product(a: str, b: str) -> tuple[int, str]:
+    """The product of the letter strings ``a`` and ``b`` as (k mod 4, letters): i^k letters."""
+    power = 0
+    letters = []
+    for pair in zip(a, b):
+        k, c = _PRODUCTS[pair]
+        power += k
+        letters.append(c)
+    return power % 4, "".join(letters)
 
 
 @dataclass(frozen=True)
@@ -67,20 +79,16 @@ class PauliString:
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         self._check_operand(other, "multiply")
-        power = _POWERS[self.phase] + _POWERS[other.phase]
-        letters = []
-        for pair in zip(self.letters, other.letters):
-            k, c = _PRODUCTS[pair]
-            power += k
-            letters.append(c)
-        return PauliString("".join(letters), _PHASES[power % 4])
+        power, letters = _letter_product(self.letters, other.letters)
+        return PauliString(letters, _PHASES[(power + _POWERS[self.phase] + _POWERS[other.phase]) % 4])
 
     def __neg__(self) -> "PauliString":
         return PauliString(self.letters, _PHASES[(_POWERS[self.phase] + 2) % 4])
 
     def commutes_with(self, other: "PauliString") -> bool:
         self._check_operand(other, "compare")
-        return sum(map(_ANTICOMMUTING.__contains__, zip(self.letters, other.letters))) % 2 == 0
+        # each anticommuting letter pair adds an odd power of i to the product
+        return _letter_product(self.letters, other.letters)[0] % 2 == 0
 
     def dense(self) -> np.ndarray:
         """The 2^n x 2^n matrix, built directly as a signed permutation."""
@@ -149,12 +157,21 @@ def exp_pauli_rotation(theta: float, pauli: PauliString) -> np.ndarray:
 
 
 def _add_dense(out: np.ndarray, scale: complex, letters: str) -> None:
-    """Add ``scale`` times the matrix of the Pauli string ``letters`` to the C-contiguous ``out``.
+    """Add ``scale`` times the matrix of the Pauli string ``letters`` to the C-contiguous ``out``."""
+    index, values = _pattern(letters)
+    out.reshape(-1)[index] += scale * values
+
+
+@functools.lru_cache(maxsize=64)
+def _pattern(letters: str) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices and values of the nonzeros of the Pauli string ``letters``, read-only.
 
     The matrix is a signed permutation.  The first letter acts on the most
     significant bit of a basis index.  Row i has its one nonzero in column
     i ^ flip, where flip marks the X and Y letters, and that entry is
     (-i)^{#Y} * (-1)^{popcount(i & zy)}, where zy marks the Y and Z letters.
+    An n-letter entry holds 24 * 2^n bytes, so the 64 cached patterns take
+    less than one 16 * 4^n byte dense matrix from n = 7 on.
     """
     n = len(letters)
     zy = int("0" + letters.translate(_YZ_BITS), 2)
@@ -164,27 +181,52 @@ def _add_dense(out: np.ndarray, scale: complex, letters: str) -> None:
     signs = _BYTE_SIGNS[masked & 255]
     for shift in range(8, n, 8):
         signs = signs * _BYTE_SIGNS[(masked >> shift) & 255]
-    cols = rows ^ flip
-    # row i's entry sits at flat index i * 2^n + col
-    out.reshape(-1)[np.arange(0, 4**n, 2**n) + cols] += scale * (-1j) ** letters.count("Y") * signs
+    # row i's entry sits at flat index i * 2^n + (i ^ flip)
+    index = np.arange(0, 4**n, 2**n) + (rows ^ flip)
+    values = (-1j) ** letters.count("Y") * signs
+    index.flags.writeable = values.flags.writeable = False
+    return index, values
+
+
+def _square(m, name: str) -> np.ndarray:
+    """``m`` as an array, if it is a square matrix; one ``name=`` line if not."""
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidParameterError(f"{name}=array of shape {m.shape} must be a square matrix")
+    return m
 
 
 def expm_hermitian(h: np.ndarray) -> np.ndarray:
-    """exp(-i H) for Hermitian H via eigendecomposition."""
+    """exp(-i H) for Hermitian H via eigendecomposition.
+
+    ``h`` must be square and equal its conjugate transpose to within
+    ``COEFF_ATOL`` in every entry: ``eigh`` reads only one triangle.
+    """
+    h = _square(h, "h")
+    defect = np.abs(h - h.conj().T).max(initial=0)
+    if not defect <= COEFF_ATOL:
+        raise InvalidParameterError(
+            f"h=array of shape {h.shape} must be Hermitian: an entry differs from its "
+            f"mirror's conjugate by {defect:.3g}, above {COEFF_ATOL:g}")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def unitarity_defect(u: np.ndarray) -> float:
+    """||U U† - I||_F of a square matrix ``u``."""
+    u = _square(u, "u")
     return float(np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0])))
 
 
 def phase_quotient_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """min over unit phases lam of ||a - lam*b||_F.
+    """min over unit phases lam of ||a - lam*b||_F, for ``a`` and ``b`` of one shape.
 
     The optimum is the phase of tr(b† a); a vanishing trace falls back to a
     direct comparison.
     """
+    if np.shape(a) != np.shape(b):
+        raise InvalidParameterError(
+            f"b=array of shape {np.shape(b)} must have the shape of a, {np.shape(a)}")
     tr = np.vdot(b, a)
     lam = tr / abs(tr) if abs(tr) > 1e-12 else 1.0
     return float(np.linalg.norm(a - lam * b))

@@ -16,6 +16,7 @@ solution; note they force the diagonal operators to carry orientations
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +44,10 @@ def _string(phase: complex = 1, **letters: str) -> PauliString:
     return PauliString("".join(chars), phase)
 
 
+#: The identity, and i times it: the relation checks' two fixed strings.
+_IDENTITY, _I = PauliString("I" * N_QUBITS), PauliString("I" * N_QUBITS, 1j)
+
+
 def plaquette_operator_map() -> OperatorMap:
     """Vertex and edge operators of the bulk plaquette, as a new dict.
 
@@ -68,9 +73,8 @@ def _bulk_map() -> OperatorMap:
         "E43": e43,
         "E14": -e41,
     }
-    i = PauliString("I" * N_QUBITS, 1j)
-    mapping["E31"] = i * (-e21) * e23          # = i E12 E23, oriented 1->3
-    mapping["E24"] = i * e41 * (-e21)          # = i E41 E12, oriented 4->2
+    mapping["E31"] = _I * (-e21) * e23          # = i E12 E23, oriented 1->3
+    mapping["E24"] = _I * e41 * (-e21)          # = i E41 E12, oriented 4->2
     return mapping
 
 
@@ -107,31 +111,24 @@ def check_majorana_relations(mapping: OperatorMap | None = None) -> dict[str, bo
         raise InvalidParameterError(
             f"mapping={mapping!r} must map exactly {', '.join(_MAP)} to {N_QUBITS}-qubit PauliStrings")
     report: dict[str, bool] = {}
-    identity = PauliString("I" * N_QUBITS)
-
     for name, op in mapping.items():
-        report[f"{name} hermitian"] = op.is_hermitian()
-        report[f"{name} self-inverse"] = (op * op) == identity
-        report[f"{name} traceless"] = op.weight > 0
+        hermitian, self_inverse, traceless = _OPERATOR_LABELS[name]
+        report[hermitian] = op.is_hermitian()
+        report[self_inverse] = (op * op) == _IDENTITY
+        report[traceless] = op.weight > 0
 
-    names = sorted(mapping)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            share = not set(a[1:]).isdisjoint(b[1:])  # the names list the vertices
-            commute = mapping[a].commutes_with(mapping[b])
-            label = "anticommute" if share else "commute"
-            report[f"{{{a},{b}}}={label}"] = (commute != share)
+    for a, b, label, share in _PAIR_RULES:
+        report[label] = mapping[a].commutes_with(mapping[b]) != share
 
-    edges = _directed_edges(mapping)
-    i = PauliString("I" * N_QUBITS, 1j)
+    edges = _EDGES if mapping is _MAP else _directed_edges(mapping)
     # concatenation E_jl = i E_jk E_kl with the diagonals' stored orientations
-    report["E31 concatenation"] = (i * edges[(1, 2)] * edges[(2, 3)]) == mapping["E31"]
-    report["E24 concatenation"] = (i * edges[(4, 1)] * edges[(1, 2)]) == mapping["E24"]
+    report["E31 concatenation"] = (_I * edges[(1, 2)] * edges[(2, 3)]) == mapping["E31"]
+    report["E24 concatenation"] = (_I * edges[(4, 1)] * edges[(1, 2)]) == mapping["E24"]
     report["diagonal chains agree"] = (
-        (i * edges[(4, 3)] * edges[(3, 2)]) == mapping["E24"]
+        (_I * edges[(4, 3)] * edges[(3, 2)]) == mapping["E24"]
     )
     loop = edges[(1, 2)] * edges[(2, 3)] * edges[(3, 4)] * edges[(4, 1)]
-    report["loop product = +I"] = loop == identity
+    report["loop product = +I"] = loop == _IDENTITY
     return report
 
 
@@ -225,6 +222,17 @@ _HOPPING_PROJECTORS = np.stack([(_AXIS_SQUARED - _HOPPING_AXIS) / 2,
 #: The operator map and its directed edges: ten fixed strings, built at import.
 _MAP = _bulk_map()
 _EDGES = _directed_edges(_MAP)
+#: Every map the relation check accepts has _MAP's names, so its labels are
+#: fixed: three per operator, and for each pair of names in sorted order the
+#: rule they obey, sharing a vertex (which the names list) or not.
+_OPERATOR_LABELS = {
+    name: (f"{name} hermitian", f"{name} self-inverse", f"{name} traceless") for name in _MAP
+}
+_PAIR_RULES = tuple(
+    (a, b, f"{{{a},{b}}}={'anticommute' if share else 'commute'}", share)
+    for a, b in itertools.combinations(sorted(_MAP), 2)
+    for share in [not set(a[1:]).isdisjoint(b[1:])]
+)
 #: E_jk V_k and V_j E_jk for each boundary edge (j, k): the hopping terms, up to -t/2i.
 _HOPPING = tuple(
     s

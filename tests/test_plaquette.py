@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftcost import plaquette, trotter
+from ftcost import pauli, plaquette, trotter
 from ftcost.errors import InvalidParameterError
 from ftcost.pauli import (
     PauliString,
@@ -37,7 +38,25 @@ from ftcost.plaquette import (
 
 strings5 = st.text(alphabet="IXYZ", min_size=5, max_size=5)
 strings1to6 = st.text(alphabet="IXYZ", min_size=1, max_size=6)
+#: Two letter strings of one length, 1 to 6.
+string_pairs1to6 = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.text(alphabet="IXYZ", min_size=n, max_size=n),
+                        st.text(alphabet="IXYZ", min_size=n, max_size=n)))
 phases = st.sampled_from([1, -1, 1j, -1j])
+SINGLE_QUBIT = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def kron_chain(letters: str) -> np.ndarray:
+    """The matrix of ``letters`` as a Kronecker product of 2x2 matrices."""
+    out = np.array([[1.0 + 0j]])
+    for c in letters:
+        out = np.kron(out, SINGLE_QUBIT[c])
+    return out
 
 
 class TestPauliStrings:
@@ -74,23 +93,19 @@ class TestPauliStrings:
     @given(letters=strings1to6, phase=phases)
     @settings(max_examples=200)
     def test_dense_equals_kron_chain(self, letters, phase):
-        single = {
-            "I": np.eye(2, dtype=complex),
-            "X": np.array([[0, 1], [1, 0]], dtype=complex),
-            "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-            "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-        }
-        expected = np.array([[1.0 + 0j]])
-        for c in letters:
-            expected = np.kron(expected, single[c])
-        assert np.array_equal(PauliString(letters, phase).dense(), phase * expected)
+        assert np.array_equal(PauliString(letters, phase).dense(), phase * kron_chain(letters))
 
     def test_dense_past_one_byte_of_qubits(self):
         letters = "XYZIZYXZY"  # nine qubits: the sign of a row reads two bytes of its index
-        expected = np.array([[1.0 + 0j]])
-        for c in letters:
-            expected = np.kron(expected, PauliString(c).dense())
-        assert np.array_equal(PauliString(letters, -1j).dense(), -1j * expected)
+        assert np.array_equal(PauliString(letters, -1j).dense(), -1j * kron_chain(letters))
+
+    @given(pair=string_pairs1to6, pa=phases, pb=phases)
+    @settings(max_examples=300)
+    def test_products_match_dense_algebra(self, pair, pa, pb):
+        a, b = PauliString(pair[0], pa), PauliString(pair[1], pb)
+        ab, ba = a.dense() @ b.dense(), b.dense() @ a.dense()
+        assert np.array_equal((a * b).dense(), ab)
+        assert a.commutes_with(b) == np.array_equal(ab, ba)
 
     @given(terms=st.lists(st.tuples(st.floats(-2.0, 2.0), strings5, phases), min_size=1, max_size=8))
     @settings(max_examples=100)
@@ -144,15 +159,70 @@ class TestPauliStrings:
     ("terms", lambda: PauliSum.from_terms([(1.0, PauliString("X")), (1.0, PauliString("XX"))])),
     ("terms", lambda: PauliSum(()).dense()),
     ("terms", lambda: PauliSum.from_terms([PauliString("X")])),
+    ("h", lambda: expm_hermitian(np.array([[0, 1], [0, 0]]))),
+    ("h", lambda: expm_hermitian(np.ones((2, 3)))),
+    ("h", lambda: expm_hermitian(np.ones(4))),
+    ("h", lambda: expm_hermitian(np.diag([1.0, math.nan]))),
+    ("b", lambda: phase_quotient_distance(np.eye(2), np.eye(3))),
+    ("b", lambda: phase_quotient_distance(np.ones(3), np.ones((3, 1)))),
+    ("u", lambda: unitarity_defect(np.ones((2, 3)))),
 ], ids=["letters-list", "letters-tuple", "letters-int", "letters-A", "phase-True",
         "phase-np.True_", "phase-2", "axis-str", "axis-antihermitian", "theta-nan",
         "theta-str", "fourier-j-5", "fourier-j-float", "fourier-k-0", "fourier-j-is-k",
         "sum-nan", "sum-complex-inf", "sum-str-coefficient", "sum-str-operand", "mul-int",
         "mul-str", "commutes-str", "mul-sizes", "commutes-sizes", "sum-mixed-sizes",
-        "sum-empty-dense", "sum-bare-string"])
+        "sum-empty-dense", "sum-bare-string", "expm-lower-triangle", "expm-2x3", "expm-vector",
+        "expm-nan", "quotient-shapes", "quotient-broadcast", "unitarity-2x3"])
 def test_bad_pauli_arguments_fail_as_one_named_line(name, call):
-    with pytest.raises(InvalidParameterError, match=f"^{name}="):
+    with pytest.raises(InvalidParameterError, match=f"^{name}=") as error:
         call()
+    assert "\n" not in str(error.value)
+
+
+class TestLetterPatternCaches:
+    """The Pauli layer derives each letter pattern's structure once, in bounded caches."""
+
+    CACHES = [f for module in (pauli, plaquette) for f in vars(module).values()
+              if hasattr(f, "cache_info")]
+
+    def test_every_cache_is_bounded(self):
+        assert {f.__name__ for f in self.CACHES} == {"_pattern", "_letter_product"}
+        for f in self.CACHES:
+            assert isinstance(f.cache_info().maxsize, int)
+
+    def test_cached_patterns_are_read_only(self):
+        PauliString("XYZ").dense()
+        for array in pauli._pattern("XYZ"):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    @pytest.mark.parametrize("build", [
+        lambda: PauliString("XYZ", -1j).dense(),
+        lambda: PauliSum.from_terms([(0.5, PauliString("XYZ")), (2.0, PauliString("ZZI"))]).dense(),
+        lambda: exp_pauli_rotation(0.3, PauliString("XYZ")),
+    ], ids=["string", "sum", "rotation"])
+    def test_mutating_a_result_leaves_the_next_one(self, build):
+        expected = build()
+        build()[:] = 7
+        assert np.array_equal(build(), expected)
+
+    def test_more_patterns_than_the_bound_still_densify(self):
+        # every 5-letter pattern, twice: the second pass rebuilds evicted entries
+        patterns = ["".join(p) for p in itertools.product("IXYZ", repeat=5)]
+        assert len(patterns) > pauli._pattern.cache_info().maxsize
+        for _ in range(2):
+            for letters in patterns:
+                assert np.array_equal(PauliString(letters, 1j).dense(), 1j * kron_chain(letters))
+
+    def test_more_products_than_the_bound_still_multiply(self):
+        strings = [PauliString("".join(p), 1j) for p in itertools.product("IXYZ", repeat=3)]
+        pairs = list(itertools.product(strings, repeat=2))[::7]
+        assert len(pairs) > pauli._letter_product.cache_info().maxsize
+        for _ in range(2):
+            for a, b in pairs:
+                ab, ba = a.dense() @ b.dense(), b.dense() @ a.dense()
+                assert np.array_equal((a * b).dense(), ab)
+                assert a.commutes_with(b) == np.array_equal(ab, ba)
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf, "abc", True, [0.1, math.nan],
@@ -216,7 +286,45 @@ class TestOperatorMap:
         assert run_verification(3, 0)["passed"]
 
 
+def reference_relations(mapping) -> dict:
+    """``check_majorana_relations(mapping)`` as per-call loops: every label, pair and edge built afresh."""
+    report = {}
+    identity, i = PauliString("IIIII"), PauliString("IIIII", 1j)
+    for name, op in mapping.items():
+        report[f"{name} hermitian"] = op.is_hermitian()
+        report[f"{name} self-inverse"] = (op * op) == identity
+        report[f"{name} traceless"] = op.weight > 0
+    names = sorted(mapping)
+    for j, a in enumerate(names):
+        for b in names[j + 1:]:
+            share = not set(a[1:]).isdisjoint(b[1:])
+            label = "anticommute" if share else "commute"
+            report[f"{{{a},{b}}}={label}"] = mapping[a].commutes_with(mapping[b]) != share
+    edges = {(2, 1): mapping["E21"], (3, 2): mapping["E32"], (4, 3): mapping["E43"],
+             (1, 4): mapping["E14"], (1, 3): mapping["E31"], (4, 2): mapping["E24"]}
+    edges.update({(k, j): -e for (j, k), e in edges.items()})
+    report["E31 concatenation"] = (i * edges[(1, 2)] * edges[(2, 3)]) == mapping["E31"]
+    report["E24 concatenation"] = (i * edges[(4, 1)] * edges[(1, 2)]) == mapping["E24"]
+    report["diagonal chains agree"] = (i * edges[(4, 3)] * edges[(3, 2)]) == mapping["E24"]
+    loop = edges[(1, 2)] * edges[(2, 3)] * edges[(3, 4)] * edges[(4, 1)]
+    report["loop product = +I"] = loop == identity
+    return report
+
+
+MAP_NAMES = list(plaquette_operator_map())
+
+
 class TestMajoranaRelations:
+    @pytest.mark.parametrize("mapping", [
+        None,
+        plaquette_operator_map(),
+        dict(reversed(plaquette_operator_map().items())),
+        *[mutated_map(target, qubit) for target in MAP_NAMES for qubit in range(5)],
+    ], ids=["bundled", "copy", "reversed", *[f"{t}-q{q}" for t in MAP_NAMES for q in range(5)]])
+    def test_relation_table_equals_the_per_call_loops(self, mapping):
+        expected = reference_relations(plaquette_operator_map() if mapping is None else mapping)
+        assert list(check_majorana_relations(mapping).items()) == list(expected.items())
+
     def test_all_relations_hold(self):
         report = check_majorana_relations()
         failed = [k for k, ok in report.items() if not ok]
