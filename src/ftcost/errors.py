@@ -1,8 +1,10 @@
-"""Exception types, the one rule each for integer and real arguments, and the
-library choices and defaults the CLI's parser shows without loading a layer."""
+"""Exception types, the one rule each for integer and real arguments, the frozen
+``Record`` base, and the choices and defaults the CLI shows without loading a layer."""
 
+import itertools
 import math
 import numbers
+import operator
 
 #: The choices of ``SolveOptions.precision``.
 PRECISIONS = ("headline", "real")
@@ -64,14 +66,59 @@ def real(value, name: str, least: float = -math.inf, most: float = math.inf,
     return number
 
 
-def real_fields(obj, names: tuple, least: float = -math.inf, most: float = math.inf,
+def real_fields(obj, names: tuple, values: tuple, least: float = -math.inf,
                 above: float = -math.inf, below: float = math.inf) -> None:
-    """Store ``real`` of each field ``names`` of the frozen dataclass ``obj``; a
-    float already in range is left as it is, without a call."""
-    for name in names:
-        value = getattr(obj, name)
-        if not (type(value) is float and above < value < below and least <= value <= most):
-            object.__setattr__(obj, name, real(value, name, least, most, above, below))
+    """Store ``real`` of each of ``values`` in the field of the record ``obj``
+    named in the same place of ``names``; a float already in range is stored
+    as it is, without a call."""
+    for name, value in zip(names, values):
+        if not (type(value) is float and above < value < below and least <= value):
+            value = real(value, name, least, math.inf, above, below)
+        object.__setattr__(obj, name, value)
+
+
+class Record:
+    """A frozen record whose fields are its class's own annotations, in order.
+
+    A default is a class attribute, and the default of its ``__init__`` parameter.
+    A record that checks its fields defines an ``__init__`` that stores each with
+    ``object.__setattr__``; the base's stores them as given, by position or keyword.
+    It equals only a record of its class with equal fields, hashes as the field
+    tuple, prints as ``Name(field=value!r, ...)``, and no field is assigned or deleted.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        # the field tuple in one C call; attrgetter of a single name returns the bare value
+        get = operator.attrgetter(*cls._fields)
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda record: (get(record),))
+
+    def __init__(self, *values, **named):
+        names = self._fields
+        if named or len(values) != len(names):
+            if len(values) + len(named) != len(names) or not named.keys() <= set(names[len(values):]):
+                raise TypeError(f"{type(self).__qualname__}() takes the fields {', '.join(names)}")
+            values += tuple(map(named.__getitem__, names[len(values):]))
+        # each call returns None, so any() makes them all, without a Python-level loop
+        any(map(object.__setattr__, itertools.repeat(self), names, values))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def _bounds(least: float, most: float, above: float, below: float) -> str:

@@ -19,7 +19,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DEFAULT_N_RUS, InvalidParameterError, integer, real
+from .errors import DEFAULT_N_RUS, InvalidParameterError, Record, integer, real
 from .timing import DEFAULT_BIASES, PhysicalNoiseParams, derive_noise_params  # noqa: F401
 
 #: Tolerance of the probability checks.  They are written as
@@ -27,18 +27,16 @@ from .timing import DEFAULT_BIASES, PhysicalNoiseParams, derive_noise_params  # 
 PROB_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
-class AttemptCaps:
+class AttemptCaps(Record):
     """Maximum attempt count of the capped RUS protocols."""
 
     n_rus: int = DEFAULT_N_RUS
 
-    def __post_init__(self):
-        object.__setattr__(self, "n_rus", integer(self.n_rus, "n_rus"))
+    def __init__(self, n_rus=n_rus):
+        object.__setattr__(self, "n_rus", integer(n_rus, "n_rus"))
 
 
-@dataclass(frozen=True)
-class CycleOutcomeDistribution:
+class CycleOutcomeDistribution(Record):
     """Per-cycle outcome probabilities of one RUS attempt."""
 
     p_success: float
@@ -51,23 +49,24 @@ class CycleOutcomeDistribution:
     def p_repeat(self) -> float:
         return self.p_repeat_indist + self.p_repeat_dist
 
-    def __post_init__(self):
-        vals = (self.p_success, self.p_repeat_indist, self.p_repeat_dist,
-                self.p_one_loss, self.p_two_loss)
+    def __init__(self, p_success, p_repeat_indist, p_repeat_dist, p_one_loss, p_two_loss):
+        vals = (p_success, p_repeat_indist, p_repeat_dist, p_one_loss, p_two_loss)
         if any(not v >= -PROB_ATOL for v in vals):
             raise InvalidParameterError("cycle outcome probabilities must be nonnegative")
         if not abs(sum(vals) - 1.0) <= PROB_ATOL:
             raise InvalidParameterError("cycle outcome probabilities must sum to 1")
+        for name, value in zip(self._fields, vals):
+            object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a Record: bench/test_checkers.py calls dataclasses.replace on it
 class HeraldedOutcome:
     label: str
     probability: float
     channel: None = None  # always None: bench/test_checkers.py still passes it positionally
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a Record, for the same reason
 class HeraldedOutcomeDistribution:
     """Outcome categories of a capped RUS protocol and their probabilities.
 
@@ -91,7 +90,8 @@ class HeraldedOutcomeDistribution:
         for o in self.outcomes:
             if o.label == label:
                 return o.probability
-        return 0.0
+        raise InvalidParameterError(
+            f"label={label!r} must be one of {' | '.join(o.label for o in self.outcomes)}")
 
 
 def cycle_outcome_distribution(epsilon: float, distinguishability: float) -> CycleOutcomeDistribution:

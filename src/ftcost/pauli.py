@@ -5,12 +5,11 @@ from __future__ import annotations
 import cmath
 import functools
 import numbers
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidParameterError, real
+from .errors import InvalidParameterError, Record, real
 
 # single-qubit products: (a, b) -> (k, letter) for the product i^k letter
 _PRODUCTS = {}
@@ -45,18 +44,19 @@ def _letter_product(a: str, b: str) -> tuple[int, str]:
     return power % 4, "".join(letters)
 
 
-@dataclass(frozen=True)
-class PauliString:
+class PauliString(Record):
     """A tensor product of Pauli letters with an overall unit phase."""
 
     letters: str
     phase: complex = 1
 
-    def __post_init__(self):
-        if type(self.letters) is not str or not _LETTERS.issuperset(self.letters):
-            raise InvalidParameterError(f"letters={self.letters!r} must be a str of I, X, Y and Z")
-        if isinstance(self.phase, (bool, np.bool_)) or self.phase not in _PHASES:
-            raise InvalidParameterError(f"phase={self.phase!r} must be one of 1 | 1j | -1 | -1j")
+    def __init__(self, letters, phase=phase):
+        if type(letters) is not str or not _LETTERS.issuperset(letters):
+            raise InvalidParameterError(f"letters={letters!r} must be a str of I, X, Y and Z")
+        if isinstance(phase, (bool, np.bool_)) or phase not in _PHASES:
+            raise InvalidParameterError(f"phase={phase!r} must be one of 1 | 1j | -1 | -1j")
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "phase", phase)
 
     @property
     def n_qubits(self) -> int:
@@ -97,8 +97,7 @@ class PauliString:
         return out
 
 
-@dataclass(frozen=True)
-class PauliSum:
+class PauliSum(Record):
     """A complex-weighted sum of Pauli strings, kept in canonical form.
 
     Canonicalization folds each string's phase into its coefficient and

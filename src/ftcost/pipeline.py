@@ -17,10 +17,9 @@ import functools
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import PRECISIONS, InvalidParameterError, NoProtocolError, integer, real, real_fields
+from .errors import PRECISIONS, InvalidParameterError, NoProtocolError, Record, integer, real, real_fields
 from .surgery import (
     BUNDLED_NOISE_P,
     LADDER,
@@ -53,8 +52,7 @@ from .trotter import (
 )
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
+class ErrorBudget(Record):
     """Split of the total diamond-norm budget across error sources."""
 
     total_diamond: float
@@ -63,8 +61,8 @@ class ErrorBudget:
     eps_log: float
     eps_msf: float
 
-    def __post_init__(self):
-        real_fields(self, ("total_diamond", "eps_alg", "eps_rot", "eps_log", "eps_msf"), 0)
+    def __init__(self, total_diamond, eps_alg, eps_rot, eps_log, eps_msf):
+        real_fields(self, self._fields, (total_diamond, eps_alg, eps_rot, eps_log, eps_msf), 0)
         consumed = 2 * self.eps_alg + self.eps_rot + self.eps_log + self.eps_msf
         if not consumed <= self.total_diamond + 1e-15:
             raise InvalidParameterError(
@@ -80,14 +78,13 @@ def allocate_budget(total: float) -> ErrorBudget:
     return ErrorBudget(total, eps_alg, 0.01 * eps_alg, total / 4.0, total / 4.0)
 
 
-@dataclass(frozen=True)
-class FloorplanCounts:
+class FloorplanCounts(Record):
     total_patches: int
     msf_patches: int
 
-    def __post_init__(self):
-        total = integer(self.total_patches, "total_patches", 0)
-        msf = integer(self.msf_patches, "msf_patches", 0)
+    def __init__(self, total_patches, msf_patches):
+        total = integer(total_patches, "total_patches", 0)
+        msf = integer(msf_patches, "msf_patches", 0)
         if msf > total:
             raise InvalidParameterError(f"msf_patches={msf} must not exceed total_patches={total}")
         object.__setattr__(self, "total_patches", total)
@@ -187,8 +184,7 @@ def corridor_capacity_check(plan: FloorplanCounts, geometry: PatchGeometry,
 _LADDER_ROUNDS = [rung.geometry.rounds for rung in LADDER]
 
 
-@dataclass(frozen=True)
-class SolveOptions:
+class SolveOptions(Record):
     """Per-solve choices, checked and normalised when built; None means absent."""
 
     strategy: str = "mixed_fallback"
@@ -202,42 +198,49 @@ class SolveOptions:
     initial_rounds: Optional[int] = None
     max_width: int = LADDER_WIDTHS[-1]  # up to surgery.MAX_WIDTH for off-table widths
 
-    def __post_init__(self):
-        for name, value, choices in (("strategy", self.strategy, STRATEGIES),
-                                     ("mode", self.mode, MODES),
-                                     ("precision", self.precision, PRECISIONS)):
+    def __init__(self, strategy=strategy, p_succ=p_succ, mode=mode, precision=precision,
+                 timing=timing, fit=fit, protocols=protocols,
+                 floorplan_override=floorplan_override, initial_rounds=initial_rounds,
+                 max_width=max_width):
+        for name, value, choices in (("strategy", strategy, STRATEGIES),
+                                     ("mode", mode, MODES),
+                                     ("precision", precision, PRECISIONS)):
             if not (isinstance(value, str) and value in choices):
                 raise InvalidParameterError(
                     f"{name}={value!r} must be one of {' | '.join(choices)}")
+            object.__setattr__(self, name, value)
         # p_succ is read only by a fallback strategy, but is checked for every one
-        real_fields(self, ("p_succ",), above=0, most=1)
-        if not isinstance(self.timing, TimingModel):
-            raise InvalidParameterError(f"timing={self.timing!r} must be a TimingModel")
-        if not (self.fit is None or isinstance(self.fit, FitParams)):
-            raise InvalidParameterError(f"fit={self.fit!r} must be None or a FitParams")
-        if not (self.protocols is None or isinstance(self.protocols, (list, tuple)) and self.protocols):
+        object.__setattr__(self, "p_succ", real(p_succ, "p_succ", above=0, most=1))
+        if not isinstance(timing, TimingModel):
+            raise InvalidParameterError(f"timing={timing!r} must be a TimingModel")
+        if not (fit is None or isinstance(fit, FitParams)):
+            raise InvalidParameterError(f"fit={fit!r} must be None or a FitParams")
+        if not (protocols is None or isinstance(protocols, (list, tuple)) and protocols):
             raise InvalidParameterError(
-                f"protocols={self.protocols!r} must be None or a non-empty sequence")
-        for i, protocol in enumerate(self.protocols or ()):
+                f"protocols={protocols!r} must be None or a non-empty sequence")
+        for i, protocol in enumerate(protocols or ()):
             if not isinstance(protocol, MsfProtocol):
                 raise InvalidParameterError(f"protocols[{i}]={protocol!r} must be an MsfProtocol")
-        override = self.floorplan_override
+        override = floorplan_override
         if override is not None:
             if not (isinstance(override, (list, tuple)) and len(override) == 2):
                 raise InvalidParameterError(
                     f"floorplan_override={override!r} must be None or a (total, msf) pair")
             counts = FloorplanCounts(*override)
-            object.__setattr__(self, "floorplan_override", (counts.total_patches, counts.msf_patches))
-        if self.initial_rounds is not None:
-            object.__setattr__(self, "initial_rounds", integer(
-                self.initial_rounds, "initial_rounds", rule="None or an integer >= 1"))
-        ladder_rungs(self.max_width)  # the ladder's rule: an integer in [6, MAX_WIDTH]
-        if type(self.max_width) is not int:
-            object.__setattr__(self, "max_width", int(self.max_width))
+            override = (counts.total_patches, counts.msf_patches)
+        if initial_rounds is not None:
+            initial_rounds = integer(initial_rounds, "initial_rounds", rule="None or an integer >= 1")
+        ladder_rungs(max_width)  # the ladder's rule: an integer in [6, MAX_WIDTH]
+        object.__setattr__(self, "timing", timing)
+        object.__setattr__(self, "fit", fit)
+        # a tuple of its own: the caller's list can change, and is unhashable
+        object.__setattr__(self, "protocols", None if protocols is None else tuple(protocols))
+        object.__setattr__(self, "floorplan_override", override)
+        object.__setattr__(self, "initial_rounds", initial_rounds)
+        object.__setattr__(self, "max_width", int(max_width))
 
 
-@dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(Record):
     """The estimate at the least self-consistent ladder entry.
 
     ``iterations`` counts the ladder entries the solver evaluated."""
@@ -398,7 +401,7 @@ def solve_estimate(
             f"factory qubits at width {geometry.width}; the factories need {msf_qubits:.6g}")
     physical_qubits = plan_counts.total_patches * qubits
     cycle_ns = timing.logical_cycle_ns(geometry.rounds)
-    # positional: a keyword call to the dataclass costs more on this hot path
+    # positional: a keyword call to the record costs more on this hot path
     return EstimateReport(
         r, eps_synth, plan.n_t, plan.n_t_fallback, rotation.logical_timesteps,
         step.logical_timesteps, step.active_cubes, step.t_states, step.transversal_cnots,

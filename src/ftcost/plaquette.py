@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, integer, real
+from .errors import InvalidParameterError, Record, integer, real
 from .pauli import (
     PauliString,
     PauliSum,
@@ -180,8 +179,7 @@ def diagonalizing_clifford_dagger() -> np.ndarray:
         @ _string(q2="X").dense()
 
 
-@dataclass(frozen=True)
-class DiagonalizationCircuit:
+class DiagonalizationCircuit(Record):
     """The dense halves of F31 F24 C . C† F24† F31†."""
 
     forward: np.ndarray  # F31 F24 C

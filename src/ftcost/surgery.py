@@ -15,11 +15,10 @@ import math
 import operator
 import os
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from importlib import resources
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import FitError, InvalidParameterError, NoDistanceFoundError, integer, real, real_fields
+from .errors import FitError, InvalidParameterError, NoDistanceFoundError, Record, integer, real, real_fields
 
 #: Heights for the tabulated widths 6..30.  Stored verbatim: the published
 #: rounding of 5w/3 to a multiple of 3 is not monotone in direction, so the
@@ -40,19 +39,17 @@ MSF_ROUND_RATE = 4.2
 CULTIVATION_FACTOR = 5.0
 
 
-@dataclass(frozen=True)
-class PatchGeometry:
+class PatchGeometry(Record):
     """One lattice-surgery patch: qubits per row, rows, rounds per cube."""
 
     width: int
     height: int
     rounds: int
 
-    def __post_init__(self):
+    def __init__(self, width, height, rounds):
         # not ``vars(self)``: building the instance dict slows every later
         # attribute read, and the ladder's geometries are read on every solve
-        for name, value in (("width", self.width), ("height", self.height),
-                            ("rounds", self.rounds)):
+        for name, value in zip(self._fields, (width, height, rounds)):
             object.__setattr__(self, name, integer(value, name))
 
     @property
@@ -74,21 +71,20 @@ def patch_geometry(width: int) -> PatchGeometry:
     return PatchGeometry(width, h, 2 * h)
 
 
-@dataclass(frozen=True)
-class ErrorDataPoint:
+class ErrorDataPoint(Record):
     """Simulated combined spacelike logical error per cube, with uncertainty."""
 
     geometry: PatchGeometry
     e_hv: float
     sigma: float
 
-    def __post_init__(self):
-        real_fields(self, ("e_hv",), above=0, below=1)
-        real_fields(self, ("sigma",), above=0)
+    def __init__(self, geometry, e_hv, sigma):
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "e_hv", real(e_hv, "e_hv", above=0, below=1))
+        object.__setattr__(self, "sigma", real(sigma, "sigma", above=0))
 
 
-@dataclass(frozen=True)
-class FitParams:
+class FitParams(Record):
     """Parameters of the model E(n) = n * exp(a*sqrt(n) - b)."""
 
     a: float
@@ -219,24 +215,22 @@ def msf_convert(sc_qubits: float, sc_cycles: float):
     return hh_qubits, hh_rounds
 
 
-@dataclass(frozen=True)
-class MsfProtocol:
+class MsfProtocol(Record):
     """One magic-state factory protocol with derived honeycomb footprint.
 
-    ``hh_qubits`` and ``hh_rounds`` are ``msf_convert`` of the surface-code
-    footprint, derived once at construction.
+    The attributes ``hh_qubits`` and ``hh_rounds``, not fields, are
+    ``msf_convert`` of the surface-code footprint, derived once at construction.
     """
 
     label: str
     p_out: float
     sc_qubits: float
     sc_cycles: float
-    hh_qubits: float = field(init=False, repr=False, compare=False)
-    hh_rounds: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        real_fields(self, ("p_out",), above=0, below=1)
-        real_fields(self, ("sc_qubits", "sc_cycles"), above=0)
+    def __init__(self, label, p_out, sc_qubits, sc_cycles):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "p_out", real(p_out, "p_out", above=0, below=1))
+        real_fields(self, ("sc_qubits", "sc_cycles"), (sc_qubits, sc_cycles), above=0)
         hh_qubits, hh_rounds = msf_convert(self.sc_qubits, self.sc_cycles)
         object.__setattr__(self, "hh_qubits", hh_qubits)
         object.__setattr__(self, "hh_rounds", hh_rounds)

@@ -9,10 +9,9 @@ slowest branch, which the cost formulas account for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import InvalidParameterError, integer, real
+from .errors import InvalidParameterError, Record, integer, real
 
 #: Fractional cube coefficients (averages over X/Y/Z measurement axes) kept
 #: as exact thirds.
@@ -54,8 +53,7 @@ def _check_rounding(rounding: str):
         raise InvalidParameterError(f"rounding={rounding!r} must be 'none' or 'integer'")
 
 
-@dataclass(frozen=True)
-class SynthesisPlan:
+class SynthesisPlan(Record):
     """Resolved per-rotation counts for one layer of L^2 parallel syntheses.
 
     With ``rounding="none"`` the identity n_t = n_t_success +
@@ -119,8 +117,7 @@ def direct_plan(
     return SynthesisPlan(n_t, 0.0, n_t, 1.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class RotationCost:
+class RotationCost(Record):
     """Record of fault-tolerant resources: one synthesized Z-rotation or one
     Trotter step."""
 
@@ -129,11 +126,17 @@ class RotationCost:
     active_cubes: float = 0.0
     transversal_cnots: float = 0.0
 
-    def __post_init__(self):
-        if not (self.t_states >= 0 and self.logical_timesteps >= 0
-                and self.active_cubes >= 0 and self.transversal_cnots >= 0):
-            name, value = next((k, v) for k, v in vars(self).items() if not v >= 0)
+    def __init__(self, t_states=t_states, logical_timesteps=logical_timesteps,
+                 active_cubes=active_cubes, transversal_cnots=transversal_cnots):
+        if not (t_states >= 0 and logical_timesteps >= 0
+                and active_cubes >= 0 and transversal_cnots >= 0):
+            values = (t_states, logical_timesteps, active_cubes, transversal_cnots)
+            name, value = next((k, v) for k, v in zip(self._fields, values) if not v >= 0)
             raise InvalidParameterError(f"{name}={value} must be nonnegative")
+        object.__setattr__(self, "t_states", t_states)
+        object.__setattr__(self, "logical_timesteps", logical_timesteps)
+        object.__setattr__(self, "active_cubes", active_cubes)
+        object.__setattr__(self, "transversal_cnots", transversal_cnots)
 
 
 def _direct(n_t: float, tau: float) -> tuple[float, float]:
@@ -160,7 +163,7 @@ def synthesis_cost(plan: SynthesisPlan, strategy_kind: str, tau_ratio: float) ->
     else:
         raise InvalidParameterError(
             f"strategy_kind={strategy_kind!r} must be one of direct | fallback")
-    # positional: a keyword call to the dataclass costs more on this hot path
+    # positional: a keyword call to the record costs more on this hot path
     return RotationCost(plan.n_t, timesteps, cubes, 0.0)
 
 

@@ -4,25 +4,22 @@ quantities."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .errors import InvalidParameterError, integer, real, real_fields
+from .errors import InvalidParameterError, Record, integer, real, real_fields
 
 #: Fixed relative weights of the two error mechanisms, photon loss and
 #: photon distinguishability, versus the overall noise intensity p.
 DEFAULT_BIASES = {"epsilon": 0.9, "distinguishability": 0.085}
 
 
-@dataclass(frozen=True)
-class PhysicalNoiseParams:
+class PhysicalNoiseParams(Record):
     """The noise intensity p and the two error parameters derived from it."""
 
     p: float
     epsilon: float
     distinguishability: float
 
-    def __post_init__(self):
-        real_fields(self, ("p", "epsilon", "distinguishability"), 0, below=1)
+    def __init__(self, p, epsilon, distinguishability):
+        real_fields(self, self._fields, (p, epsilon, distinguishability), 0, below=1)
 
 
 def derive_noise_params(p: float) -> PhysicalNoiseParams:
@@ -36,8 +33,7 @@ def derive_noise_params(p: float) -> PhysicalNoiseParams:
                                DEFAULT_BIASES["distinguishability"] * p)
 
 
-@dataclass(frozen=True)
-class TimingModel:
+class TimingModel(Record):
     """Syndrome round time in nanoseconds, plus the decode reaction time.
 
     ``reaction_rounds`` is the reaction time expressed in whole syndrome
@@ -48,10 +44,11 @@ class TimingModel:
     syndrome_round_ns: float = 305.0
     reaction_us: float = 10.0
 
-    reaction_rounds: int = field(init=False)
+    reaction_rounds: int
 
-    def __post_init__(self):
-        real_fields(self, ("syndrome_round_ns", "reaction_us"), above=0)
+    def __init__(self, syndrome_round_ns=syndrome_round_ns, reaction_us=reaction_us):
+        real_fields(self, ("syndrome_round_ns", "reaction_us"), (syndrome_round_ns, reaction_us),
+                    above=0)
         try:
             rounds = round(self.reaction_us * 1000.0 / self.syndrome_round_ns)
         except OverflowError:  # the ratio is beyond any float

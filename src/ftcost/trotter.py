@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-
-from .errors import integer, real, real_fields
+from .errors import Record, integer, real, real_fields
 from .synthesis import RotationCost
 
 #: Per-plaquette diagonalization cost (forward plus inverse direction).
@@ -47,8 +45,7 @@ def check_plane(lattice_l: int, w_msf: int) -> tuple[int, int]:
             integer(w_msf, "w_msf"))
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(Record):
     """Simulation instance: lattice size, coupling, time, and aisle width."""
 
     lattice_l: int
@@ -56,11 +53,11 @@ class ProblemSpec:
     sim_time_t: float
     w_msf: int = 2
 
-    def __post_init__(self):
-        lattice_l, w_msf = check_plane(self.lattice_l, self.w_msf)
+    def __init__(self, lattice_l, u_over_t, sim_time_t, w_msf=w_msf):
+        lattice_l, w_msf = check_plane(lattice_l, w_msf)
         object.__setattr__(self, "lattice_l", lattice_l)
         object.__setattr__(self, "w_msf", w_msf)
-        real_fields(self, ("u_over_t", "sim_time_t"), above=0)
+        real_fields(self, ("u_over_t", "sim_time_t"), (u_over_t, sim_time_t), above=0)
 
 
 def kappa(u_over_t: float) -> float:
@@ -139,7 +136,7 @@ def trotter_step_cost(spec: ProblemSpec, rotation: RotationCost) -> RotationCost
     i_t, i_ts, i_cubes, i_cnots = _interaction(l2, rotation)
     p_t, p_ts, p_cubes, p_cnots = _pink(l2, rotation)
     g_t, g_ts, g_cubes, g_cnots = _golden(spec.lattice_l, spec.w_msf, rotation)
-    # positional: a keyword call to the dataclass costs more on this hot path
+    # positional: a keyword call to the record costs more on this hot path
     return RotationCost(i_t + p_t + g_t + p_t, i_ts + p_ts + g_ts + p_ts,
                         i_cubes + p_cubes + g_cubes + p_cubes,
                         i_cnots + p_cnots + g_cnots + p_cnots)

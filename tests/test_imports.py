@@ -54,13 +54,27 @@ def _run(argv: list[str]) -> str:
     return f"from ftcost.cli import main\nassert main({argv!r}) == 0"
 
 
-@pytest.mark.parametrize("argv", [["estimate"], ["fit"],
-                                  ["sweep", "--key", "problem.L", "--values", "2,4"]],
-                         ids=["estimate", "fit", "sweep"])
+ESTIMATE_COMMANDS = pytest.mark.parametrize(
+    "argv", [["estimate"], ["fit"], ["sweep", "--key", "problem.L", "--values", "2,4"]],
+    ids=["estimate", "fit", "sweep"])
+
+
+@ESTIMATE_COMMANDS
 def test_the_estimate_path_loads_no_oracle(argv):
     loaded = _loaded(_run(argv))
     assert ESTIMATE_PATH <= loaded
     assert not loaded & ORACLES
+
+
+@ESTIMATE_COMMANDS
+def test_the_estimate_path_loads_neither_dataclasses_nor_inspect(argv):
+    # the records are plain classes; ``dataclasses`` would load ``inspect``, ``ast`` and ``dis``
+    proc = _python("-c", _run(argv) + (
+        "\nimport sys\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_verify_noise_loads_no_estimate_layer():

@@ -25,6 +25,7 @@ from ftcost import (
     patch_geometry,
     solve_estimate,
 )
+from ftcost.errors import Record
 from ftcost.pipeline import FloorplanCounts, SolveOptions, render_floorplan
 from ftcost.plaquette import run_verification
 from ftcost.surgery import PatchGeometry, ladder_rungs
@@ -72,6 +73,8 @@ NOT_INTEGERS = [True, np.True_, 8.0, math.nan, math.inf, "8", None]
 
 def _types(value):
     """The type of ``value`` and, recursively, of its fields and items."""
+    if isinstance(value, Record):
+        return type(value), tuple(_types(getattr(value, name)) for name in value._fields)
     if dataclasses.is_dataclass(value):
         return type(value), tuple(_types(getattr(value, f.name)) for f in dataclasses.fields(value))
     if isinstance(value, (tuple, list)):

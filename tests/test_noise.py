@@ -172,6 +172,14 @@ class TestHeraldedMzz:
         assert d.probability("abort") == pytest.approx(2**-10, abs=1e-15)
         assert d.probability("success_with_loss") == 0.0
 
+    def test_a_label_it_does_not_hold_is_an_error(self):
+        # "failure" is a CZ outcome only; it is not read as probability 0
+        d = heralded_mzz_distribution(REFERENCE_PARAMS, CAPS)
+        with pytest.raises(InvalidParameterError,
+                           match=r"^label='failure' must be one of "
+                                 r"pure_success \| success_with_loss \| abort$"):
+            d.probability("failure")
+
     def test_reference_abort(self):
         d = heralded_mzz_distribution(REFERENCE_PARAMS, CAPS)
         assert d.probability("abort") == pytest.approx((1 - 0.4910405) ** 10, rel=1e-9)

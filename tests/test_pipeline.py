@@ -29,6 +29,7 @@ from ftcost import (
     trotter_step_cost,
     trotter_steps,
 )
+from ftcost.config import load_config, options_from
 from ftcost.pipeline import FloorplanCounts, SolveOptions, render_floorplan
 from ftcost.surgery import MAX_WIDTH
 
@@ -320,6 +321,17 @@ class TestSolveEstimate:
         with pytest.raises(InvalidParameterError, match=f"^{message}$"):
             solve_estimate(REFERENCE_SPEC, REFERENCE_NOISE, REFERENCE_BUDGET,
                            SolveOptions(fit=FIT, **kwargs))
+
+    def test_options_built_from_the_config_are_hashable(self):
+        options = options_from(load_config())
+        assert hash(options) == hash(options_from(load_config()))
+
+    def test_options_keep_their_protocols_when_the_callers_list_is_cleared(self):
+        # a cleared list would otherwise get round the non-empty check
+        protocols = load_msf_table()
+        options = SolveOptions(protocols=protocols)
+        protocols.clear()
+        assert options.protocols == tuple(load_msf_table())
 
     def test_initial_rounds_one_starts_at_the_first_entry(self, reference_report):
         report = solve_estimate(REFERENCE_SPEC, REFERENCE_NOISE, REFERENCE_BUDGET,

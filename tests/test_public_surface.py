@@ -8,9 +8,9 @@ is a mention in a docstring.  The few names that only tests read are listed
 in ``ALLOWED`` with the reason each is kept.
 
 A parameter with a default, of a public function or method or a public
-dataclass's field, must be passed by position or keyword in some call of its
-function or class by name, in ``src/ftcost``, in ``bench/`` or in
-``tests/test_acceptance.py``.  The few that only other tests pass are listed
+dataclass's or ``Record``'s field, must be passed by position or keyword in
+some call of its function or class by name, in ``src/ftcost``, in ``bench/``
+or in ``tests/test_acceptance.py``.  The few that only other tests pass are listed
 in ``ALLOWED_OPTIONAL`` with the reason each is kept.
 """
 
@@ -87,9 +87,11 @@ def test_every_allowed_name_is_still_defined_and_uncalled():
         assert _callers(name, defined[name]) == 0, name
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
-               for d in node.decorator_list)
+def _has_fields(node: ast.ClassDef) -> bool:
+    """Whether ``node`` is a dataclass or an ``errors.Record``: its annotations are its fields."""
+    return (any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list)
+            or any(getattr(base, "id", None) == "Record" for base in node.bases))
 
 
 def _optional(name: str, node: ast.FunctionDef):
@@ -109,11 +111,11 @@ def _optional(name: str, node: ast.FunctionDef):
 def _optional_parameters(tree: ast.Module):
     """(function or class, parameter, position or None) of every optional
     parameter of a public function or method, and every field with a default
-    of a public dataclass; a ``field(init=...)`` takes no position."""
+    of a public dataclass or record; a ``field(init=...)`` takes no position."""
     for name, node in _definitions(tree):
         if isinstance(node, ast.FunctionDef):
             yield from _optional(name, node)
-        elif _is_dataclass(node):
+        elif _has_fields(node):
             fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
                       and not (isinstance(item.value, ast.Call)
                                and any(k.arg == "init" for k in item.value.keywords))]

@@ -97,7 +97,14 @@ def _reals(least=-INF, most=INF, above=-INF, below=INF, span=2.0**20):
 
 
 def _budget_field(name):
-    return lambda v: ErrorBudget(**{**dataclasses.asdict(BUDGET), name: v})
+    fields = dict(total_diamond=BUDGET.total_diamond, eps_alg=BUDGET.eps_alg,
+                  eps_rot=BUDGET.eps_rot, eps_log=BUDGET.eps_log, eps_msf=BUDGET.eps_msf)
+    return lambda v: ErrorBudget(**{**fields, name: v})
+
+
+def _noise_field(name):
+    fields = dict(p=NOISE.p, epsilon=NOISE.epsilon, distinguishability=NOISE.distinguishability)
+    return lambda v: PhysicalNoiseParams(**{**fields, name: v})
 
 
 def _options_field(name):
@@ -117,9 +124,7 @@ SITES = {site.name: site for site in [
     Site("allocate_budget.total", allocate_budget, (-0.01,), _reals(**NONNEGATIVE)),
     *(Site(f"ErrorBudget.{name}", _budget_field(name), (-1e-3,), _reals(**NONNEGATIVE, span=1))
       for name in ("total_diamond", "eps_alg", "eps_rot", "eps_log", "eps_msf")),
-    *(Site(f"PhysicalNoiseParams.{name}",
-           lambda v, name=name: PhysicalNoiseParams(**{**dataclasses.asdict(NOISE), name: v}),
-           (-0.01, 1.0), _reals(**PROBABILITY))
+    *(Site(f"PhysicalNoiseParams.{name}", _noise_field(name), (-0.01, 1.0), _reals(**PROBABILITY))
       for name in ("p", "epsilon", "distinguishability")),
     Site("derive_noise_params.p", derive_noise_params, (-0.01, 1.0, 1.5), _reals(**PROBABILITY)),
     Site("cycle_outcome_distribution.epsilon", lambda v: cycle_outcome_distribution(v, 8.5e-4),

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +6,7 @@ from hypothesis import strategies as st
 
 from ftcost import (
     InvalidParameterError,
+    SynthesisPlan,
     crossover_L,
     direct_plan,
     fallback_plan,
@@ -123,7 +123,7 @@ class TestSynthesisCost:
         assert cost.t_states == 72
 
     def test_clifford_only_tail(self):
-        plan = replace(direct_plan(2**-40), n_t=0.0, n_t_success=0.0)
+        plan = SynthesisPlan(0.0, 0.0, 0.0, 1.0, 0.0, 1.0)  # a direct plan without T gates
         cost = synthesis_cost(plan, "direct", 0.0)
         assert cost.logical_timesteps == 3.0
         assert cost.active_cubes == 23.0
@@ -139,8 +139,8 @@ class TestSynthesisCost:
     def test_reject_branch_is_a_direct_synthesis(self, strategy, tau):
         # every rotation rejected: the layer costs its fixed 7 timesteps and
         # 48 cubes on top of a direct synthesis of the reject branch
-        plan = replace(fallback_plan(EPS_REFERENCE, 0.99, 8, strategy),
-                       n_t_success=0.0, p_all=0.0, ptilde_fail=1.0, ptilde_succ=0.0)
+        counts = fallback_plan(EPS_REFERENCE, 0.99, 8, strategy)
+        plan = SynthesisPlan(counts.n_t, counts.n_t_fallback, 0.0, 0.0, 1.0, 0.0)
         direct = direct_plan(EPS_REFERENCE, FALLBACK_BRANCH[strategy])
         assert direct.n_t == plan.n_t_fallback
         rejected = synthesis_cost(plan, "fallback", tau)
@@ -154,13 +154,16 @@ class TestSynthesisCost:
         # with the plan's counts held fixed, a smaller all-accept probability
         # can only add fallback-branch idle time
         plan = fallback_plan(EPS_REFERENCE, 0.99, 8, rounding="integer")
-        hi = synthesis_cost(replace(plan, p_all=p_all_hi), "fallback", TAU_REFERENCE)
-        lo = synthesis_cost(replace(plan, p_all=p_all_lo), "fallback", TAU_REFERENCE)
-        assert lo.logical_timesteps >= hi.logical_timesteps
+        def timesteps(p_all):
+            at = SynthesisPlan(plan.n_t, plan.n_t_fallback, plan.n_t_success, p_all,
+                               plan.ptilde_fail, plan.ptilde_succ)
+            return synthesis_cost(at, "fallback", TAU_REFERENCE).logical_timesteps
+
+        assert timesteps(p_all_lo) >= timesteps(p_all_hi)
 
     def test_max_injection_rate_respected(self):
         for n_t in (1.0, 10.0, 72.0):
-            plan = replace(direct_plan(EPS_REFERENCE), n_t=n_t, n_t_success=n_t)
+            plan = SynthesisPlan(n_t, 0.0, n_t, 1.0, 0.0, 1.0)  # a direct plan of n_t T gates
             cost = synthesis_cost(plan, "direct", TAU_REFERENCE)
             rate = cost.t_states / cost.logical_timesteps
             assert rate <= max_t_injection_rate(TAU_REFERENCE) + 1e-12
