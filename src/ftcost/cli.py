@@ -128,18 +128,16 @@ def cmd_sweep(args) -> int:
 
 def cmd_fit(args) -> int:
     from . import config as cfgmod
-    from .surgery import (LADDER_WIDTHS, extrapolate_error, fit_error_curve, load_error_data,
-                          patch_geometry)
+    from .surgery import LADDER_WIDTHS, extrapolate_error, fit_error_curve, ladder_rungs, load_error_data
 
     cfg = cfgmod.load_config(args.config, args.overrides)
     points = load_error_data(cfg["data.lattice_surgery_csv"])
     fit = fit_error_curve(points)
     print(f"model n*exp(a*sqrt(n) - b): a = {fit.a:.6f}, b = {fit.b:.6f}")
     print(f"{'w':>4} {'h':>4} {'rounds':>6} {'qubits':>6} {'fitted E':>12}")
-    for w in LADDER_WIDTHS:
-        geo = patch_geometry(w)
+    for geo in ladder_rungs(LADDER_WIDTHS[-1]):
         print(f"{geo.width:>4} {geo.height:>4} {geo.rounds:>6} {geo.qubits:>6} "
-              f"{extrapolate_error(fit, w):>12.3e}")
+              f"{extrapolate_error(fit, geo.width):>12.3e}")
     return 0
 
 

@@ -119,8 +119,12 @@ def _value(key: Key, text: str):
         except ValueError:
             pass
         else:
-            if key.type is int and value.is_integer():
-                value = int(value)
+            if key.type is int:
+                try:  # exact at any size; a float form only where a float is exact
+                    value = int(text)
+                except ValueError:
+                    if value.is_integer() and abs(value) <= 2**53:
+                        value = int(value)
     if value is None and key.default is None:
         return None
     if isinstance(value, key.type) and key.ok(value):
@@ -157,10 +161,14 @@ def load_config(path: Optional[str] = None, overrides: Optional[list[str]] = Non
 # -- builders: every value was checked by ``load_config`` -----------------------
 
 def problem_from(cfg: dict) -> ProblemSpec:
+    try:
+        sim_time_t = cfg["problem.sim_time_multiple"] * cfg["problem.L"]
+    except OverflowError:  # an L beyond any float, which ProblemSpec rejects
+        sim_time_t = math.inf
     return ProblemSpec(
         lattice_l=cfg["problem.L"],
         u_over_t=cfg["problem.u_over_t"],
-        sim_time_t=cfg["problem.sim_time_multiple"] * cfg["problem.L"],
+        sim_time_t=sim_time_t,
         w_msf=cfg["problem.w_msf"],
     )
 

@@ -177,11 +177,14 @@ def corridor_capacity_check(plan: FloorplanCounts, geometry: PatchGeometry,
     """Ratio of physical qubits in the factory aisles to the sized requirement."""
     if msf_qubits_required <= 0:
         return math.inf
-    return plan.msf_patches * geometry.qubits / msf_qubits_required
+    try:
+        return plan.msf_patches * geometry.qubits / msf_qubits_required
+    except OverflowError:  # more qubits than any float
+        return math.inf
 
 
 #: Rounds of each ``surgery.LADDER`` entry, the keys the solver bisects.
-_LADDER_ROUNDS = [rung.geometry.rounds for rung in LADDER]
+_LADDER_ROUNDS = [geometry.rounds for geometry in LADDER]
 
 
 class SolveOptions(Record):
@@ -196,7 +199,7 @@ class SolveOptions(Record):
     protocols: Optional[Sequence[MsfProtocol]] = None
     floorplan_override: Optional[tuple[int, int]] = None
     initial_rounds: Optional[int] = None
-    max_width: int = LADDER_WIDTHS[-1]  # up to surgery.MAX_WIDTH for off-table widths
+    max_width: int = LADDER_WIDTHS[-1]  # up to surgery.MAX_WIDTH, extrapolated past 30
 
     def __init__(self, strategy=strategy, p_succ=p_succ, mode=mode, precision=precision,
                  timing=timing, fit=fit, protocols=protocols,
@@ -337,7 +340,11 @@ def solve_estimate(
 
     r = trotter_steps(spec, budget.eps_alg)
     n_rotations = 4 * spec.lattice_l**2 * r
-    eps_synth = budget.eps_rot / n_rotations
+    try:
+        eps_synth = budget.eps_rot / n_rotations
+    except OverflowError:  # an int beyond any float
+        raise InvalidParameterError(f"lattice_l={spec.lattice_l} must give a float count of rotations, "
+                                    f"4 L^2 in each of {r:.6g} Trotter steps") from None
 
     headline = options.precision == "headline"
     rounding = "integer" if headline else "none"
@@ -354,10 +361,15 @@ def solve_estimate(
 
     def evaluate(rounds: int):
         rotation = synthesis_cost(plan, kind, timing.reaction_ratio(rounds))
-        if headline:
-            rotation = RotationCost(rotation.t_states, round(rotation.logical_timesteps),
-                                    round(rotation.active_cubes))
-        step = trotter_step_cost(spec, rotation)
+        try:
+            if headline:
+                rotation = RotationCost(rotation.t_states, round(rotation.logical_timesteps),
+                                        round(rotation.active_cubes))
+            step = trotter_step_cost(spec, rotation)
+        except OverflowError:  # a count beyond any float
+            raise InvalidParameterError(
+                f"w_msf={spec.w_msf} and reaction_rounds={timing.reaction_rounds:.6g} must give "
+                f"a finite Trotter step cost at {rounds} rounds per cube") from None
         n_l = step.active_cubes * r
         p_l = budget.eps_log / n_l
         geo = select_distance(fit, p_l, options.max_width)
@@ -384,7 +396,7 @@ def solve_estimate(
             break
         probe = selected if lo < selected < hi else lo + 1
     rotation, step, n_l, p_l, _ = best
-    qubits, _, geometry = LADDER[hi]
+    geometry = LADDER[hi]
 
     n_t_total = step.t_states * r
     p_msf = budget.eps_msf / n_t_total
@@ -394,12 +406,12 @@ def solve_estimate(
     )
     plan_counts = (floorplan(spec.lattice_l, spec.w_msf) if options.floorplan_override is None
                    else FloorplanCounts(*options.floorplan_override))
-    msf_qubits_available = plan_counts.msf_patches * qubits
+    msf_qubits_available = plan_counts.msf_patches * geometry.qubits
     if options.floorplan_override is not None and msf_qubits_available < msf_qubits:
         raise InvalidParameterError(
             f"floorplan.override_msf={plan_counts.msf_patches} holds {msf_qubits_available} "
             f"factory qubits at width {geometry.width}; the factories need {msf_qubits:.6g}")
-    physical_qubits = plan_counts.total_patches * qubits
+    physical_qubits = plan_counts.total_patches * geometry.qubits
     cycle_ns = timing.logical_cycle_ns(geometry.rounds)
     # positional: a keyword call to the record costs more on this hot path
     return EstimateReport(

@@ -16,19 +16,12 @@ import operator
 import os
 from bisect import bisect_left
 from importlib import resources
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import FitError, InvalidParameterError, NoDistanceFoundError, Record, integer, real, real_fields
 
-#: Heights for the tabulated widths 6..30.  Stored verbatim: the published
-#: rounding of 5w/3 to a multiple of 3 is not monotone in direction, so the
-#: generic nearest-multiple rule is applied only off-table.
-_TABLE_HEIGHTS = {
-    6: 9, 8: 12, 10: 18, 12: 21, 14: 24, 16: 27,
-    18: 30, 20: 33, 22: 36, 24: 39, 26: 42, 28: 48, 30: 51,
-}
-
-LADDER_WIDTHS = tuple(sorted(_TABLE_HEIGHTS))
+#: The published widths, 6..30: the default ``max_width`` and ``fit``'s rows.
+LADDER_WIDTHS = tuple(range(6, 31, 2))
 #: Widest width the ladder holds.
 MAX_WIDTH = 200
 
@@ -40,7 +33,8 @@ CULTIVATION_FACTOR = 5.0
 
 
 class PatchGeometry(Record):
-    """One lattice-surgery patch: qubits per row, rows, rounds per cube."""
+    """One lattice-surgery patch: qubits per row, rows, rounds per cube; the
+    attribute ``qubits``, not a field, is width * height."""
 
     width: int
     height: int
@@ -51,23 +45,15 @@ class PatchGeometry(Record):
         # attribute read, and the ladder's geometries are read on every solve
         for name, value in zip(self._fields, (width, height, rounds)):
             object.__setattr__(self, name, integer(value, name))
-
-    @property
-    def qubits(self) -> int:
-        return self.width * self.height
+        object.__setattr__(self, "qubits", self.width * self.height)
 
 
 def patch_geometry(width: int) -> PatchGeometry:
-    """Geometry of the ladder entry at the given even width.
-
-    Tabulated widths (6..30) reproduce the published table; other widths use
-    height = nearest multiple of 3 to 5w/3 and rounds = 2h.
-    """
+    """Geometry at an even width: height the multiple of 3 nearest 5w/3 (never a
+    tie) and rounds 2h.  At widths 6..30 this is the published table; wider
+    widths extrapolate it, which is an assumption."""
     width = integer(width, "width", even=True, rule="a positive even integer")
-    if width in _TABLE_HEIGHTS:
-        h = _TABLE_HEIGHTS[width]
-    else:
-        h = 3 * round(5 * width / 9)
+    h = 3 * round(5 * width / 9)
     return PatchGeometry(width, h, 2 * h)
 
 
@@ -107,17 +93,16 @@ def fit_error_curve(points: Sequence[ErrorDataPoint]) -> FitParams:
 
 
 #: The values of an ``ErrorDataPoint`` that the fit reads, as a plain tuple.
-_POINT_VALUES = operator.attrgetter("geometry.width", "geometry.height", "e_hv", "sigma")
+_POINT_VALUES = operator.attrgetter("geometry.qubits", "e_hv", "sigma")
 
 
 @functools.lru_cache(maxsize=8)
-def _fit(values: tuple[tuple[int, int, float, float], ...]) -> FitParams:
-    sizes = [width * height for width, height, _, _ in values]
-    if len(set(sizes)) < 2:
+def _fit(values: tuple[tuple[int, float, float], ...]) -> FitParams:
+    if len({n for n, _, _ in values}) < 2:
         raise FitError("need data points at two or more sizes to fit two parameters")
-    xs = [math.sqrt(n) for n in sizes]
-    ys = [math.log(e_hv / n) for (_, _, e_hv, _), n in zip(values, sizes)]
-    ws = [(e_hv / sigma) ** 2 for _, _, e_hv, sigma in values]
+    xs = [math.sqrt(n) for n, _, _ in values]
+    ys = [math.log(e_hv / n) for n, e_hv, _ in values]
+    ws = [(e_hv / sigma) ** 2 for _, e_hv, sigma in values]
     sw = sum(ws)
     x_mean = sum(w * x for w, x in zip(ws, xs)) / sw
     y_mean = sum(w * y for w, y in zip(ws, ys)) / sw
@@ -129,37 +114,22 @@ def _fit(values: tuple[tuple[int, int, float, float], ...]) -> FitParams:
 
 def extrapolate_error(fit: FitParams, width: int) -> float:
     """Model error rate at the geometry of the given width, inf beyond any float."""
-    n = patch_geometry(width).qubits
-    return _model_error(fit.a, fit.b, n, math.sqrt(n))
+    return _model_error(fit.a, fit.b, patch_geometry(width).qubits)
 
 
-def _model_error(a: float, b: float, n: int, sqrt_n: float) -> float:
+def _model_error(a: float, b: float, n: int) -> float:
     try:
-        return n * math.exp(a * sqrt_n - b)
+        return n * math.exp(a * math.sqrt(n) - b)
     except OverflowError:
         return math.inf
 
 
-class LadderRung(NamedTuple):
-    """One ladder geometry with the terms ``extrapolate_error`` derives from it."""
-
-    qubits: int
-    sqrt_qubits: float
-    geometry: PatchGeometry
+#: ``patch_geometry`` of every even width 6..``MAX_WIDTH``, narrowest first; rounds grow with width.
+LADDER = tuple(patch_geometry(w) for w in range(LADDER_WIDTHS[0], MAX_WIDTH + 1, 2))
 
 
-def _rung(width: int) -> LadderRung:
-    geometry = patch_geometry(width)
-    return LadderRung(geometry.qubits, math.sqrt(geometry.qubits), geometry)
-
-
-#: Every even width from 6 to ``MAX_WIDTH``, narrowest first: the table, then
-#: the off-table widths.  Rounds grow with width.
-LADDER = tuple(_rung(w) for w in range(LADDER_WIDTHS[0], MAX_WIDTH + 1, 2))
-
-
-def ladder_rungs(max_width: int) -> tuple[LadderRung, ...]:
-    """The ``LADDER`` entries up to ``max_width``, an integer in [6, ``MAX_WIDTH``];
+def ladder_rungs(max_width: int) -> tuple[PatchGeometry, ...]:
+    """The ``LADDER`` geometries up to ``max_width``, an integer in [6, ``MAX_WIDTH``];
     anything but a Python int in range goes through the rule first."""
     if type(max_width) is not int or not LADDER_WIDTHS[0] <= max_width <= MAX_WIDTH:
         max_width = integer(max_width, "max_width", LADDER_WIDTHS[0], MAX_WIDTH,
@@ -172,10 +142,10 @@ def select_distance(
     target_error: float,
     max_width: int = LADDER_WIDTHS[-1],
 ) -> PatchGeometry:
-    """Smallest ladder width up to ``max_width`` whose fitted error meets the target.
+    """The narrowest ladder geometry up to ``max_width`` whose fitted error meets the target.
 
-    The table holds every even width from 6 to 30; off-table widths continue
-    in steps of 2 up to ``MAX_WIDTH``.  Each width's error is computed as
+    The ladder holds every even width from 6 to ``MAX_WIDTH``; past 30 its
+    heights are extrapolated.  Each width's error is computed as
     ``extrapolate_error`` computes it, once per fit for the whole ladder; a
     probe bisects the running minimum of those errors.
     """
@@ -184,7 +154,7 @@ def select_distance(
     index = bisect_left(_least_errors(fit.a, fit.b), -target_error, 0, len(rungs))
     if index == len(rungs):
         raise NoDistanceFoundError(f"no width up to {max_width} reaches target {target_error:g}")
-    return rungs[index].geometry
+    return rungs[index]
 
 
 @functools.lru_cache(maxsize=8, typed=True)
@@ -192,8 +162,8 @@ def _least_errors(a: float, b: float) -> list[float]:
     """Minus the least model error up to each ``LADDER`` width, ascending: the
     first entry >= -t is the first width with error <= t, NaN never being one."""
     table, least = [], math.inf
-    for n, root, _ in LADDER:
-        least = min(least, _model_error(a, b, n, root))
+    for geometry in LADDER:
+        least = min(least, _model_error(a, b, geometry.qubits))
         table.append(-least)
     return table
 

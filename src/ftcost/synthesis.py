@@ -45,7 +45,10 @@ def t_count(strategy: str, epsilon_synth: float, mode: str = "worst") -> float:
     if mode not in MODES:
         raise InvalidParameterError(f"mode={mode!r} must be one of {' | '.join(MODES)}")
     c1, c2 = laws[mode]
-    return c1 * math.log2(1.0 / epsilon_synth) + c2
+    n_t = c1 * math.log2(1.0 / epsilon_synth) + c2
+    if n_t < math.inf:
+        return n_t
+    raise InvalidParameterError(f"epsilon_synth={epsilon_synth!r} must have a reciprocal within the floats")
 
 
 def _check_rounding(rounding: str):

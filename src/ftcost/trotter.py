@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from .errors import Record, integer, real, real_fields
+from .errors import InvalidParameterError, Record, integer, real, real_fields
 from .synthesis import RotationCost
 
 #: Per-plaquette diagonalization cost (forward plus inverse direction).
@@ -63,15 +63,23 @@ class ProblemSpec(Record):
 def kappa(u_over_t: float) -> float:
     """Commutator-bound prefactor of the second-order Trotter error."""
     u = u_over_t
-    return (1.5 * u**2 + 2.0 * u * (2.0 * math.sqrt(5.0) + 16.0) + 10.0) / 24.0
+    try:
+        return (1.5 * u**2 + 2.0 * u * (2.0 * math.sqrt(5.0) + 16.0) + 10.0) / 24.0
+    except OverflowError:  # u**2 is beyond any float
+        raise InvalidParameterError(f"u_over_t={u!r} must give a finite Trotter error prefactor") from None
 
 
 def trotter_steps(spec: ProblemSpec, eps_alg: float) -> int:
     """Number of second-order Trotter steps meeting the accuracy target."""
     eps_alg = real(eps_alg, "eps_alg", above=0)
     k = kappa(spec.u_over_t)
-    bound = math.sqrt(k) * spec.lattice_l * spec.sim_time_t**1.5 / math.sqrt(eps_alg)
-    return max(1, math.ceil(bound))
+    try:
+        bound = math.sqrt(k) * spec.lattice_l * spec.sim_time_t**1.5 / math.sqrt(eps_alg)
+        return max(1, math.ceil(bound))
+    except OverflowError:  # the bound is beyond any float
+        raise InvalidParameterError(f"u_over_t={spec.u_over_t!r}, lattice_l={spec.lattice_l}, sim_time_t="
+                                    f"{spec.sim_time_t!r} and eps_alg={eps_alg!r} must give a finite "
+                                    "number of Trotter steps") from None
 
 
 # (T states, timesteps, cubes, CNOTs) of each sub-evolution.  Its L^2 rotations, and a

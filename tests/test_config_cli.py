@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import re
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ftcost
 from ftcost import noise
@@ -17,7 +21,7 @@ from ftcost.config import (
     options_from,
     problem_from,
 )
-from ftcost.errors import InvalidParameterError
+from ftcost.errors import PRECISIONS, InvalidParameterError
 from ftcost.noise import AttemptCaps
 from ftcost.plaquette import run_verification
 from ftcost.surgery import load_error_data, load_msf_table
@@ -49,6 +53,21 @@ DATA_HEADERS = {
     "data.msf_table_csv": "label,p_out,sc_qubits,sc_cycles",
     "data.lattice_surgery_csv": "width,height,rounds,qubits,ehv,ehv_stddev",
 }
+
+def _log_uniform(low: float, high: float):
+    """10**e for e drawn from [low, high], as the text of a config value."""
+    return st.floats(low, high).map(lambda e: repr(10.0**e))
+
+
+#: One ``--set`` of each float key, log-uniform over the positive floats, or
+#: over (0, 1] where the key's domain ends at 1; or an integer literal of up
+#: to 301 digits for ``problem.L`` or ``problem.w_msf``.
+IN_DOMAIN_SETTINGS = st.one_of(
+    *(st.tuples(st.just(name), _log_uniform(-323.3, 308.25 if key.ok(2.0) else 0.0))
+      for name, key in SCHEMA.items() if key.type is float),
+    st.tuples(st.sampled_from(["problem.L", "problem.w_msf"]),
+              st.integers(0, 299).flatmap(lambda d: st.integers(10**d, 10**(d + 1))).map(str)),
+)
 
 REPORT_KEYS = [
     "trotter_steps", "eps_synth", "n_t_per_rotation", "n_t_fallback",
@@ -130,6 +149,32 @@ class TestConfig:
         assert problem_from(cfg).lattice_l == 8
         override = options_from(cfg).floorplan_override
         assert override == (1000, 400) and all(type(n) is int for n in override)
+
+    @pytest.mark.parametrize("text,value", [
+        ("12345678901234567891", 12345678901234567891), ("9007199254740993", 2**53 + 1),
+        ("9007199254740992.0", 2**53), ("-0.0", 0), ("1_000", 1000),
+    ])
+    def test_integer_literal_is_read_exactly(self, text, value):
+        cfg = load_config(overrides=[f"floorplan.override_total={text}",
+                                     "floorplan.override_msf=0"])
+        assert cfg["floorplan.override_total"] == value
+        assert type(cfg["floorplan.override_total"]) is int
+
+    @pytest.mark.parametrize("text", ["1e20", "9007199254740994.0", "2e16", "0x10", "9" * 5000])
+    def test_float_form_above_two_to_53_is_not_an_integer(self, text):
+        # a float form names an integer exactly only up to 2**53
+        with pytest.raises(InvalidParameterError,
+                           match=r"^floorplan\.override_total=\S+ must be an integer >= 0$"):
+            load_config(overrides=[f"floorplan.override_total={text}",
+                                   "floorplan.override_msf=0"])
+
+    def test_overrides_beyond_any_float_are_printed_exactly(self, capsys):
+        huge = str(10**400)
+        argv = ["--set", f"floorplan.override_total={huge}", "--set", f"floorplan.override_msf={huge}"]
+        assert main(["estimate", *argv]) == 0
+        out = capsys.readouterr().out
+        assert f"patches total / factory              {huge} / {huge}\n" in out
+        assert "corridor capacity ratio              inf\n" in out
 
     def test_every_value_is_parsed_to_its_key_type(self):
         cfg = load_config(overrides=["problem.u_over_t=4", "timing.reaction_us=12"])
@@ -335,6 +380,24 @@ class TestCli:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, b"")
+
+    @settings(max_examples=150, deadline=None)
+    @given(precision=st.sampled_from(PRECISIONS), setting=IN_DOMAIN_SETTINGS)
+    @example(precision="headline", setting=("problem.u_over_t", "1e155"))
+    @example(precision="headline", setting=("problem.sim_time_multiple", "1e205"))
+    @example(precision="headline", setting=("problem.L", str(10**150)))
+    @example(precision="headline", setting=("problem.L", str(10**100)))
+    @example(precision="headline", setting=("problem.sim_time_multiple", "1e200"))
+    @example(precision="headline", setting=("budget.total", "5e-201"))
+    @example(precision="headline", setting=("timing.syndrome_round_ns", "1e-303"))
+    @example(precision="real", setting=("problem.L", str(10**400)))
+    @example(precision="real", setting=("problem.w_msf", str(10**400)))
+    def test_any_number_is_an_estimate_or_one_error_line(self, precision, setting):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(["estimate", "--precision", precision, "--set", "=".join(setting)])
+        assert status in (0, 2)
+        assert err.getvalue().count("\n") == (status == 2), err.getvalue()
 
     @pytest.mark.parametrize("key,value", [
         ("problem.u_over_t", "abc"), ("problem.u_over_t", "nan"),

@@ -52,6 +52,20 @@ class TestPatchGeometry:
         geo = patch_geometry(4)  # 20/3 = 6.67 -> 6
         assert (geo.height, geo.rounds) == (6, 12)
 
+    def test_every_height_is_the_multiple_of_3_nearest_5w_over_3(self):
+        # |h - 5w/3| = |3h - 5w| / 3, compared in integers; no width has two nearest
+        for w in range(2, 401, 2):
+            distance = {h: abs(3 * h - 5 * w) for h in range(0, 2 * w, 3)}
+            h = min(distance, key=distance.get)
+            assert sorted(distance.values())[:2] != [distance[h]] * 2, w
+            geo = patch_geometry(w)
+            assert (geo.width, geo.height, geo.rounds, geo.qubits) == (w, h, 2 * h, w * h)
+
+    def test_ladder_is_the_geometry_of_every_even_width(self):
+        assert surgery.LADDER == tuple(patch_geometry(w) for w in range(6, MAX_WIDTH + 1, 2))
+        assert all(type(geo) is surgery.PatchGeometry for geo in surgery.LADDER)
+        assert surgery.LADDER_WIDTHS == tuple(w for w, *_ in TABLE)
+
     def test_invalid_width(self):
         for w in (0, -2, 7):
             with pytest.raises(InvalidParameterError):
@@ -320,7 +334,7 @@ class TestLadderTable:
     def test_rungs_are_the_ladder_up_to_each_width(self):
         # a Python int and an np.int64 give the same slice, an odd width the even one below it
         for width in range(6, MAX_WIDTH + 1):
-            want = tuple(rung for rung in surgery.LADDER if rung.geometry.width <= width)
+            want = tuple(rung for rung in surgery.LADDER if rung.width <= width)
             assert surgery.ladder_rungs(width) == surgery.ladder_rungs(np.int64(width)) == want
         for bad in (4, 5, 201, np.int64(5), np.int64(201), -1):
             with pytest.raises(InvalidParameterError) as error:
@@ -374,6 +388,16 @@ class TestDataLoading:
             "width,height,rounds,qubits,ehv,ehv_stddev\n10,18,36,180,1e-5,1e-6\n")
         points = load_error_data(str(path))
         assert len(points) == 1 and points[0].e_hv == 1e-5
+
+    def test_a_geometry_read_from_a_file_carries_its_qubits(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("width,height,rounds,qubits,ehv,ehv_stddev\n"
+                        "10,18,36,180,1e-5,1e-6\n7,11,5,77,1e-5,1e-6\n")
+        for points in (load_error_data(), load_error_data(str(path))):
+            for point in points:
+                geo = point.geometry
+                assert geo.qubits == geo.width * geo.height
+                assert "qubits" not in geo._fields and "qubits" not in repr(geo)
 
     def test_qubit_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -53,6 +53,15 @@ class TestTCount:
         with pytest.raises(InvalidParameterError):
             t_count("diagonal", 0.5, mode="typical")
 
+    @pytest.mark.parametrize("eps", [5e-321, 5e-324])
+    def test_a_reciprocal_beyond_any_float_is_one_error(self, eps):
+        # 1/eps overflows to inf for a subnormal eps; the smallest normal float does not
+        assert math.isfinite(t_count("diagonal", 2.2250738585072014e-308))
+        with pytest.raises(InvalidParameterError, match=f"^epsilon_synth={eps!r} must have a reciprocal within the floats$"):
+            t_count("diagonal", eps)
+        with pytest.raises(InvalidParameterError, match=r"^epsilon_synth="):
+            fallback_plan(eps, 0.99, 8, rounding="integer")
+
 
 @pytest.mark.parametrize("plan", [
     lambda rounding: direct_plan(EPS_REFERENCE, rounding=rounding),

@@ -40,6 +40,12 @@ class TestKappa:
         assert kappa(0.0) == pytest.approx(10 / 24)
         assert kappa(1.0) == pytest.approx(2.18518, abs=1e-5)
 
+    @pytest.mark.parametrize("u", [1e155, 1e308, 10**200])
+    def test_a_prefactor_beyond_any_float_is_one_error(self, u):
+        message = f"u_over_t={u!r} must give a finite Trotter error prefactor"
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            kappa(u)
+
 
 class TestTrotterSteps:
     def test_reference_instance(self):
@@ -49,6 +55,14 @@ class TestTrotterSteps:
     def test_coefficient(self):
         r = trotter_steps(REFERENCE_SPEC, EPS_ALG)
         assert r / 8**2.5 == pytest.approx(2695, rel=1e-2)
+
+    @pytest.mark.parametrize("spec", [ProblemSpec(8, 8.0, 8e205), ProblemSpec(10**150, 8.0, 1e151),
+                                      ProblemSpec(10**309, 8.0, 1.0)])
+    def test_a_step_count_beyond_any_float_is_one_error(self, spec):
+        message = (f"u_over_t=8.0, lattice_l={spec.lattice_l}, sim_time_t={spec.sim_time_t!r} and "
+                   "eps_alg=0.5 must give a finite number of Trotter steps")
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            trotter_steps(spec, 0.5)
 
     def test_floor_at_one(self):
         assert trotter_steps(ProblemSpec(2, 1e-6, 1e-6), 0.999) == 1
