@@ -57,7 +57,8 @@ class TestTCount:
     def test_a_reciprocal_beyond_any_float_is_one_error(self, eps):
         # 1/eps overflows to inf for a subnormal eps; the smallest normal float does not
         assert math.isfinite(t_count("diagonal", 2.2250738585072014e-308))
-        with pytest.raises(InvalidParameterError, match=f"^epsilon_synth={eps!r} must have a reciprocal within the floats$"):
+        message = f"^epsilon_synth={eps!r} must have a reciprocal within the floats$"
+        with pytest.raises(InvalidParameterError, match=message):
             t_count("diagonal", eps)
         with pytest.raises(InvalidParameterError, match=r"^epsilon_synth="):
             fallback_plan(eps, 0.99, 8, rounding="integer")
