@@ -11,6 +11,7 @@ assemble.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, NamedTuple, Optional
 
 from .errors import InvalidParameterError
@@ -123,6 +124,10 @@ def _value(key: Key, text: str):
                 try:  # exact at any size; a float form only where a float is exact
                     value = int(text)
                 except ValueError:
+                    if text.lstrip("+-").replace("_", "").isdecimal():  # only the digit limit fails it
+                        raise InvalidParameterError(
+                            f"{key.name}={text} must have at most {sys.get_int_max_str_digits()} "
+                            "digits, the longest integer this Python reads from text") from None
                     if value.is_integer() and abs(value) <= 2**53:
                         value = int(value)
     if value is None and key.default is None:

@@ -40,17 +40,12 @@ class CycleOutcomeDistribution(Record):
     """Per-cycle outcome probabilities of one RUS attempt."""
 
     p_success: float
-    p_repeat_indist: float
-    p_repeat_dist: float
+    p_repeat: float
     p_one_loss: float
     p_two_loss: float
 
-    @property
-    def p_repeat(self) -> float:
-        return self.p_repeat_indist + self.p_repeat_dist
-
-    def __init__(self, p_success, p_repeat_indist, p_repeat_dist, p_one_loss, p_two_loss):
-        vals = (p_success, p_repeat_indist, p_repeat_dist, p_one_loss, p_two_loss)
+    def __init__(self, p_success, p_repeat, p_one_loss, p_two_loss):
+        vals = (p_success, p_repeat, p_one_loss, p_two_loss)
         if any(not v >= -PROB_ATOL for v in vals):
             raise InvalidParameterError("cycle outcome probabilities must be nonnegative")
         if not abs(sum(vals) - 1.0) <= PROB_ATOL:
@@ -95,14 +90,14 @@ class HeraldedOutcomeDistribution:
 
 
 def cycle_outcome_distribution(epsilon: float, distinguishability: float) -> CycleOutcomeDistribution:
-    """Closed-form per-cycle RUS outcome probabilities."""
+    """Closed-form per-cycle RUS outcome probabilities; ``distinguishability``
+    is checked, in [0, 1), but the repeat probability eta^2 / 2 does not depend on it."""
     epsilon = real(epsilon, "epsilon", 0, below=1)
-    distinguishability = real(distinguishability, "distinguishability", 0, below=1)
+    real(distinguishability, "distinguishability", 0, below=1)
     eta2 = (1.0 - epsilon) ** 2
     return CycleOutcomeDistribution(
         p_success=eta2 / 2.0,
-        p_repeat_indist=(2.0 - distinguishability) * eta2 / 4.0,
-        p_repeat_dist=distinguishability * eta2 / 4.0,
+        p_repeat=eta2 / 2.0,
         p_one_loss=2.0 * epsilon * (1.0 - epsilon),
         p_two_loss=epsilon**2,
     )

@@ -366,12 +366,14 @@ def solve_estimate(
                 rotation = RotationCost(rotation.t_states, round(rotation.logical_timesteps),
                                         round(rotation.active_cubes))
             step = trotter_step_cost(spec, rotation)
+            n_l = step.active_cubes * r
+            p_l = budget.eps_log / n_l
         except OverflowError:  # a count beyond any float
+            p_l = 0.0
+        if not p_l > 0:  # the cubes overflowed to inf, or raised
             raise InvalidParameterError(
-                f"w_msf={spec.w_msf} and reaction_rounds={timing.reaction_rounds:.6g} must give "
-                f"a finite Trotter step cost at {rounds} rounds per cube") from None
-        n_l = step.active_cubes * r
-        p_l = budget.eps_log / n_l
+                f"w_msf={spec.w_msf}, reaction_us={timing.reaction_us!r} and syndrome_round_ns="
+                f"{timing.syndrome_round_ns!r} must give a finite cube count at {rounds} rounds per cube")
         geo = select_distance(fit, p_l, options.max_width)
         return rotation, step, n_l, p_l, geo
 

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameterError, Record, integer, real
+from .errors import InvalidParameterError, integer, real
 from .pauli import (
     PauliString,
     PauliSum,
@@ -179,21 +179,11 @@ def diagonalizing_clifford_dagger() -> np.ndarray:
         @ _string(q2="X").dense()
 
 
-class DiagonalizationCircuit(Record):
-    """The dense halves of F31 F24 C . C† F24† F31†."""
-
-    forward: np.ndarray  # F31 F24 C
-    inverse: np.ndarray  # C† F24† F31†
-
-    def evolution(self, theta) -> np.ndarray:
-        """The circuit at one inner angle ``theta``, or a stack at an array of them.
-
-        The module's halves are built once, at import, and reused for every
-        angle; an angle costs only the diagonal e^{i theta Z2} e^{i theta Z3},
-        applied as a vector, and one 32x32 product.
-        """
-        phases = np.exp(1j * np.asarray(theta)[..., None] * _Z2_PLUS_Z3)
-        return (self.forward * phases[..., None, :]) @ self.inverse
+def _evolution(circuit: tuple[np.ndarray, np.ndarray], theta: float) -> np.ndarray:
+    """F e^{i theta Z2} e^{i theta Z3} G for the halves ``circuit`` = (F, G) at one
+    angle: the diagonal applied as a vector, and one 32x32 product."""
+    forward, inverse = circuit
+    return (forward * np.exp(1j * theta * _Z2_PLUS_Z3)) @ inverse
 
 
 def _z_diagonal(qubit: int) -> np.ndarray:
@@ -239,15 +229,15 @@ _HOPPING = tuple(
 )
 #: The rotations of every Fourier transform the directed edges allow.
 _FOURIER_ROTATIONS = {(j, k): _fourier_rotations(j, k) for (k, j) in _EDGES}
-#: C†, F31 and F24, and the circuit halves F31 F24 C and C† F24† F31†: fixed
+#: C†, F31 and F24, and the circuit halves (F31 F24 C, C† F24† F31†): fixed
 #: operators, built at import.
 _CD, _F31, _F24 = diagonalizing_clifford_dagger(), fourier_transform(3, 1), fourier_transform(2, 4)
-_CIRCUIT = DiagonalizationCircuit(_F31 @ _F24 @ _CD.conj().T, _CD @ _F24.conj().T @ _F31.conj().T)
+_CIRCUIT = (_F31 @ _F24 @ _CD.conj().T, _CD @ _F24.conj().T @ _F31.conj().T)
 
 
 def build_diagonalization_circuit(theta: float = 0.0) -> np.ndarray:
     """Dense F31 F24 C e^{i theta Z2} e^{i theta Z3} C† F24† F31†, for a finite ``theta``."""
-    return _CIRCUIT.evolution(real(theta, "theta"))
+    return _evolution(_CIRCUIT, real(theta, "theta"))
 
 
 def check_clifford_relations() -> dict[str, float]:
@@ -307,14 +297,14 @@ def _row_norms(rows: np.ndarray) -> list[float]:
 
 
 def verify_plaquette_evolution(t_coupling: float, theta,
-                               circuit: DiagonalizationCircuit = _CIRCUIT):
+                               circuit: tuple[np.ndarray, np.ndarray] = _CIRCUIT):
     """Deviation between exp(-i theta/t H_plaquette) and the circuit.
 
     ``t_coupling`` is finite and nonzero; ``theta`` is the inner rotation
     angle t*T_sim/(2r), finite, one angle giving one float or a sequence
     giving their deviations in order.  Global phases are quotiented out.  The
-    halves F = F31 F24 C and G = C† F24† F31† are ``circuit``, the module's
-    by default.  H = V diag(w) V† is built and diagonalized once per call,
+    halves F = F31 F24 C and G = C† F24† F31† are the pair ``circuit`` = (F, G),
+    the module's by default.  H = V diag(w) V† is built and diagonalized once per call,
     and the circuit is split by the spectrum {-2, 0, 2} of Z2 + Z3: in H's
     eigenbasis it is K(theta) = sum_s e^{i theta s} R_s, with
     R_s = (V† F)[:, s] (G V)[s, :] built once.  The exact evolution is there
@@ -331,8 +321,8 @@ def verify_plaquette_evolution(t_coupling: float, theta,
     angles, single = _angle_list(theta)
     w, v = np.linalg.eigh(build_plaquette_hamiltonian(t_coupling).dense())
     v_dagger = v.conj().T
-    parts = _spectral_parts(v_dagger @ circuit.forward, circuit.inverse @ v,
-                            _Z2_PLUS_Z3, _Z2_PLUS_Z3_VALUES)
+    forward, inverse = circuit
+    parts = _spectral_parts(v_dagger @ forward, inverse @ v, _Z2_PLUS_Z3, _Z2_PLUS_Z3_VALUES)
     devs = []
     for chunk, k in _spectral_sums(angles, _Z2_PLUS_Z3_VALUES, parts):
         exact = np.exp(-1j * (chunk / t_coupling)[:, None] * w)
@@ -345,7 +335,7 @@ def verify_plaquette_evolution(t_coupling: float, theta,
         devs.extend(_row_norms(k))
     if angles:
         exact = (v * np.exp(-1j * (angles[0] / t_coupling) * w)) @ v_dagger
-        devs[0] = max(devs[0], phase_quotient_distance(exact, circuit.evolution(angles[0])))
+        devs[0] = max(devs[0], phase_quotient_distance(exact, _evolution(circuit, angles[0])))
     return devs[0] if single else devs
 
 

@@ -70,7 +70,6 @@ class SynthesisPlan(Record):
     n_t_success: float
     p_all: float
     ptilde_fail: float
-    ptilde_succ: float
 
 
 def fallback_plan(
@@ -103,7 +102,7 @@ def fallback_plan(
         ptilde_fail = p_fail / (1.0 - p_all)
     else:
         ptilde_fail = 0.0
-    return SynthesisPlan(n_t, n_fb, n_succ, p_all, ptilde_fail, 1.0 - ptilde_fail)
+    return SynthesisPlan(n_t, n_fb, n_succ, p_all, ptilde_fail)
 
 
 def direct_plan(
@@ -117,7 +116,7 @@ def direct_plan(
     n_t = t_count(strategy, epsilon_synth, mode)
     if rounding == "integer":
         n_t = float(round(n_t))
-    return SynthesisPlan(n_t, 0.0, n_t, 1.0, 0.0, 1.0)
+    return SynthesisPlan(n_t, 0.0, n_t, 1.0, 0.0)
 
 
 class RotationCost(Record):
@@ -161,7 +160,7 @@ def synthesis_cost(plan: SynthesisPlan, strategy_kind: str, tau_ratio: float) ->
         timesteps = plan.n_t_success * (1.0 + tau) + 7.0 + miss * reject_timesteps
         cubes = (plan.n_t_success * (_FALLBACK_CUBE_SLOPE + 4.0 * tau) + 48.0
                  + miss * plan.ptilde_fail * reject_cubes
-                 + miss * plan.ptilde_succ
+                 + miss * (1.0 - plan.ptilde_fail)
                  * (plan.n_t_fallback * (3.0 + 3.0 * tau) + 9.0))
     else:
         raise InvalidParameterError(

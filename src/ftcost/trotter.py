@@ -61,12 +61,18 @@ class ProblemSpec(Record):
 
 
 def kappa(u_over_t: float) -> float:
-    """Commutator-bound prefactor of the second-order Trotter error."""
+    """Commutator-bound prefactor of the second-order Trotter error, for a
+    nonnegative finite ``u_over_t`` whose prefactor is a finite float."""
     u = u_over_t
+    if not (type(u) is float and 0 <= u < math.inf):  # a float in range needs no call
+        u = real(u, "u_over_t", 0)
     try:
-        return (1.5 * u**2 + 2.0 * u * (2.0 * math.sqrt(5.0) + 16.0) + 10.0) / 24.0
+        k = (1.5 * u**2 + 2.0 * u * (2.0 * math.sqrt(5.0) + 16.0) + 10.0) / 24.0
     except OverflowError:  # u**2 is beyond any float
-        raise InvalidParameterError(f"u_over_t={u!r} must give a finite Trotter error prefactor") from None
+        k = math.inf
+    if k < math.inf:  # 1.5 u^2 can overflow to inf without raising
+        return k
+    raise InvalidParameterError(f"u_over_t={u_over_t!r} must give a finite Trotter error prefactor")
 
 
 def trotter_steps(spec: ProblemSpec, eps_alg: float) -> int:

@@ -160,13 +160,23 @@ class TestConfig:
         assert cfg["floorplan.override_total"] == value
         assert type(cfg["floorplan.override_total"]) is int
 
-    @pytest.mark.parametrize("text", ["1e20", "9007199254740994.0", "2e16", "0x10", "9" * 5000])
+    @pytest.mark.parametrize("text", ["1e20", "9007199254740994.0", "2e16", "0x10"])
     def test_float_form_above_two_to_53_is_not_an_integer(self, text):
         # a float form names an integer exactly only up to 2**53
         with pytest.raises(InvalidParameterError,
                            match=r"^floorplan\.override_total=\S+ must be an integer >= 0$"):
             load_config(overrides=[f"floorplan.override_total={text}",
                                    "floorplan.override_msf=0"])
+
+    def test_an_integer_past_the_digit_limit_is_told_the_limit(self):
+        # such a digit string is an integer >= 0; only the interpreter's
+        # int-from-str limit (sys.get_int_max_str_digits) refuses it
+        limit = sys.get_int_max_str_digits()
+        for text in ["9" * (limit + 700), "-" + "9" * (limit + 1), "1_" + "0" * limit]:
+            message = f"floorplan.override_total={text} must have at most {limit} digits, "
+            with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}"):
+                load_config(overrides=[f"floorplan.override_total={text}",
+                                       "floorplan.override_msf=0"])
 
     def test_overrides_beyond_any_float_are_printed_exactly(self, capsys):
         huge = str(10**400)
@@ -539,8 +549,12 @@ class TestCli:
          "no protocol with p_out below target"),
         (["fit", "--set", "data.lattice_surgery_csv={one_size}"],
          "need data points at two or more sizes"),
+        (["estimate", "--set", "timing.syndrome_round_ns=1e-300"],
+         "w_msf=2, reaction_us=10.0 and syndrome_round_ns=1e-300 must give a finite cube count"),
+        (["estimate", "--set", "timing.reaction_us=1e300"],
+         "w_msf=2, reaction_us=1e+300 and syndrome_round_ns=305.0 must give a finite cube count"),
     ], ids=["estimate-small-override", "sweep-no-distance", "estimate-no-protocol",
-            "fit-degenerate"])
+            "fit-degenerate", "estimate-short-syndrome-round", "estimate-long-reaction"])
     def test_solver_errors_are_one_line(self, tmp_path, capsys, argv, message):
         weak_msf = tmp_path / "msf.csv"
         weak_msf.write_text("label,p_out,sc_qubits,sc_cycles\nweak,1e-3,1000,100\n")

@@ -10,12 +10,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ftcost import (
     AttemptCaps,
     InvalidParameterError,
+    PhysicalNoiseParams,
     cycle_outcome_distribution,
     derive_noise_params,
     heralded_cz_distribution,
@@ -60,8 +61,7 @@ class TestDeriveNoiseParams:
 class TestCycleOutcomes:
     def test_noiseless(self):
         c = cycle_outcome_distribution(0.0, 0.0)
-        assert (c.p_success, c.p_repeat_indist, c.p_repeat_dist,
-                c.p_one_loss, c.p_two_loss) == (0.5, 0.5, 0.0, 0.0, 0.0)
+        assert (c.p_success, c.p_repeat, c.p_one_loss, c.p_two_loss) == (0.5, 0.5, 0.0, 0.0)
 
     def test_reference_point(self):
         c = cycle_outcome_distribution(0.009, 8.5e-4)
@@ -78,6 +78,16 @@ class TestCycleOutcomes:
         c = cycle_outcome_distribution(eps, d)
         total = c.p_success + c.p_repeat + c.p_one_loss + c.p_two_loss
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    @given(p=st.floats(0.0, 1.0, exclude_max=True), eps=st.floats(0.0, 1.0, exclude_max=True),
+           d=st.floats(0.0, 1.0, exclude_max=True), n=st.integers(1, 30))
+    @example(p=0.01, eps=0.009, d=8.5e-4, n=10)
+    def test_distinguishability_enters_no_result(self, p, eps, d, n):
+        assert cycle_outcome_distribution(eps, d) == cycle_outcome_distribution(eps, 0.0)
+        params, indistinguishable = PhysicalNoiseParams(p, eps, d), PhysicalNoiseParams(p, eps, 0.0)
+        for distribution in (heralded_cz_distribution, heralded_mzz_distribution):
+            assert (distribution(params, AttemptCaps(n))
+                    == distribution(indistinguishable, AttemptCaps(n)))
 
 
 class TestHeraldedCz:
@@ -196,9 +206,9 @@ class TestValidatorsRejectNanAndBool:
     """A NaN fails every probability check."""
 
     @pytest.mark.parametrize("vals", [
-        (NAN, 0, 0, 0, 0),
-        (1.0, NAN, 0, 0, 0),
-        (0.5, 0.5, 0, 0, NAN),
+        (NAN, 0, 0, 0),
+        (1.0, NAN, 0, 0),
+        (0.5, 0.5, 0, NAN),
     ])
     def test_cycle_outcome_distribution(self, vals):
         with pytest.raises(InvalidParameterError):

@@ -38,7 +38,8 @@ ALLOWED_OPTIONAL = {
     ("SolveOptions", "max_width"): "ROADMAP item 4 gives it a config key",
     ("mc_rus_oracle", "streams"): "tests pin the stream-partition contract",
     ("main", "argv"): "tests drive the CLI through it",
-    ("verify_plaquette_evolution", "circuit"): "the seam through which tests pass fake circuit halves",
+    ("verify_plaquette_evolution", "circuit"):
+        "the seam through which tests pass fake circuit halves, a (forward, inverse) pair of arrays",
 }
 
 

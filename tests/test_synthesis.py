@@ -113,7 +113,6 @@ class TestFallbackPlan:
         plan = fallback_plan(2.0**-exp, p_succ, lattice_l)
         assert plan.n_t == pytest.approx(
             plan.n_t_success + (1 - p_succ) * plan.n_t_fallback, abs=1e-12)
-        assert plan.ptilde_fail + plan.ptilde_succ == pytest.approx(1.0, abs=1e-12)
         assert plan.p_all == pytest.approx(p_succ ** lattice_l**2)
 
 
@@ -133,7 +132,7 @@ class TestSynthesisCost:
         assert cost.t_states == 72
 
     def test_clifford_only_tail(self):
-        plan = SynthesisPlan(0.0, 0.0, 0.0, 1.0, 0.0, 1.0)  # a direct plan without T gates
+        plan = SynthesisPlan(0.0, 0.0, 0.0, 1.0, 0.0)  # a direct plan without T gates
         cost = synthesis_cost(plan, "direct", 0.0)
         assert cost.logical_timesteps == 3.0
         assert cost.active_cubes == 23.0
@@ -150,7 +149,7 @@ class TestSynthesisCost:
         # every rotation rejected: the layer costs its fixed 7 timesteps and
         # 48 cubes on top of a direct synthesis of the reject branch
         counts = fallback_plan(EPS_REFERENCE, 0.99, 8, strategy)
-        plan = SynthesisPlan(counts.n_t, counts.n_t_fallback, 0.0, 0.0, 1.0, 0.0)
+        plan = SynthesisPlan(counts.n_t, counts.n_t_fallback, 0.0, 0.0, 1.0)
         direct = direct_plan(EPS_REFERENCE, FALLBACK_BRANCH[strategy])
         assert direct.n_t == plan.n_t_fallback
         rejected = synthesis_cost(plan, "fallback", tau)
@@ -166,14 +165,14 @@ class TestSynthesisCost:
         plan = fallback_plan(EPS_REFERENCE, 0.99, 8, rounding="integer")
         def timesteps(p_all):
             at = SynthesisPlan(plan.n_t, plan.n_t_fallback, plan.n_t_success, p_all,
-                               plan.ptilde_fail, plan.ptilde_succ)
+                               plan.ptilde_fail)
             return synthesis_cost(at, "fallback", TAU_REFERENCE).logical_timesteps
 
         assert timesteps(p_all_lo) >= timesteps(p_all_hi)
 
     def test_max_injection_rate_respected(self):
         for n_t in (1.0, 10.0, 72.0):
-            plan = SynthesisPlan(n_t, 0.0, n_t, 1.0, 0.0, 1.0)  # a direct plan of n_t T gates
+            plan = SynthesisPlan(n_t, 0.0, n_t, 1.0, 0.0)  # a direct plan of n_t T gates
             cost = synthesis_cost(plan, "direct", TAU_REFERENCE)
             rate = cost.t_states / cost.logical_timesteps
             assert rate <= max_t_injection_rate(TAU_REFERENCE) + 1e-12

@@ -40,9 +40,16 @@ class TestKappa:
         assert kappa(0.0) == pytest.approx(10 / 24)
         assert kappa(1.0) == pytest.approx(2.18518, abs=1e-5)
 
-    @pytest.mark.parametrize("u", [1e155, 1e308, 10**200])
+    @pytest.mark.parametrize("u", [1e155, 1e308, 10**200, 1.2e154, 1.3e154])
     def test_a_prefactor_beyond_any_float_is_one_error(self, u):
+        # from about 1.095e154 to 1.34e154, u**2 is finite but 1.5 * u**2 is not
         message = f"u_over_t={u!r} must give a finite Trotter error prefactor"
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            kappa(u)
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -1.0])
+    def test_a_negative_or_non_finite_ratio_breaks_the_real_rule(self, u):
+        message = f"u_over_t={u!r} must be nonnegative and finite"
         with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
             kappa(u)
 
